@@ -1,4 +1,9 @@
-"""Cover data model and the verifier every solver output must pass."""
+"""Cover data model and the verifier every solver output must pass.
+
+:func:`verify_cover` judges a cover and reports exact part diameters;
+:func:`verified` is the verify-or-raise step that every construction in
+``solver`` and ``layers`` returns through.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import ImpossibleByLemmaError
 from .graphs import DISCONNECTED, EdgeColouring, set_diameter
 
 
@@ -90,6 +96,26 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     part_count_ok = len(cover.parts) <= max_parts
     valid = all_ok and not uncovered and part_count_ok
     return CoverReport(valid, tuple(reports), uncovered, part_count_ok)
+
+
+def verified(colouring: EdgeColouring, parts: Iterable[CoverPart], bound: float,
+             what: str, witness: dict | None = None) -> Cover:
+    """The cover of ``parts`` at ``bound``, if it passes :func:`verify_cover`.
+
+    Constructions return through this helper, with at most k-1 parts.  On
+    failure it raises :class:`ImpossibleByLemmaError` whose witness adds to
+    ``witness`` the uncovered vertices and, per part, its full sorted
+    vertex list, colour and measured diameter, enough to replay the check.
+    """
+    cover = Cover(tuple(parts), bound)
+    report = verify_cover(colouring, cover, bound=bound)
+    if not report.valid:
+        witness = dict(witness or {})
+        witness["uncovered"] = sorted(report.uncovered)
+        witness["parts"] = [(sorted(p.vertices), p.colour, repr(r.diameter))
+                            for p, r in zip(cover.parts, report.parts)]
+        raise ImpossibleByLemmaError(f"{what}: cover failed verification", witness)
+    return cover
 
 
 # -- cover file format ----------------------------------------------------

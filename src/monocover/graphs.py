@@ -6,11 +6,16 @@ within-class pairs of some partition, the host is complete multipartite
 and the partition is recorded.  Per-colour adjacency is stored as one
 bitmask per vertex, so component sweeps, balls and diameters all reduce
 to integer BFS, which is fast enough for exhaustive desk-scale testing.
+
+One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
+(distances, balls and components are calls to it), :func:`diameter_of_mask`
+is the only all-sources sweep, and :func:`diameter_within` answers
+"connected with diameter at most b" with a single BFS unless b lies
+between an eccentricity and twice it.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -114,23 +119,11 @@ class HostGraph:
         for u, v in self.missing:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        seen = 0
         classes = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = adj[v] & ~comp
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for w in iter_bits(frontier):
-                    nxt |= adj[w]
-                frontier = nxt & ~comp
+        for comp in components_masks(adj, self.n):
             for w in iter_bits(comp):
                 if adj[w] != comp ^ (1 << w):
                     return None
-            seen |= comp
             classes.append(tuple(iter_bits(comp)))
         return tuple(classes)
 
@@ -311,53 +304,25 @@ class EdgeColouring:
         return EdgeColouring(self.host, self.k, [bytes(r) for r in mat], _validate=False)
 
 
-# -- bitset BFS cores ---------------------------------------------------
+# -- the BFS kernel ------------------------------------------------------
 
 
-def bfs_distances(adj: Sequence[int], n: int, source: int,
-                  within: int | None = None) -> list[int]:
-    """Single-source BFS distances over bitmask adjacency; -1 = unreachable."""
-    dist = [-1] * n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    if within is not None:
-        frontier &= within
-    d = 0
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            nxt |= adj[lsb.bit_length() - 1]
-            m ^= lsb
-        if within is not None:
-            nxt &= within
-        nxt &= ~seen
-        if not nxt:
-            break
-        d += 1
-        seen |= nxt
-        m = nxt
-        while m:
-            lsb = m & -m
-            dist[lsb.bit_length() - 1] = d
-            m ^= lsb
-        frontier = nxt
-    return dist
+def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
+              radius: int | None = None,
+              dist: list[int] | None = None) -> tuple[int, int]:
+    """Level BFS from every vertex of ``start_mask`` at once.
 
-
-def bfs_reach(adj: Sequence[int], start_mask: int,
-              within: int | None = None) -> tuple[int, int]:
-    """BFS from every vertex of ``start_mask`` at once.
-
-    Returns (levels, reached_mask) where levels is the distance to the
-    farthest reached vertex.
+    This is the package's one frontier loop.  Only vertices of ``within``
+    are entered (all when None), and at most ``radius`` levels are
+    expanded (no limit when None).  When ``dist`` is given, each vertex
+    reached beyond the start set has its level written into it.  Returns
+    (levels, reached_mask) where levels is the distance to the farthest
+    reached vertex.
     """
     seen = start_mask
     frontier = start_mask
     levels = 0
-    while frontier:
+    while frontier and levels != radius:
         nxt = 0
         m = frontier
         while m:
@@ -371,8 +336,24 @@ def bfs_reach(adj: Sequence[int], start_mask: int,
             break
         levels += 1
         seen |= nxt
+        if dist is not None:
+            m = nxt
+            while m:
+                lsb = m & -m
+                dist[lsb.bit_length() - 1] = levels
+                m ^= lsb
         frontier = nxt
     return levels, seen
+
+
+def bfs_distances(adj: Sequence[int], n: int, source: int,
+                  within: int | None = None) -> list[int]:
+    """Single-source BFS distances over bitmask adjacency; -1 = unreachable."""
+    dist = [-1] * n
+    dist[source] = 0
+    if within is None or within >> source & 1:
+        bfs_reach(adj, 1 << source, within=within, dist=dist)
+    return dist
 
 
 def components_masks(adj: Sequence[int], n: int, within: int | None = None) -> list[int]:
@@ -388,17 +369,43 @@ def components_masks(adj: Sequence[int], n: int, within: int | None = None) -> l
     return comps
 
 
-def diameter_of_mask(adj: Sequence[int], comp: int) -> int:
-    """Exact diameter of a connected component given as a bitmask."""
+def diameter_of_mask(adj: Sequence[int], mask: int, stop_above: float | None = None):
+    """Diameter of the subgraph that ``mask`` induces; the one all-sources sweep.
+
+    Returns DISCONNECTED when some vertex of the mask cannot reach the
+    rest inside it.  With ``stop_above``, the sweep stops at the first
+    eccentricity above it and returns that eccentricity, which is then a
+    lower bound on the diameter that already exceeds ``stop_above``.
+    """
     best = 0
-    m = comp
+    m = mask
     while m:
         lsb = m & -m
-        levels, _ = bfs_reach(adj, lsb, within=comp)
+        levels, reach = bfs_reach(adj, lsb, within=mask)
+        if reach != mask:
+            return DISCONNECTED
         if levels > best:
             best = levels
+            if stop_above is not None and best > stop_above:
+                return best
         m ^= lsb
     return best
+
+
+def diameter_within(adj: Sequence[int], mask: int, bound: float) -> bool:
+    """True iff ``mask`` induces a connected subgraph of diameter <= bound.
+
+    One BFS from the lowest vertex decides when its eccentricity e has
+    2*e <= bound (every pair meets within e + e) or e > bound; only a
+    bound between the two pays for the all-sources sweep, which stops at
+    the first eccentricity above the bound.
+    """
+    ecc, reach = bfs_reach(adj, mask & -mask, within=mask)
+    if reach != mask:
+        return False
+    if 2 * ecc <= bound or ecc > bound:
+        return ecc <= bound
+    return diameter_of_mask(adj, mask, stop_above=bound) <= bound
 
 
 # -- monochromatic metrics ----------------------------------------------
@@ -407,13 +414,13 @@ def diameter_of_mask(adj: Sequence[int], comp: int) -> int:
 class MonoMetrics:
     """Cached per-colour components, distances and diameters of a colouring.
 
-    BFS rows are memoised on demand; the cache is lock-protected so
-    concurrent readers observe the single-threaded values.
+    BFS rows, component masks and component diameters are memoised on
+    first request.  The caches are plain dicts with no locking, so an
+    instance belongs to one thread.
     """
 
     def __init__(self, colouring: EdgeColouring):
         self.colouring = colouring
-        self._lock = threading.Lock()
         self._dist: dict[tuple[int, int], list[int]] = {}
         self._comps: dict[int, list[int]] = {}
         self._comp_diams: dict[int, list[int]] = {}
@@ -425,12 +432,11 @@ class MonoMetrics:
 
     def component_masks(self, c: int) -> list[int]:
         self._check(c)
-        with self._lock:
-            got = self._comps.get(c)
-            if got is None:
-                got = components_masks(self.colouring.adj_rows(c), self.colouring.n)
-                self._comps[c] = got
-            return got
+        got = self._comps.get(c)
+        if got is None:
+            got = components_masks(self.colouring.adj_rows(c), self.colouring.n)
+            self._comps[c] = got
+        return got
 
     def components(self, c: int) -> list[list[int]]:
         return [list(iter_bits(m)) for m in self.component_masks(c)]
@@ -452,12 +458,11 @@ class MonoMetrics:
     def distances_from(self, c: int, x: int) -> list[int]:
         self._check(c, x)
         key = (c, x)
-        with self._lock:
-            row = self._dist.get(key)
-            if row is None:
-                row = bfs_distances(self.colouring.adj_rows(c), self.colouring.n, x)
-                self._dist[key] = row
-            return row
+        row = self._dist.get(key)
+        if row is None:
+            row = bfs_distances(self.colouring.adj_rows(c), self.colouring.n, x)
+            self._dist[key] = row
+        return row
 
     def dist(self, c: int, u: int, v: int) -> float:
         """d_c(u, v); infinity when u and v lie in different c-components."""
@@ -480,13 +485,10 @@ class MonoMetrics:
 
     def component_diameters(self, c: int) -> list[int]:
         self._check(c)
-        with self._lock:
-            got = self._comp_diams.get(c)
-        if got is not None:
-            return got
-        adj = self.colouring.adj_rows(c)
-        got = [diameter_of_mask(adj, m) for m in self.component_masks(c)]
-        with self._lock:
+        got = self._comp_diams.get(c)
+        if got is None:
+            adj = self.colouring.adj_rows(c)
+            got = [diameter_of_mask(adj, m) for m in self.component_masks(c)]
             self._comp_diams[c] = got
         return got
 
@@ -499,24 +501,15 @@ class MonoMetrics:
         masks = self.component_masks(c)
         return len(masks) == 1
 
-    def spans_within_diameter(self, c: int, bound: int) -> bool:
-        """True iff G[c] is connected on all vertices with diameter <= bound.
+    def colour_within(self, c: int, bound: int) -> bool:
+        """Same as ``colour_diameter(c) <= bound``, without exact diameters."""
+        adj = self.colouring.adj_rows(c)
+        return all(diameter_within(adj, m, bound) for m in self.component_masks(c))
 
-        Uses the 2*eccentricity shortcut before paying for all-pairs BFS.
-        """
+    def spans_within_diameter(self, c: int, bound: int) -> bool:
+        """True iff G[c] is connected on all vertices with diameter <= bound."""
         col = self.colouring
-        adj = col.adj_rows(c)
-        n = col.n
-        if n == 1:
-            return True
-        ecc, reach = bfs_reach(adj, 1)
-        if reach != (1 << n) - 1:
-            return False
-        if 2 * ecc <= bound:
-            return True
-        if ecc > bound:
-            return False
-        return self.colour_diameter(c) <= bound
+        return diameter_within(col.adj_rows(c), (1 << col.n) - 1, bound)
 
 
 def mono_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
@@ -537,24 +530,12 @@ def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):
     has an unreachable pair; a singleton set has diameter 0.
     """
     colouring._check_colour(c)
-    verts = sorted(set(vertices))
+    verts = set(vertices)
     if not verts:
         raise ValueError("set_diameter needs a nonempty vertex set")
-    n = colouring.n
-    if verts[0] < 0 or verts[-1] >= n:
+    if min(verts) < 0 or max(verts) >= colouring.n:
         raise ValueError("vertex out of range")
-    if len(verts) == 1:
-        return 0
-    mask = mask_of(verts)
-    adj = colouring.adj_rows(c)
-    best = 0
-    for v in verts:
-        levels, reach = bfs_reach(adj, 1 << v, within=mask)
-        if reach != mask:
-            return DISCONNECTED
-        if levels > best:
-            best = levels
-    return best
+    return diameter_of_mask(colouring.adj_rows(c), mask_of(verts))
 
 
 # -- colouring file format ----------------------------------------------

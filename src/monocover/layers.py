@@ -4,9 +4,12 @@ A layer mapping assigns every vertex a pair of coordinates built from BFS
 distances in two generating colours; layers whose index points differ by
 at least 2 in both coordinates can only see the two reserved colours
 across them.  The cover constructions exploit 3- and 7-distant index sets
-to assemble full covers with at most three parts; each one verifies its
-output before returning and raises ImpossibleByLemmaError with a witness
-otherwise.
+to assemble full covers with at most three parts; each one returns
+through :func:`covers.verified`, which raises ImpossibleByLemmaError with
+a replayable witness when the output fails verification.  Coordinates
+come from :meth:`MonoMetrics.distances_from` and the core balls of the
+7-distant construction from ``graphs.bfs_reach(..., radius=r)``, both on
+the one BFS kernel of :mod:`graphs`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .covers import Cover, CoverPart, verify_cover
+from .covers import Cover, CoverPart, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, MonoMetrics, iter_bits, set_diameter
+from .graphs import (EdgeColouring, MonoMetrics, bfs_reach, iter_bits,
+                     set_diameter)
 from .twocolour import MonoSpanning, Split, bipartite_outcome, multipartite_colour
 
 Point = tuple[int, int]
@@ -183,18 +187,6 @@ def _require_points(lm: LayerMapping, pts: Iterable[Point]) -> None:
             raise ValueError(f"{p} is not a layer index point")
 
 
-def _verified_or_raise(colouring: EdgeColouring, cover: Cover, bound: float,
-                       max_parts: int, what: str, witness: dict) -> Cover:
-    report = verify_cover(colouring, cover, bound=bound, max_parts=max_parts)
-    if not report.valid:
-        witness = dict(witness)
-        witness["uncovered"] = sorted(report.uncovered)
-        witness["parts"] = [(sorted(p.vertices), p.colour, repr(r.diameter))
-                            for p, r in zip(cover.parts, report.parts)]
-        raise ImpossibleByLemmaError(f"{what}: self-verification failed", witness)
-    return cover
-
-
 def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[int, frozenset[int], int]:
     """Reserved colour connecting the three layers of a 3-distant triple.
 
@@ -277,9 +269,8 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
         parts.append(CoverPart(h_set | lm.union(p_h), cprime))
     if p_third:
         parts.append(CoverPart(lm.layer(third) | lm.union(p_third), cprime))
-    cover = Cover(tuple(parts), bound)
-    return _verified_or_raise(col, cover, bound, 3, "extended triple cover",
-                              {"triple": triple, "H": sorted(h_set), "N3": n3})
+    return verified(col, parts, bound, "extended triple cover",
+                    {"triple": triple, "H": sorted(h_set), "N3": n3})
 
 
 def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
@@ -341,30 +332,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
             for pair in pairs:
                 parts.append(CoverPart(
                     lm.union(pair) | lm.union(pair_groups[pair]), cbar))
-    cover = Cover(tuple(parts), QUAD_COVER_BOUND)
-    return _verified_or_raise(col, cover, QUAD_COVER_BOUND, 3, "quadruple cover",
-                              {"quad": quad, "base_colour": cbase})
-
-
-def _colour_ball_mask(colouring: EdgeColouring, c: int, start_mask: int,
-                      radius: int) -> int:
-    """Vertices within colour-c distance ``radius`` of the start set."""
-    adj = colouring.adj_rows(c)
-    seen = start_mask
-    frontier = start_mask
-    for _ in range(radius):
-        nxt = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            nxt |= adj[lsb.bit_length() - 1]
-            m ^= lsb
-        nxt &= ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return seen
+    return verified(col, parts, QUAD_COVER_BOUND, "quadruple cover",
+                    {"quad": quad, "base_colour": cbase})
 
 
 def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
@@ -473,7 +442,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                              "pillars": (x_pt, y_pt)})
             c_sub, union_sub, _ = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
-                h = _colour_ball_mask(col, c, core_mask, 20)
+                _, h = bfs_reach(col.adj_rows(c), core_mask, radius=20)
                 return cover_from_dist3_triple_ext(lm, sub, frozenset(iter_bits(h)))
             attached[point] = 40
         elif (e1, e2) == (b_anchor, a_anchor):
@@ -487,7 +456,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                 "impossible closeness pattern",
                 witness={"triple": triple, "point": point, "pattern": (e1, e2)})
 
-    v_mask = _colour_ball_mask(col, c, core_mask, 40)
+    _, v_mask = bfs_reach(col.adj_rows(c), core_mask, radius=40)
     v_set = frozenset(iter_bits(v_mask))
     parts = [CoverPart(v_set, c)]
     witness = {"triple": triple, "pillars": (x_pt, y_pt),
@@ -533,6 +502,5 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                 raise ImpossibleByLemmaError(
                     "near group neither absorbed nor anchor-connected", witness)
 
-    cover = Cover(tuple(parts), TRIPLE7_COVER_BOUND)
-    return _verified_or_raise(col, cover, TRIPLE7_COVER_BOUND, 3,
-                              "7-distant triple cover", witness)
+    return verified(col, parts, TRIPLE7_COVER_BOUND, "7-distant triple cover",
+                    witness)

@@ -15,31 +15,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .covers import Cover, CoverPart, verify_cover
-from .graphs import (EdgeColouring, HostGraph, MonoMetrics, bfs_reach,
-                     iter_bits)
+from .graphs import (EdgeColouring, HostGraph, MonoMetrics, diameter_within,
+                     iter_bits, set_diameter)
 from .solver import BRANCH_FALLBACK, solve4
 
 MAX_ORACLE_VERTICES = 14
-
-
-def _part_valid(adj, mask, bound) -> bool:
-    """Induced subgraph on mask connected with diameter <= bound."""
-    if mask == 0:
-        return False
-    first = mask & -mask
-    if mask == first:
-        return True
-    worst = 0
-    m = mask
-    while m:
-        lsb = m & -m
-        levels, reach = bfs_reach(adj, lsb, within=mask)
-        if reach != mask:
-            return False
-        if levels > worst:
-            worst = levels
-        m ^= lsb
-    return bound is None or worst <= bound
 
 
 def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
@@ -60,6 +40,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
         raise ValueError("need a positive part budget")
     if bound is not None and bound == math.inf:
         bound = None
+    max_diam = math.inf if bound is None else bound
     k = colouring.k
     metrics = MonoMetrics(colouring)
     adj = {c: colouring.adj_rows(c) for c in range(1, k + 1)}
@@ -78,7 +59,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
         return bound is None or d <= bound
 
     def extend(mask, c) -> int | None:
-        if _part_valid(adj[c], mask, bound):
+        if diameter_within(adj[c], mask, max_diam):
             return mask
         first = (mask & -mask).bit_length() - 1
         pool = comp_mask[c][first]
@@ -94,7 +75,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
                 pool &= ball
         if pool == mask:
             return None
-        if _part_valid(adj[c], pool, bound):
+        if diameter_within(adj[c], pool, max_diam):
             return pool
         extras = list(iter_bits(pool & ~mask))
         for r in range(1, len(extras) + 1):
@@ -102,7 +83,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
                 cand = mask
                 for v in combo:
                     cand |= 1 << v
-                if _part_valid(adj[c], cand, bound):
+                if diameter_within(adj[c], cand, max_diam):
                     return cand
         return None
 
@@ -149,9 +130,8 @@ def minimal_bound(colouring: EdgeColouring, max_parts: int,
     if cover is None:
         return None
     while True:
-        rep = verify_cover(colouring, cover, bound=cover.claimed_bound,
-                           max_parts=max_parts)
-        worst = max((r.diameter for r in rep.parts), default=0)
+        worst = max(set_diameter(colouring, p.colour, p.vertices)
+                    for p in cover.parts)
         if worst == 0:
             return 0
         lower = min_cover_bruteforce(colouring, max_parts, worst - 1)

@@ -7,8 +7,13 @@ sets; the all-colours-connected analysis; the intersecting-components
 analysis; the disjoint-component ball cover; and, last, the
 connectivity-only cover, which is flagged because reaching it means no
 bounded-diameter branch closed the instance.  No stage ever returns an
-unverified cover; anomalies raised by inner constructions are recorded in
-the trace and the cascade moves on.
+unverified cover: the constructions return through
+:func:`covers.verified`, which raises with a replayable witness instead,
+and anomalies raised by inner constructions are recorded in the trace and
+the cascade moves on.  Threshold gates such as "three colours of diameter at
+most 160" ask :meth:`MonoMetrics.colour_within`, which settles most
+components with one BFS of the :func:`graphs.bfs_reach` kernel instead of
+computing exact diameters.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .covers import Cover, CoverPart, verify_cover
+from .covers import Cover, CoverPart, verified, verify_cover
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, MonoMetrics, iter_bits
 from .grid import cover_G3, points_from_colouring
@@ -58,19 +63,6 @@ def _require_k4_complete(colouring: EdgeColouring) -> None:
         raise ValueError("solver expects a complete host")
 
 
-def _verified(colouring, parts, bound, what, max_parts=3) -> Cover:
-    cover = Cover(tuple(parts), bound)
-    report = verify_cover(colouring, cover, bound=bound, max_parts=max_parts)
-    if not report.valid:
-        raise ImpossibleByLemmaError(
-            f"{what}: cover failed verification",
-            witness={"uncovered": sorted(report.uncovered),
-                     "parts": [(sorted(p.vertices)[:20], p.colour,
-                                repr(r.diameter))
-                               for p, r in zip(cover.parts, report.parts)]})
-    return cover
-
-
 # -- connectivity-only cover ------------------------------------------------
 
 
@@ -80,8 +72,8 @@ def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
     Works through the signature point set: hyperplane parts pull back to
     whole components of the plane's colour, connected parts to fibre
     unions in colour 4; a singleton connected part is promoted to the
-    full colour-1 component of its fibre.  Connectivity only, so the
-    claimed bound is infinite.
+    full colour-1 component of its fibre, and a part equal to one already
+    taken is dropped.  Connectivity only, so the claimed bound is infinite.
     """
     _require_k4_complete(colouring)
     point_set, fibres = points_from_colouring(colouring)
@@ -91,16 +83,17 @@ def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
     for gp in grid_parts:
         if gp.kind == "hyperplane":
             c = gp.axis + 1
-            comp = metrics.components(c)[gp.value - 1]
-            parts.append(CoverPart(frozenset(comp), c))
+            part = CoverPart(frozenset(metrics.components(c)[gp.value - 1]), c)
         elif len(gp.members) == 1:
             sig = next(iter(gp.members))
-            comp = metrics.components(1)[sig[0] - 1]
-            parts.append(CoverPart(frozenset(comp), 1))
+            part = CoverPart(frozenset(metrics.components(1)[sig[0] - 1]), 1)
         else:
             verts = frozenset().union(*(fibres[p] for p in gp.members))
-            parts.append(CoverPart(verts, 4))
-    return _verified(colouring, parts, math.inf, "connectivity cover")
+            part = CoverPart(verts, 4)
+        # Two singleton grid parts can promote to the same component.
+        if part not in parts:
+            parts.append(part)
+    return verified(colouring, parts, math.inf, "connectivity cover")
 
 
 # -- stage 1: three colours of small diameter --------------------------------
@@ -119,7 +112,7 @@ def reduce_small_diameters(colouring: EdgeColouring,
     """
     _require_k4_complete(colouring)
     metrics = MonoMetrics(colouring)
-    small = [c for c in range(1, 5) if metrics.colour_diameter(c) <= n1]
+    small = [c for c in range(1, 5) if metrics.colour_within(c, n1)]
     if len(small) < 3:
         return None
     smalls = small[:3]
@@ -143,7 +136,7 @@ def reduce_small_diameters(colouring: EdgeColouring,
     conn = gyarfas_connectivity_cover(relabeled)
     inverse = {new: old for old, new in perm.items()}
     parts = [CoverPart(p.vertices, inverse[p.colour]) for p in conn.parts]
-    return _verified(colouring, parts, max(n1, 30), "small-diameter reduction")
+    return verified(colouring, parts, max(n1, 30), "small-diameter reduction")
 
 
 # -- 7-distant delegation helper ---------------------------------------------
@@ -187,7 +180,7 @@ def solve_connected_case(colouring: EdgeColouring,
     for c in range(1, 5):
         if len(metrics.component_masks(c)) > 1:
             return None
-    if any(metrics.colour_diameter(c) <= min_diameter for c in range(1, 5)):
+    if any(metrics.colour_within(c, min_diameter) for c in range(1, 5)):
         return None
 
     pair = None
@@ -208,7 +201,7 @@ def solve_connected_case(colouring: EdgeColouring,
         parts = [CoverPart(metrics.ball(2, x, 78), 2),
                  CoverPart(metrics.ball(3, x, 1), 3),
                  CoverPart(metrics.ball(4, x, 1), 4)]
-        return _verified(colouring, parts, COVER_BOUND, "connected case, no pair")
+        return verified(colouring, parts, COVER_BOUND, "connected case, no pair")
 
     x, y = pair
     path = _geodesic(colouring, metrics, 2, x, y)
@@ -274,7 +267,7 @@ def _realize_contradiction_pair(colouring, u, v, anomalies) -> Cover:
     metrics = MonoMetrics(colouring)
     parts = [CoverPart(metrics.ball(1, u, 56), 1),
              CoverPart(metrics.ball(2, u, 26), 2)]
-    return _verified(colouring, parts, COVER_BOUND, "contradiction pair balls")
+    return verified(colouring, parts, COVER_BOUND, "contradiction pair balls")
 
 
 # -- stage 4: intersecting components -----------------------------------------
@@ -360,9 +353,9 @@ def solve_intersecting_case(colouring: EdgeColouring,
     x, y = pair
     ball50 = metrics.ball_mask(c_big, x, 50)
     if ball50 == (1 << n) - 1:
-        return _verified(colouring,
-                         [CoverPart(frozenset(iter_bits(ball50)), c_big)],
-                         COVER_BOUND, "intersecting case, one ball")
+        return verified(colouring,
+                        [CoverPart(frozenset(iter_bits(ball50)), c_big)],
+                        COVER_BOUND, "intersecting case, one ball")
     z = next(w for w in range(n) if not ball50 >> w & 1)
     lm = build_layer_mapping(colouring, c_big, c_prime, seeds=[x, y, z],
                              value_policy="spread")

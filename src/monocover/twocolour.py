@@ -15,8 +15,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (EdgeColouring, HostGraph, bfs_reach, components_masks,
-                     diameter_of_mask, iter_bits, mask_of)
+from .graphs import (DISCONNECTED, EdgeColouring, HostGraph, components_masks,
+                     diameter_of_mask, diameter_within, iter_bits, mask_of)
 
 SPANNING_DIAMETER_BOUND = 3      # complete host, 2 colours
 BIPARTITE_DIAMETER_BOUND = 10
@@ -76,26 +76,6 @@ def _cross_adj(colouring: EdgeColouring, groups: Sequence[Sequence[int]],
     return adj, union, gmasks
 
 
-def _spanning_diameter(adj: list[int], union: int) -> int | None:
-    """Exact diameter when the masked graph is connected on all of union."""
-    start = union & -union
-    _, reach = bfs_reach(adj, start, within=union)
-    if reach != union:
-        return None
-    return diameter_of_mask(adj, union)
-
-
-def _comp_has_diameter(adj: list[int], comp: int, threshold: int) -> bool:
-    m = comp
-    while m:
-        lsb = m & -m
-        levels, _ = bfs_reach(adj, lsb, within=comp)
-        if levels >= threshold:
-            return True
-        m ^= lsb
-    return False
-
-
 def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
                       side2: Sequence[int], pair: tuple[int, int]) -> BipartiteOutcome:
     """Two-colour analysis of the complete bipartite graph between two groups.
@@ -122,7 +102,7 @@ def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
     def mono(c: int) -> MonoSpanning | None:
         if len(comps[c]) != 1:
             return None
-        diam = diameter_of_mask(adj[c], union)
+        diam = diameter_of_mask(adj[c], union, stop_above=BIPARTITE_DIAMETER_BOUND)
         if diam <= BIPARTITE_DIAMETER_BOUND:
             return MonoSpanning(c, diam)
         return None
@@ -130,7 +110,7 @@ def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
     # A long component in one colour makes the other colour span tightly.
     for c, other in ((ca, cb), (cb, ca)):
         for comp in comps[c]:
-            if _comp_has_diameter(adj[c], comp, 7):
+            if not diameter_within(adj[c], comp, 6):
                 got = mono(other)
                 if got is not None:
                     return got
@@ -186,11 +166,8 @@ def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]
     degenerate pattern: one group holds a vertex whose cross edges all
     take one colour and another whose cross edges all take the other, so
     each colour misses a vertex and neither is connected at any diameter.
-    The raise is exact for four or more groups, and for three groups
-    whenever every pairwise bipartite analysis has an outcome (always so
-    for groups of size two).  For three groups, a pair with no bipartite
-    outcome currently propagates that analysis's raise and witness even
-    when the whole graph has a spanning colour.
+    The raise is exact: when a pair or triple of groups has no outcome of
+    its own, both colours are tested directly.
     """
     r = len(groups)
     if r < 3:
@@ -205,8 +182,8 @@ def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]
             if c in seen:
                 continue
             seen.add(c)
-            diam = _spanning_diameter(adj[c], union)
-            if diam is not None and diam <= bound:
+            diam = diameter_of_mask(adj[c], union, stop_above=bound)
+            if diam is not DISCONNECTED and diam <= bound:
                 return c, diam
         return None
 
@@ -217,22 +194,19 @@ def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]
             if got:
                 return got
 
-    if r == 3:
-        outs = [bipartite_outcome(colouring, groups[i], groups[j], pair)
-                for i, j in ((0, 1), (0, 2), (1, 2))]
-        monos = [o.colour for o in outs if isinstance(o, MonoSpanning)]
-        order: list[int] = []
-        if len(monos) >= 2:
-            # Two spanning pairs of groups sharing a colour chain together.
-            for c in pair:
-                if monos.count(c) >= 2:
-                    order.append(c)
-        order += monos + [ca, cb]
-        got = attempt(order)
-        if got:
-            return got
-    else:
-        try:
+    try:
+        if r == 3:
+            outs = [bipartite_outcome(colouring, groups[i], groups[j], pair)
+                    for i, j in ((0, 1), (0, 2), (1, 2))]
+            monos = [o.colour for o in outs if isinstance(o, MonoSpanning)]
+            order: list[int] = []
+            if len(monos) >= 2:
+                # Two spanning pairs of groups sharing a colour chain together.
+                for c in pair:
+                    if monos.count(c) >= 2:
+                        order.append(c)
+            order += monos + [ca, cb]
+        else:
             aux_host = HostGraph.complete(r - 1)
             aux_colours = {}
             for i, j in combinations(range(r - 1), 2):
@@ -242,13 +216,13 @@ def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]
             aux = EdgeColouring.from_pairs(aux_host, 2, aux_colours)
             c_aux = erdos_rado_cover(aux)
             order = [ca, cb] if c_aux == 1 else [cb, ca]
-        except ImpossibleByLemmaError:
-            # A degenerate class triple has no spanning colour of its own;
-            # the whole graph may still have one, so test both directly.
-            order = [ca, cb]
-        got = attempt(order)
-        if got:
-            return got
+    except ImpossibleByLemmaError:
+        # A degenerate pair or triple of groups has no outcome of its own;
+        # the whole graph may still have a spanning colour, so test both.
+        order = [ca, cb]
+    got = attempt(order)
+    if got:
+        return got
     raise ImpossibleByLemmaError(
         "no spanning colour within the multipartite bound",
         witness={"groups": [sorted(g) for g in groups], "pair": pair, "bound": bound})
@@ -266,11 +240,7 @@ def erdos_rado_cover(colouring: EdgeColouring) -> int:
     n = colouring.n
     universe = (1 << n) - 1
     for c in (1, 2):
-        adj = colouring.adj_rows(c)
-        if n == 1:
-            return c
-        diam = _spanning_diameter(adj, universe)
-        if diam is not None and diam <= SPANNING_DIAMETER_BOUND:
+        if diameter_within(colouring.adj_rows(c), universe, SPANNING_DIAMETER_BOUND):
             return c
     raise ImpossibleByLemmaError("no colour spans with diameter <= 3",
                                  witness={"n": n})
@@ -307,9 +277,7 @@ def multipartite_two_colour(colouring: EdgeColouring) -> MultipartiteResult:
     beyond) and raises :class:`ImpossibleByLemmaError` with a witness when
     none exists: for example when one class holds an all-colour-1 vertex
     and an all-colour-2 vertex, so neither colour is connected.  The raise
-    is exact under the conditions stated in :func:`multipartite_colour`;
-    with three classes it can also fire when a pair of classes alone has
-    no bipartite outcome.
+    is exact, as stated in :func:`multipartite_colour`.
     """
     classes = colouring.host.classes
     if classes is None or len(classes) < 3:

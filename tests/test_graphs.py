@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_colouring, random_colouring
+from monocover.generators import two_paths
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
-                              MonoMetrics, bfs_distances, format_colouring,
+                              MonoMetrics, bfs_distances, bfs_reach,
+                              diameter_within, format_colouring, mask_of,
                               mono_ball, mono_components, parse_colouring,
                               set_diameter)
 
@@ -239,13 +241,36 @@ def test_set_diameter_is_induced_not_restricted():
 
 
 def test_set_diameter_matches_floyd_warshall_oracle(rng):
+    cases = []
     for _ in range(40):
         n = rng.randint(2, 8)
         col = random_colouring(n, rng.randint(1, 3), seed=rng.randint(0, 10**6))
-        c = rng.randint(1, col.k)
-        size = rng.randint(1, n)
-        verts = rng.sample(range(n), size)
-        assert set_diameter(col, c, verts) == floyd_warshall_induced(col, c, verts)
+        cases.append((col, rng.randint(1, col.k), rng.sample(range(n), rng.randint(1, n))))
+    # Colour 1 of two_paths is the path 0..39: from its end, the first BFS
+    # exits early for bounds below 39 and straddles (39 <= b < 78) above.
+    # Colour 2 on these vertices is the path 30..38, 1..9, whose lowest
+    # vertex 1 sits in the middle (eccentricity 5, diameter 9): bounds
+    # 5..8 stop the all-sources sweep at its first eccentricity above b.
+    path = two_paths(40, rng.randint(0, 10**6))
+    cases.append((path, 1, range(40)))
+    cases.append((path, 2, [30, 32, 34, 36, 38, 1, 3, 5, 7, 9]))
+    for col, c, verts in cases:
+        fw = floyd_warshall_induced(col, c, verts)
+        assert set_diameter(col, c, verts) == fw
+        adj, mask = col.adj_rows(c), mask_of(verts)
+        for b in range(col.n + 2):
+            assert diameter_within(adj, mask, b) == (fw is not DISCONNECTED and fw <= b)
+
+
+def test_bfs_reach_radius_is_ball(rng):
+    for _ in range(20):
+        col = random_colouring(rng.randint(1, 9), 3, seed=rng.randint(0, 10**6))
+        m = MonoMetrics(col)
+        for c in range(1, 4):
+            for x in range(col.n):
+                for r in range(col.n + 1):
+                    _, ball = bfs_reach(col.adj_rows(c), 1 << x, radius=r)
+                    assert ball == m.ball_mask(c, x, r)
 
 
 # -- metric laws ----------------------------------------------------------

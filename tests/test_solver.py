@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import constant_colouring, random_colouring
@@ -39,6 +40,25 @@ def test_gyarfas_sharpness_instance():
     cover = gyarfas_connectivity_cover(col)
     assert len(cover.parts) <= 3
     assert verify_cover(col, cover, bound=math.inf, max_parts=3).valid
+
+
+def test_connectivity_cover_parts_are_distinct():
+    # Four blocks of 20 with the cross-block colours of four_blocks and
+    # uniform colours inside the blocks.  Two singleton grid parts promote
+    # to the same colour-1 component, which the cover must take only once.
+    n = 80
+    block = np.repeat(np.arange(4), n // 4)
+    table = np.zeros((4, 4), dtype=np.uint8)
+    for (a, b), c in {(0, 1): 3, (0, 2): 4, (1, 2): 1, (1, 3): 1,
+                      (0, 3): 2, (2, 3): 2}.items():
+        table[a, b] = table[b, a] = c
+    inside = block[:, None] == block[None, :]
+    within = np.random.default_rng(0).integers(1, 5, size=(n, n), dtype=np.uint8)
+    mat = np.triu(np.where(inside, within, table[block[:, None], block[None, :]]), 1)
+    col = EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
+    cover, trace = solve4(col)
+    check_solved(col, cover, trace)
+    assert len(set(cover.parts)) == len(cover.parts)
 
 
 def test_gyarfas_random_instances(rng):

@@ -265,17 +265,18 @@ def test_multipartite_exhaustive_k222_complete_relative_to_existence():
 
 
 def test_multipartite_many_classes(rng):
-    for _ in range(100):
-        seed = rng.randint(0, 10**9)
-        sub = random.Random(seed)
-        col = multipartite_colouring([3, 4, 5, 6], lambda u, v: sub.randint(1, 2))
-        try:
-            res = multipartite_two_colour(col)
-        except ImpossibleByLemmaError:
-            assert not spanning_colour_exists(col, bound=60)
-        else:
-            assert res.bound == 60
-            check_multipartite(col, res)
+    for sizes, bound in (([3, 4, 5, 6], 60), ([3, 3, 3], 20)):
+        for _ in range(100):
+            seed = rng.randint(0, 10**9)
+            sub = random.Random(seed)
+            col = multipartite_colouring(sizes, lambda u, v: sub.randint(1, 2))
+            try:
+                res = multipartite_two_colour(col)
+            except ImpossibleByLemmaError:
+                assert not spanning_colour_exists(col, bound=bound)
+            else:
+                assert res.bound == bound
+                check_multipartite(col, res)
 
 
 def test_multipartite_rejects_bipartite():
