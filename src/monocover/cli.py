@@ -1,7 +1,9 @@
 """Command-line front door: generators, solvers, verifiers, converters.
 
 All file formats are line-oriented text.  Exit codes: 0 verified success,
-2 verified-invalid, 3 fallback or incomplete result.  Flags only; no
+2 verified-invalid, 3 fallback or incomplete result, 4 rejected input (a
+malformed or unreadable file, or a value a command cannot use, reported
+as one line `monocover: error: <message>` on stderr).  Flags only; no
 configuration files or environment variables.
 """
 
@@ -24,7 +26,7 @@ from .solver import BRANCH_FALLBACK, solve4
 from .twocolour import (MonoSpanning, bipartite_two_colour, erdos_rado_cover,
                         multipartite_two_colour)
 
-OK, INVALID, INCOMPLETE = 0, 2, 3
+OK, INVALID, INCOMPLETE, REJECTED = 0, 2, 3, 4
 
 
 def _read(path: str) -> str:
@@ -269,7 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"monocover: error: {exc}", file=sys.stderr)
+        return REJECTED
 
 
 if __name__ == "__main__":

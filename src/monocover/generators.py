@@ -4,8 +4,10 @@ Every random kind is fully determined by its seed.  The adversarial
 families target specific solver stages: four joined blocks leave no
 colour spanning (small-diameter reduction); two interleaved spanning
 paths defeat the cheap stages and hand the layer machinery a 3-distant
-quadruple; ladders and strip patterns produce layered structure at
-smaller sizes.
+quadruple.  Ladders look layered but reach no non-trivial stage: colour 1
+spans a ladder of length >= 3 with diameter ``length - 1``, so
+``solve4`` closes every ladder ``layered_adversarial`` draws in
+SingleColour.
 """
 
 from __future__ import annotations
@@ -133,7 +135,12 @@ def two_paths(n: int, seed: int) -> EdgeColouring:
 
 def ladder(length: int, seed: int) -> EdgeColouring:
     """Rungs of two vertices; colour 1 joins consecutive rungs, colour 2
-    stays inside a rung, far pairs are seeded reserved colours."""
+    stays inside a rung, far pairs are seeded reserved colours.
+
+    For ``length >= 3`` colour 1 spans with diameter ``length - 1``, so
+    up to length 161 ``solve4`` closes the ladder in SingleColour with
+    colour 1.
+    """
     rng = random.Random(seed)
     n = 2 * length
 

@@ -8,10 +8,17 @@ bitmask per vertex, so component sweeps, balls and diameters all reduce
 to integer BFS, which is fast enough for exhaustive desk-scale testing.
 
 One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
-(distances, balls and components are calls to it), :func:`diameter_of_mask`
-is the only all-sources sweep, and :func:`diameter_within` answers
-"connected with diameter at most b" with a single BFS unless b lies
-between an eccentricity and twice it.
+(distances, balls and components are calls to it) and stops as soon as
+it has reached its whole mask, :func:`diameter_of_mask` is the only
+all-sources sweep, and :func:`diameter_within` answers "connected with
+diameter at most b" with a single BFS unless b lies between an
+eccentricity and twice it.
+
+The colouring file format is read and written without a Python loop per
+pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
+and ends in :meth:`EdgeColouring.from_matrix`, and
+:func:`format_colouring` writes each row by lookup in a table of
+"v c" strings.
 """
 
 from __future__ import annotations
@@ -314,15 +321,16 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
 
     This is the package's one frontier loop.  Only vertices of ``within``
     are entered (all when None), and at most ``radius`` levels are
-    expanded (no limit when None).  When ``dist`` is given, each vertex
-    reached beyond the start set has its level written into it.  Returns
-    (levels, reached_mask) where levels is the distance to the farthest
-    reached vertex.
+    expanded (no limit when None).  The loop stops as soon as it has
+    reached all of ``within``, since one more level could only come back
+    empty.  When ``dist`` is given, each vertex reached beyond the start
+    set has its level written into it.  Returns (levels, reached_mask)
+    where levels is the distance to the farthest reached vertex.
     """
     seen = start_mask
     frontier = start_mask
     levels = 0
-    while frontier and levels != radius:
+    while frontier and levels != radius and seen != within:
         nxt = 0
         m = frontier
         while m:
@@ -351,7 +359,9 @@ def bfs_distances(adj: Sequence[int], n: int, source: int,
     """Single-source BFS distances over bitmask adjacency; -1 = unreachable."""
     dist = [-1] * n
     dist[source] = 0
-    if within is None or within >> source & 1:
+    if within is None:
+        within = (1 << n) - 1
+    if within >> source & 1:
         bfs_reach(adj, 1 << source, within=within, dist=dist)
     return dist
 
@@ -541,62 +551,155 @@ def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):
 # -- colouring file format ----------------------------------------------
 
 
+# Byte classes of the colouring file format.  They match what str.split()
+# and str.splitlines() treat as whitespace and line breaks in ASCII text.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_BREAK = np.zeros(256, dtype=bool)
+_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0"):ord("9") + 1] = True
+_MAX_DIGITS = 18  # keeps every value inside int64
+
+
 def format_colouring(colouring: EdgeColouring) -> str:
     """Line-oriented text form: header `n k`, then one `u v c|-` per pair."""
     n = colouring.n
-    missing = colouring.host.missing
+    rows = colouring._rows
+    # table[code[c] + v] is "v c" for each colour c present, "v -" for 0
+    used = np.flatnonzero(np.bincount(np.frombuffer(b"".join(rows), np.uint8)))
+    code = np.zeros(256, dtype=np.intp)
+    code[used] = np.arange(used.size) * n
+    table = [f"{v} {c or '-'}" for c in used.tolist() for v in range(n)]
+    cols = np.arange(n)
     out = [f"{n} {colouring.k}"]
-    for u in range(n):
-        row = colouring._rows[u]
-        for v in range(u + 1, n):
-            if (u, v) in missing:
-                out.append(f"{u} {v} -")
-            else:
-                out.append(f"{u} {v} {row[v]}")
+    for u in range(n - 1):
+        idx = code[np.frombuffer(rows[u], np.uint8, offset=u + 1)] + cols[u + 1:]
+        pre = f"{u} "
+        out.append(pre + ("\n" + pre).join(map(table.__getitem__, idx.tolist())))
     return "\n".join(out) + "\n"
 
 
+def _line_error(buf: np.ndarray, breaks: np.ndarray, pos: int, what: str) -> ValueError:
+    """ValueError quoting the line of ``buf`` that holds byte ``pos``."""
+    i = int(np.searchsorted(breaks, pos))
+    lo = int(breaks[i - 1]) + 1 if i else 0
+    hi = int(breaks[i]) if i < breaks.size else buf.size
+    line = buf[lo:hi].tobytes().decode("utf-8", "replace")
+    return ValueError(f"{what}: {line.split('#', 1)[0].strip()!r}")
+
+
 def parse_colouring(text: str) -> EdgeColouring:
-    """Parse the colouring file format; rejects duplicate or absent pairs."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+    """Parse the colouring file format; rejects duplicate or absent pairs.
+
+    One vectorised pass over the bytes.  A `#` blanks the rest of its
+    line; tokens are the runs between ASCII whitespace.  The first
+    non-empty line must hold `n k` and every later one `u v c` or
+    `u v -`, with each other token made of ASCII decimal digits.  The
+    pair count is checked against n(n-1)/2 before anything of size n*n
+    is allocated, so memory stays linear in the length of the text.
+    """
+    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ix = np.int32 if buf.size < 2**31 else np.int64
+    space = _SPACE[buf]
+    breaks = np.flatnonzero(_BREAK[buf])
+    hashes = np.flatnonzero(buf == ord("#"))
+    if hashes.size:
+        # blank each line from its first '#' up to its line break
+        line = np.searchsorted(breaks, hashes)
+        first = np.ones(hashes.size, dtype=bool)
+        first[1:] = line[1:] != line[:-1]
+        flip = np.zeros(buf.size + 1, dtype=np.int8)
+        flip[hashes[first]] = 1
+        flip[np.append(breaks, buf.size)[line[first]]] = -1
+        space |= np.cumsum(flip[:-1], dtype=np.int8).view(bool)
+        del line, first, flip
+    odd = np.flatnonzero(~(space | _DIGIT[buf]))
+    pad = np.concatenate(([True], space, [True]))
+    del space, hashes
+    starts = np.flatnonzero(pad[:-2] > pad[1:-1]).astype(ix)
+    ends = np.flatnonzero(pad[1:-1] < pad[2:]).astype(ix) + 1
+    del pad
+    if not starts.size:
         raise ValueError("empty colouring file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n k'")
-    n, k = int(head[0]), int(head[1])
+
+    # 2 tokens on the first non-empty line, 3 on every later one.  cuts
+    # holds the number of tokens before each line start, so its distinct
+    # values are the first tokens of the non-empty lines.
+    cuts = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
+    heads = cuts[np.flatnonzero(np.diff(cuts))]
+    widths = np.diff(heads, append=starts.size)
+    del cuts
+    if widths[0] != 2:
+        raise _line_error(buf, breaks, starts[0], "header must be 'n k'")
+    bad = np.flatnonzero(widths[1:] != 3)
+    if bad.size:
+        raise _line_error(buf, breaks, starts[heads[bad[0] + 1]], "bad edge line")
+    del heads, widths
+
+    # the only token that is not digits is a lone '-' in a colour column
+    odd_tok = np.searchsorted(starts, odd, side="right") - 1
+    dash = ((buf[odd] == ord("-")) & (ends[odd_tok] - starts[odd_tok] == 1)
+            & (odd_tok % 3 == 1) & (odd_tok > 1))
+    if not dash.all():
+        t = odd_tok[np.argmin(dash)]
+        token = buf[starts[t]:ends[t]].tobytes().decode("utf-8", "replace")
+        raise _line_error(buf, breaks, starts[t], f"bad token {token!r} in line")
+    dashed = (odd_tok - 4) // 3
+    del odd, odd_tok, dash
+
+    lengths = ends - starts
+    too_long = np.flatnonzero(lengths > _MAX_DIGITS)
+    if too_long.size:
+        raise _line_error(buf, breaks, starts[too_long[0]], "number too long in line")
+    # column j of every token at once, in place to keep the peak low
+    val = np.zeros(starts.size, dtype=np.int64)
+    pos = np.empty_like(starts)
+    for j in range(int(lengths.max())):
+        live = lengths > j
+        np.minimum(starts + j, buf.size - 1, out=pos)
+        np.multiply(val, 10, out=val, where=live)
+        np.add(val, buf[pos] - ord("0"), out=val, where=live)
+    del starts, ends, lengths, pos, live
+
+    n, k = int(val[0]), int(val[1])
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    mat = [bytearray(n) for _ in range(n)]
-    missing = []
-    seen = set()
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"bad pair ({u},{v})")
-        u, v = _norm_pair(u, v)
-        if (u, v) in seen:
-            raise ValueError(f"duplicate pair ({u},{v})")
-        seen.add((u, v))
-        if parts[2] == "-":
-            missing.append((u, v))
-        else:
-            c = int(parts[2])
-            if not 1 <= c <= k:
-                raise ValueError(f"colour {c} out of range on pair ({u},{v})")
-            mat[u][v] = c
-            mat[v][u] = c
-    if len(seen) != n * (n - 1) // 2:
-        raise ValueError("every unordered pair must appear exactly once")
+    if k > 255:
+        raise ValueError(f"k = {k} exceeds the 255 colours a byte can hold")
+    m = n * (n - 1) // 2
+    if (val.size - 2) // 3 != m:
+        raise ValueError(f"every unordered pair must appear exactly once: "
+                         f"{(val.size - 2) // 3} pair lines for n = {n}")
+    u, v, c = val[2::3], val[3::3], val[4::3]
+    bad = np.flatnonzero((u >= n) | (v >= n) | (u == v))
+    if bad.size:
+        raise ValueError(f"bad pair ({u[bad[0]]},{v[bad[0]]})")
+    lo = np.minimum(u, v).astype(np.int32)
+    hi = np.maximum(u, v).astype(np.int32)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[lo, hi] = True
+    if np.count_nonzero(seen) != m:
+        _, first = np.unique(lo.astype(np.int64) * n + hi, return_index=True)
+        again = np.ones(m, dtype=bool)
+        again[first] = False
+        i = np.argmax(again)
+        raise ValueError(f"duplicate pair ({lo[i]},{hi[i]})")
+    del seen
+    miss = np.zeros(m, dtype=bool)
+    miss[dashed] = True
+    bad = np.flatnonzero(~miss & ((c < 1) | (c > k)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"colour {c[i]} out of range on pair ({u[i]},{v[i]})")
+    col = np.where(miss, 0, c).astype(np.uint8)
+    del val, u, v, c
+    mat = np.zeros((n, n), dtype=np.uint8)
+    mat[lo, hi] = col
+    mat[hi, lo] = col
+    missing = list(zip(lo[miss].tolist(), hi[miss].tolist()))
     host = HostGraph(n, missing)
     inferred = host.infer_classes()
     if inferred is not None and missing:
         host = HostGraph(n, missing, classes=inferred)
-    return EdgeColouring(host, k, [bytes(r) for r in mat])
+    return EdgeColouring.from_matrix(host, k, mat)

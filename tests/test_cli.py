@@ -124,3 +124,24 @@ def test_oracle_scan_cli(capsys):
 def test_oracle_scan_incomplete():
     assert run("oracle", "scan", "--n", "4", "--k", "2", "--bound", "3",
                "--parts", "1", "--limit", "3") == 3
+
+
+def test_malformed_colouring_is_rejected_in_one_line(tmp_path, capsys):
+    col_path = tmp_path / "bad.col"
+    col_path.write_text("3 2\n0 1 1\n0 2 x\n1 2 1\n")
+    assert run("solve", str(col_path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("monocover: error: ") and err.count("\n") == 1
+    assert run("verify", str(tmp_path / "absent.col"), str(col_path)) == 4
+    assert capsys.readouterr().err.startswith("monocover: error: ")
+
+
+def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):
+    col_path = tmp_path / "g.col"
+    cov_path = tmp_path / "bad.cov"
+    run("gen", "random-uniform", "--n", "6", "--k", "2", "--seed", "1",
+        "-o", str(col_path))
+    cov_path.write_text("parts=2 bound=1\n1: 0 1\n")
+    assert run("verify", str(col_path), str(cov_path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("monocover: error: ") and err.count("\n") == 1

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections.abc import Sequence
 from itertools import combinations
 
 import pytest
@@ -12,9 +14,9 @@ from conftest import constant_colouring, random_colouring
 from monocover.generators import two_paths
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
                               MonoMetrics, bfs_distances, bfs_reach,
-                              diameter_within, format_colouring, mask_of,
-                              mono_ball, mono_components, parse_colouring,
-                              set_diameter)
+                              diameter_of_mask, diameter_within,
+                              format_colouring, mask_of, mono_ball,
+                              mono_components, parse_colouring, set_diameter)
 
 
 # -- independent oracles --------------------------------------------------
@@ -328,6 +330,37 @@ def test_distance_finite_iff_same_component():
                 assert (m.dist(c, u, v) < math.inf) == same
 
 
+class CountingRows(Sequence):
+    """Adjacency rows that count how often the BFS reads one."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.rows[i]
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def test_bfs_stops_once_mask_is_reached():
+    # On K_n the first level reaches every vertex; a further level would
+    # expand all n - 1 of them to find nothing.
+    n = 12
+    full = (1 << n) - 1
+    adj = CountingRows(constant_colouring(n, 1).adj_rows(1))
+    assert bfs_reach(adj, 1, within=full) == (1, full)
+    assert adj.reads == 1
+    adj.reads = 0
+    assert diameter_of_mask(adj, full) == 1
+    assert adj.reads == n
+    adj.reads = 0
+    assert bfs_distances(adj, n, 0) == [0] + [1] * (n - 1)
+    assert adj.reads == 1
+
+
 def test_bfs_distances_restricted_mask():
     col = constant_colouring(5, 1)
     adj = col.adj_rows(1)
@@ -369,3 +402,189 @@ def test_colouring_file_rejects_duplicates_and_gaps():
         parse_colouring("3 2\n0 1 1\n0 2 1\n")
     with pytest.raises(ValueError):
         parse_colouring("3 2\n0 1 9\n0 2 1\n1 2 1\n")
+    with pytest.raises(ValueError, match=r"duplicate pair \(0,1\)"):
+        parse_colouring("3 2\n0 1 1\n1 0 2\n0 2 1\n")
+
+
+def test_colouring_parser_memory_bounded_by_input():
+    # A header asking for n = 100000 must fail on the pair count before
+    # anything of size n*n (10^10 bytes) is allocated.
+    for text in ("100000 4\n0 1 1\n", "100000 4\n", "2 1000000000\n0 1 1\n",
+                 "3 2\n0 1 1\n0 2 1\n1 2 " + "9" * 100_000 + "\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                parse_colouring(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (text[:20], peak)
+
+
+# -- colouring parser properties ---------------------------------------
+
+
+def reference_parse_colouring(text):
+    """Line-by-line reading of the format, independent of the numpy parser."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise ValueError("empty colouring file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError("header must be 'n k'")
+    n, k = int(head[0]), int(head[1])
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    mat = [bytearray(n) for _ in range(n)]
+    missing, seen = [], set()
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad edge line: {line!r}")
+        u, v = sorted((int(parts[0]), int(parts[1])))
+        if u == v or not (0 <= u and v < n):
+            raise ValueError(f"bad pair ({u},{v})")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate pair ({u},{v})")
+        seen.add((u, v))
+        if parts[2] == "-":
+            missing.append((u, v))
+        else:
+            c = int(parts[2])
+            if not 1 <= c <= k:
+                raise ValueError(f"colour {c} out of range")
+            mat[u][v] = mat[v][u] = c
+    if len(seen) != n * (n - 1) // 2:
+        raise ValueError("every unordered pair must appear exactly once")
+    host = HostGraph(n, missing)
+    inferred = host.infer_classes()
+    if inferred is not None and missing:
+        host = HostGraph(n, missing, classes=inferred)
+    return EdgeColouring(host, k, [bytes(r) for r in mat])
+
+
+def parsed_state(col):
+    return col.k, col._rows, col._adj, col.host.missing, col.host.classes
+
+
+def assert_same_outcome(text):
+    """Both parsers accept ``text`` with equal results, or both reject it."""
+    outcomes = []
+    for parse in (parse_colouring, reference_parse_colouring):
+        try:
+            outcomes.append(parsed_state(parse(text)))
+        except ValueError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1], text
+    return outcomes[0]
+
+
+@st.composite
+def colouring_texts(draw, min_n=1):
+    """File text of a random colouring of a complete, complete multipartite
+    or complete-minus-pairs host."""
+    kind = draw(st.sampled_from(["complete", "multipartite", "minus-pairs"]))
+    if kind == "multipartite":
+        host = HostGraph.multipartite(
+            draw(st.lists(st.integers(1, 3), min_size=max(1, min_n - 2), max_size=4)
+                 .filter(lambda sizes: sum(sizes) >= min_n)))
+    else:
+        n = draw(st.integers(min_n, 8))
+        missing = []
+        if kind == "minus-pairs" and n > 1:
+            missing = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                                    unique=True))
+        host = HostGraph(n, missing)
+    k = draw(st.integers(1, 5))
+    present = [p for p in combinations(range(host.n), 2) if p not in host.missing]
+    colours = draw(st.lists(st.integers(1, k), min_size=len(present),
+                            max_size=len(present)))
+    return format_colouring(EdgeColouring.from_pairs(host, k, dict(zip(present, colours))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colouring_texts())
+def test_colouring_parser_roundtrip(text):
+    assert format_colouring(parse_colouring(text)) == text
+    assert assert_same_outcome(text) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(colouring_texts(), st.data())
+def test_colouring_parser_ignores_layout(text, data):
+    seps = st.sampled_from([" ", "\t", "  ", " \t "])
+    comments = st.sampled_from(["", " # note", "#0 1 2", "\t# \u00e9 \u221e #"])
+    out = []
+    for line in text.splitlines():
+        if data.draw(st.booleans()):
+            out.append(data.draw(st.sampled_from(["", "   ", "# comment", "\t#"])))
+        lead = data.draw(st.sampled_from(["", " ", "\t"]))
+        out.append(lead + data.draw(seps).join(line.split()) + data.draw(comments))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    noisy = eol.join(out) + data.draw(st.sampled_from(["", eol]))
+    assert assert_same_outcome(noisy) == parsed_state(parse_colouring(text))
+
+
+MUTATIONS = ["drop", "duplicate", "move-pair", "colour-0", "colour-k+1",
+             "non-digit", "extra-token", "missing-token", "dash-number"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colouring_texts(min_n=3), st.sampled_from(MUTATIONS), st.data())
+def test_colouring_parser_rejects_mutations(text, mutation, data):
+    lines = text.splitlines()
+    k = int(lines[0].split()[1])
+    i = data.draw(st.integers(1, len(lines) - 1), label="line")
+    fields = lines[i].split()
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+    elif mutation == "move-pair":
+        j = data.draw(st.integers(1, len(lines) - 1).filter(lambda j: j != i))
+        u, v = lines[j].split()[:2]
+        if data.draw(st.booleans()):
+            u, v = v, u
+        lines[i] = f"{u} {v} {fields[2]}"
+    elif mutation in ("colour-0", "colour-k+1"):
+        lines[i] = f"{fields[0]} {fields[1]} {0 if mutation == 'colour-0' else k + 1}"
+    elif mutation == "non-digit":
+        i = data.draw(st.integers(0, len(lines) - 1), label="any line")
+        fields = lines[i].split()
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+            st.sampled_from(["x", "1.0", "0x1", "1e2", "--", "-1", "1-", "\x00"]))
+        lines[i] = " ".join(fields)
+    elif mutation == "extra-token":
+        i = data.draw(st.integers(0, len(lines) - 1), label="any line")
+        lines[i] += " " + data.draw(st.sampled_from(["1", "-", "0"]))
+    elif mutation == "missing-token":
+        i = data.draw(st.integers(0, len(lines) - 1), label="any line")
+        lines[i] = " ".join(lines[i].split()[:-1])
+    else:
+        # a vertex column, or n or k on the header
+        i = data.draw(st.integers(0, len(lines) - 1), label="any line")
+        fields = lines[i].split()
+        fields[data.draw(st.integers(0, 1))] = "-"
+        lines[i] = " ".join(fields)
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError):
+        parse_colouring(bad)
+    assert_same_outcome(bad)
+
+
+def test_colouring_parser_accepts_ascii_digits_only():
+    # Narrower than int(): the reference reader takes these tokens.
+    base = "2 40\n0 1 {}\n"
+    assert parse_colouring(base.format("0003")).colour_of(0, 1) == 3
+    with pytest.raises(ValueError):  # 2**64 + 3 must not wrap round to 3
+        parse_colouring(base.format(2**64 + 3))
+    with pytest.raises(ValueError):  # '-' stands only for a colour
+        parse_colouring("2 -\n0 1 1\n")
+    for token in ("+3", "3_0", "\u0663", "\uff13"):
+        assert reference_parse_colouring(base.format(token)).colour_of(0, 1) in (3, 30)
+        with pytest.raises(ValueError):
+            parse_colouring(base.format(token))
