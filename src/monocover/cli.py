@@ -2,9 +2,9 @@
 
 All file formats are line-oriented text.  Exit codes: 0 verified success,
 2 verified-invalid, 3 fallback or incomplete result, 4 rejected input (a
-malformed or unreadable file, or a value a command cannot use, reported
-as one line `monocover: error: <message>` on stderr).  Flags only; no
-configuration files or environment variables.
+usage error, or a malformed or unreadable file or a value a command cannot
+use, reported as one line `monocover: error: <message>` on stderr).  Flags
+only; no configuration files or environment variables.
 """
 
 from __future__ import annotations
@@ -184,8 +184,16 @@ def _cmd_oracle(args) -> int:
     return OK if not report.witnesses else INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 4 on a usage error: argparse's 2 means verified-invalid here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(REJECTED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monocover",
         description="covers of edge-coloured complete graphs by few "
                     "monochromatic bounded-diameter sets")

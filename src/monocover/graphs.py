@@ -14,6 +14,12 @@ all-sources sweep, and :func:`diameter_within` answers "connected with
 diameter at most b" with a single BFS unless b lies between an
 eccentricity and twice it.
 
+A colouring has one constructor and one metrics cache:
+:meth:`EdgeColouring.from_matrix` alone checks a colouring and derives its
+rows and adjacency masks (the other constructors and the parser fill a
+matrix and end there), and ``colouring.metrics`` is the one lazily made
+:class:`MonoMetrics` that every stage of a solve shares.
+
 The colouring file format is read and written without a Python loop per
 pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
 and ends in :meth:`EdgeColouring.from_matrix`, and
@@ -23,7 +29,7 @@ and ends in :meth:`EdgeColouring.from_matrix`, and
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +66,23 @@ def _norm_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _clique_classes(n: int, missing: Iterable[tuple[int, int]]
+                    ) -> tuple[tuple[int, ...], ...] | None:
+    """Body of :meth:`HostGraph.infer_classes` for checked pairs, so the
+    parser can infer classes before it builds its one host."""
+    adj = [0] * n
+    for u, v in missing:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    classes = []
+    for comp in components_masks(adj, n):
+        for w in iter_bits(comp):
+            if adj[w] != comp ^ (1 << w):
+                return None
+        classes.append(tuple(iter_bits(comp)))
+    return tuple(classes)
+
+
 class HostGraph:
     """Complete graph on ``n`` vertices minus an explicit missing-pair set."""
 
@@ -83,11 +106,8 @@ class HostGraph:
             seen = [v for cl in classes for v in cl]
             if sorted(seen) != list(range(n)):
                 raise ValueError("classes must partition the vertex set")
-            within = {
-                _norm_pair(u, v)
-                for cl in classes
-                for u, v in combinations(cl, 2)
-            }
+            # sorted classes give each within-class pair as (u, v), u < v
+            within = {pair for cl in classes for pair in combinations(cl, 2)}
             if within != self.missing:
                 raise ValueError("missing pairs must be exactly the within-class pairs")
         self.classes: tuple[tuple[int, ...], ...] | None = classes
@@ -122,17 +142,31 @@ class HostGraph:
         Missing-graph components must be cliques; isolated vertices become
         singleton classes.  A complete host yields all-singleton classes.
         """
-        adj = [0] * self.n
-        for u, v in self.missing:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        classes = []
-        for comp in components_masks(adj, self.n):
-            for w in iter_bits(comp):
-                if adj[w] != comp ^ (1 << w):
-                    return None
-            classes.append(tuple(iter_bits(comp)))
-        return tuple(classes)
+        return _clique_classes(self.n, self.missing)
+
+
+def _write_pairs(mat: np.ndarray, host: HostGraph,
+                 colour: Mapping[tuple[int, int], int]) -> None:
+    """Set ``mat[u, v] = mat[v, u] = c`` for each ``(u, v): c`` of ``colour``.
+
+    Pairs and colours are checked first, since numpy would wrap vertex -1
+    to n-1 and a uint8 store would wrap colour 257 to 1; from_matrix
+    checks that colours lie in 1..k."""
+    n = host.n
+    missing = host.missing
+    seen = set()
+    for (u, v), c in colour.items():
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"bad pair ({u},{v})")
+        pair = _norm_pair(u, v)
+        if pair in seen:
+            raise ValueError(f"duplicate pair ({pair[0]},{pair[1]})")
+        seen.add(pair)
+        if pair in missing:
+            raise ValueError(f"pair ({u},{v}) is missing from the host")
+        if not 0 <= c <= 255:
+            raise ValueError(f"colour {c} out of range on pair ({u},{v})")
+        mat[u, v] = mat[v, u] = c
 
 
 class EdgeColouring:
@@ -140,115 +174,92 @@ class EdgeColouring:
 
     Colours are 1..k.  Internally one bytes row per vertex (0 marks a
     missing pair or the diagonal) plus one adjacency bitmask per
-    (colour, vertex).  Instances are immutable once built.
+    (colour, vertex).  Instances are immutable once built, always by
+    :meth:`from_matrix`: the other constructors fill a matrix and call it.
     """
 
-    __slots__ = ("host", "k", "_rows", "_adj")
+    __slots__ = ("host", "k", "_rows", "_adj", "_metrics")
 
     def __init__(self, host: HostGraph, k: int, rows: list[bytes],
-                 adj: list[list[int]] | None = None, _validate: bool = True):
-        if k < 1:
-            raise ValueError("need at least one colour")
+                 adj: list[list[int]]):
+        """Store the fields as given; use :meth:`from_matrix` to build."""
         self.host = host
         self.k = k
         self._rows = rows
-        if _validate:
-            self._check()
-        if adj is None:
-            adj = [[0] * host.n for _ in range(k + 1)]
-            for u in range(host.n):
-                row = rows[u]
-                for v in range(u + 1, host.n):
-                    c = row[v]
-                    if c:
-                        adj[c][u] |= 1 << v
-                        adj[c][v] |= 1 << u
         self._adj = adj
-
-    def _check(self) -> None:
-        n = self.host.n
-        missing = self.host.missing
-        for u in range(n):
-            row = self._rows[u]
-            if len(row) != n:
-                raise ValueError("malformed colour row")
-            if row[u] != 0:
-                raise ValueError("diagonal entries must be uncoloured")
-            for v in range(u + 1, n):
-                c = row[v]
-                if c != self._rows[v][u]:
-                    raise ValueError("colour matrix must be symmetric")
-                if (u, v) in missing:
-                    if c != 0:
-                        raise ValueError(f"missing pair ({u},{v}) must not be coloured")
-                elif not 1 <= c <= self.k:
-                    raise ValueError(f"pair ({u},{v}) needs a colour in 1..{self.k}")
+        self._metrics = None
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, host: HostGraph, k: int,
-                   colour: Mapping[tuple[int, int], int]) -> "EdgeColouring":
-        n = host.n
-        mat = [bytearray(n) for _ in range(n)]
-        seen = set()
-        for (u, v), c in colour.items():
-            u, v = _norm_pair(u, v)
-            if (u, v) in seen:
-                raise ValueError(f"duplicate pair ({u},{v})")
-            seen.add((u, v))
-            mat[u][v] = c
-            mat[v][u] = c
-        return cls(host, k, [bytes(r) for r in mat])
-
-    @classmethod
-    def build(cls, host: HostGraph, k: int, colour_fn) -> "EdgeColouring":
-        """Colour every present pair ``u < v`` with ``colour_fn(u, v)``."""
-        n = host.n
-        mat = [bytearray(n) for _ in range(n)]
-        missing = host.missing
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in missing:
-                    continue
-                c = colour_fn(u, v)
-                mat[u][v] = c
-                mat[v][u] = c
-        return cls(host, k, [bytes(r) for r in mat])
-
-    @classmethod
     def from_matrix(cls, host: HostGraph, k: int, mat: np.ndarray) -> "EdgeColouring":
-        """Fast constructor from a symmetric uint8 colour matrix."""
+        """Colouring from its symmetric n x n uint8 colour matrix: 1..k on
+        every present pair, 0 on the diagonal and the missing pairs."""
+        if k < 1:
+            raise ValueError("need at least one colour")
         n = host.n
-        mat = np.asarray(mat, dtype=np.uint8)
-        if mat.shape != (n, n):
-            raise ValueError("matrix shape mismatch")
+        mat = np.asarray(mat)
+        if mat.shape != (n, n) or mat.dtype != np.uint8:
+            raise ValueError(f"colour matrix must be {n} x {n} uint8")
         if not np.array_equal(mat, mat.T):
             raise ValueError("colour matrix must be symmetric")
         if np.any(np.diagonal(mat)):
             raise ValueError("diagonal entries must be uncoloured")
-        want_zero = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(want_zero, True)
-        for u, v in host.missing:
-            want_zero[u, v] = want_zero[v, u] = True
-        vals = mat[~want_zero]
-        if np.any(mat[want_zero]):
+        missing = host.missing
+        uv = np.fromiter(chain.from_iterable(missing), np.intp, 2 * len(missing))
+        if np.any(mat[uv[0::2], uv[1::2]]):
             raise ValueError("missing pairs must not be coloured")
-        if vals.size and (vals.min() < 1 or vals.max() > k):
+        # The diagonal and the missing pairs are 0, so every present pair
+        # is coloured iff the nonzero entries are exactly the present ones.
+        if np.count_nonzero(mat) != n * (n - 1) - 2 * len(missing) or mat.max() > k:
             raise ValueError(f"colours must lie in 1..{k}")
         rows = [mat[u].tobytes() for u in range(n)]
-        adj = [[0] * n for _ in range(k + 1)]
+        width = (n + 7) // 8
+        adj = [[0] * n]
         for c in range(1, k + 1):
-            packed = np.packbits(mat == c, axis=1, bitorder="little")
-            for u in range(n):
-                adj[c][u] = int.from_bytes(packed[u].tobytes(), "little")
-        return cls(host, k, rows, adj=adj, _validate=False)
+            bits = np.packbits(mat == c, axis=1, bitorder="little").tobytes()
+            adj.append([int.from_bytes(bits[i:i + width], "little")
+                        for i in range(0, n * width, width)])
+        return cls(host, k, rows, adj)
+
+    @classmethod
+    def from_pairs(cls, host: HostGraph, k: int,
+                   colour: Mapping[tuple[int, int], int]) -> "EdgeColouring":
+        """Each present pair named once, in either order, with its colour."""
+        mat = np.zeros((host.n, host.n), dtype=np.uint8)
+        _write_pairs(mat, host, colour)
+        return cls.from_matrix(host, k, mat)
+
+    @classmethod
+    def build(cls, host: HostGraph, k: int, colour_fn) -> "EdgeColouring":
+        """Colour every present pair ``u < v``, row by row, with ``colour_fn(u, v)``."""
+        n = host.n
+        missing = host.missing
+        mat = bytearray(n * n)
+        for u, v in combinations(range(n), 2):
+            if (u, v) not in missing:
+                mat[u * n + v] = mat[v * n + u] = colour_fn(u, v)
+        return cls.from_matrix(host, k, np.frombuffer(mat, dtype=np.uint8).reshape(n, n))
 
     # -- accessors ---------------------------------------------------
 
     @property
     def n(self) -> int:
         return self.host.n
+
+    @property
+    def metrics(self) -> "MonoMetrics":
+        """The colouring's one :class:`MonoMetrics`, made on first use and
+        shared by every caller, since the colouring never changes."""
+        if self._metrics is None:
+            self._metrics = MonoMetrics(self)
+        return self._metrics
+
+    def matrix(self) -> np.ndarray:
+        """A fresh, writable n x n uint8 colour matrix (0 off the host)."""
+        n = self.n
+        return np.frombuffer(bytearray(b"".join(self._rows)),
+                             dtype=np.uint8).reshape(n, n)
 
     def colour_of(self, u: int, v: int) -> int:
         if u == v:
@@ -286,29 +297,11 @@ class EdgeColouring:
 
     # -- derived colourings -------------------------------------------
 
-    def with_colours_permuted(self, perm: Mapping[int, int]) -> "EdgeColouring":
-        """New colouring with each colour c replaced by perm[c]."""
-        if sorted(perm) != list(range(1, self.k + 1)) or \
-                sorted(perm.values()) != list(range(1, self.k + 1)):
-            raise ValueError("perm must be a permutation of 1..k")
-        table = bytes(perm.get(c, 0) for c in range(256))
-        rows = [row.translate(table) for row in self._rows]
-        adj = [[0] * self.n for _ in range(self.k + 1)]
-        for c in range(1, self.k + 1):
-            adj[perm[c]] = self._adj[c]
-        return EdgeColouring(self.host, self.k, rows, adj=adj, _validate=False)
-
     def recoloured(self, changes: Mapping[tuple[int, int], int]) -> "EdgeColouring":
         """New colouring with the given present pairs recoloured."""
-        mat = [bytearray(r) for r in self._rows]
-        for (u, v), c in changes.items():
-            u, v = _norm_pair(u, v)
-            if mat[u][v] == 0:
-                raise ValueError(f"pair ({u},{v}) is missing from the host")
-            self._check_colour(c)
-            mat[u][v] = c
-            mat[v][u] = c
-        return EdgeColouring(self.host, self.k, [bytes(r) for r in mat], _validate=False)
+        mat = self.matrix()
+        _write_pairs(mat, self.host, changes)
+        return EdgeColouring.from_matrix(self.host, self.k, mat)
 
 
 # -- the BFS kernel ------------------------------------------------------
@@ -425,26 +418,35 @@ class MonoMetrics:
     """Cached per-colour components, distances and diameters of a colouring.
 
     BFS rows, component masks and component diameters are memoised on
-    first request.  The caches are plain dicts with no locking, so an
-    instance belongs to one thread.
+    first request.  Each colouring holds one instance, ``colouring.metrics``,
+    which lives as long as the colouring does, and every caller shares its
+    rows and lists: read them, never change them.  The caches are plain
+    dicts with no locking, so an instance, and with it the colouring's
+    metric queries, belongs to one thread.
     """
 
     def __init__(self, colouring: EdgeColouring):
-        self.colouring = colouring
+        # The colouring's fields, not the colouring, which holds this cache:
+        # a reference back would be a cycle that only the cyclic garbage
+        # collector frees, often long after the colouring is dropped.
+        self.n = colouring.n
+        self.k = colouring.k
+        self._adj = colouring._adj
         self._dist: dict[tuple[int, int], list[int]] = {}
         self._comps: dict[int, list[int]] = {}
         self._comp_diams: dict[int, list[int]] = {}
 
     def _check(self, c: int, v: int | None = None) -> None:
-        self.colouring._check_colour(c)
-        if v is not None and not 0 <= v < self.colouring.n:
+        if not 1 <= c <= self.k:
+            raise ValueError(f"colour {c} out of range 1..{self.k}")
+        if v is not None and not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
 
     def component_masks(self, c: int) -> list[int]:
         self._check(c)
         got = self._comps.get(c)
         if got is None:
-            got = components_masks(self.colouring.adj_rows(c), self.colouring.n)
+            got = components_masks(self._adj[c], self.n)
             self._comps[c] = got
         return got
 
@@ -459,18 +461,12 @@ class MonoMetrics:
                 return i
         raise AssertionError("component sweep must cover every vertex")
 
-    def component_mask_of(self, c: int, v: int) -> int:
-        for m in self.component_masks(c):
-            if m >> v & 1:
-                return m
-        raise AssertionError
-
     def distances_from(self, c: int, x: int) -> list[int]:
         self._check(c, x)
         key = (c, x)
         row = self._dist.get(key)
         if row is None:
-            row = bfs_distances(self.colouring.adj_rows(c), self.colouring.n, x)
+            row = bfs_distances(self._adj[c], self.n, x)
             self._dist[key] = row
         return row
 
@@ -497,8 +493,7 @@ class MonoMetrics:
         self._check(c)
         got = self._comp_diams.get(c)
         if got is None:
-            adj = self.colouring.adj_rows(c)
-            got = [diameter_of_mask(adj, m) for m in self.component_masks(c)]
+            got = [diameter_of_mask(self._adj[c], m) for m in self.component_masks(c)]
             self._comp_diams[c] = got
         return got
 
@@ -513,18 +508,17 @@ class MonoMetrics:
 
     def colour_within(self, c: int, bound: int) -> bool:
         """Same as ``colour_diameter(c) <= bound``, without exact diameters."""
-        adj = self.colouring.adj_rows(c)
-        return all(diameter_within(adj, m, bound) for m in self.component_masks(c))
+        return all(diameter_within(self._adj[c], m, bound) for m in self.component_masks(c))
 
     def spans_within_diameter(self, c: int, bound: int) -> bool:
         """True iff G[c] is connected on all vertices with diameter <= bound."""
-        col = self.colouring
-        return diameter_within(col.adj_rows(c), (1 << col.n) - 1, bound)
+        self._check(c)
+        return diameter_within(self._adj[c], (1 << self.n) - 1, bound)
 
 
 def mono_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
     """Partition of the vertices into c-components (singletons included)."""
-    return MonoMetrics(colouring).components(c)
+    return colouring.metrics.components(c)
 
 
 def mono_ball(metrics: MonoMetrics, c: int, x: int, r: int) -> frozenset[int]:
@@ -698,8 +692,5 @@ def parse_colouring(text: str) -> EdgeColouring:
     mat[lo, hi] = col
     mat[hi, lo] = col
     missing = list(zip(lo[miss].tolist(), hi[miss].tolist()))
-    host = HostGraph(n, missing)
-    inferred = host.infer_classes()
-    if inferred is not None and missing:
-        host = HostGraph(n, missing, classes=inferred)
-    return EdgeColouring.from_matrix(host, k, mat)
+    classes = _clique_classes(n, missing) if missing else None
+    return EdgeColouring.from_matrix(HostGraph(n, missing, classes), k, mat)

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, HostGraph, MonoMetrics
+from .graphs import EdgeColouring, HostGraph
 
 GridPoint = tuple[int, ...]
 
@@ -550,7 +550,7 @@ def points_from_colouring(colouring: EdgeColouring) -> tuple[GridPointSet, dict[
     k = colouring.k
     if k < 2:
         raise ValueError("need at least two colours")
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     ids = [[0] * colouring.n for _ in range(k - 1)]
     for c in range(1, k):
         for cid, comp in enumerate(metrics.components(c), start=1):

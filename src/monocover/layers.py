@@ -7,7 +7,7 @@ across them.  The cover constructions exploit 3- and 7-distant index sets
 to assemble full covers with at most three parts; each one returns
 through :func:`covers.verified`, which raises ImpossibleByLemmaError with
 a replayable witness when the output fails verification.  Coordinates
-come from :meth:`MonoMetrics.distances_from` and the core balls of the
+come from the shared ``colouring.metrics`` rows and the core balls of the
 7-distant construction from ``graphs.bfs_reach(..., radius=r)``, both on
 the one BFS kernel of :mod:`graphs`.
 """
@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 from .covers import Cover, CoverPart, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import (EdgeColouring, MonoMetrics, bfs_reach, iter_bits,
-                     set_diameter)
+from .graphs import EdgeColouring, bfs_reach, iter_bits, set_diameter
 from .twocolour import MonoSpanning, Split, bipartite_outcome, multipartite_colour
 
 Point = tuple[int, int]
@@ -99,7 +98,7 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     in_seeds = set(order)
     order += [v for v in range(n) if v not in in_seeds]
 
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     coords: list[list[int | None]] = [[None] * n, [None] * n]
     next_base = [0, 0]
     gap = n + 7

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .covers import Cover, CoverPart, verify_cover
-from .graphs import (EdgeColouring, HostGraph, MonoMetrics, diameter_within,
-                     iter_bits, set_diameter)
+from .graphs import (EdgeColouring, HostGraph, diameter_within, iter_bits,
+                     set_diameter)
 from .solver import BRANCH_FALLBACK, solve4
 
 MAX_ORACLE_VERTICES = 14
@@ -42,7 +42,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
         bound = None
     max_diam = math.inf if bound is None else bound
     k = colouring.k
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     adj = {c: colouring.adj_rows(c) for c in range(1, k + 1)}
     comp_mask = {c: {} for c in range(1, k + 1)}
     for c in range(1, k + 1):
@@ -67,12 +67,7 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
             return None
         if bound is not None:
             for v in iter_bits(mask):
-                ball = 0
-                row = dist[c][v]
-                for u in range(n):
-                    if 0 <= row[u] <= bound:
-                        ball |= 1 << u
-                pool &= ball
+                pool &= metrics.ball_mask(c, v, bound)
         if pool == mask:
             return None
         if diameter_within(adj[c], pool, max_diam):

@@ -10,10 +10,11 @@ bounded-diameter branch closed the instance.  No stage ever returns an
 unverified cover: the constructions return through
 :func:`covers.verified`, which raises with a replayable witness instead,
 and anomalies raised by inner constructions are recorded in the trace and
-the cascade moves on.  Threshold gates such as "three colours of diameter at
-most 160" ask :meth:`MonoMetrics.colour_within`, which settles most
-components with one BFS of the :func:`graphs.bfs_reach` kernel instead of
-computing exact diameters.
+the cascade moves on.  All stages and layer mappings share the colouring's
+one cache, ``colouring.metrics``.  Threshold gates such as "three colours
+of diameter at most 160" ask :meth:`MonoMetrics.colour_within`, which
+settles most components with one BFS of the :func:`graphs.bfs_reach`
+kernel instead of computing exact diameters.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .covers import Cover, CoverPart, verified, verify_cover
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, MonoMetrics, iter_bits
+from .graphs import EdgeColouring, iter_bits
 from .grid import cover_G3, points_from_colouring
 from .layers import (build_layer_mapping, cover_from_dist7_triple,
                      cover_from_dist3_quad, find_k_distant,
@@ -78,7 +81,7 @@ def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
     _require_k4_complete(colouring)
     point_set, fibres = points_from_colouring(colouring)
     grid_parts = cover_G3(point_set)
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     parts = []
     for gp in grid_parts:
         if gp.kind == "hyperplane":
@@ -105,34 +108,32 @@ def reduce_small_diameters(colouring: EdgeColouring,
     of diameter at most n1.
 
     Edges of the remaining colour whose ends share a small-colour
-    component are recoloured to the smallest such colour; that shrinks
+    component are recoloured to the smallest such colour (in one matrix
+    pass that also relabels the remaining colour as 4); that shrinks
     the remaining colour's components enough that any of its geodesics
     embeds as an induced path of signatures, and the connectivity cover
     of the modified colouring pulls back with bounded diameters.
     """
     _require_k4_complete(colouring)
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     small = [c for c in range(1, 5) if metrics.colour_within(c, n1)]
     if len(small) < 3:
         return None
     smalls = small[:3]
     big = next(c for c in range(1, 5) if c not in smalls)
-    ids = {c: [0] * colouring.n for c in smalls}
-    for c in smalls:
-        for cid, comp in enumerate(metrics.components(c)):
-            for v in comp:
-                ids[c][v] = cid
-    changes = {}
-    for u, v, c in colouring.edges():
-        if c != big:
-            continue
-        for cs in smalls:
-            if ids[cs][u] == ids[cs][v]:
-                changes[(u, v)] = cs
-                break
-    modified = colouring.recoloured(changes) if changes else colouring
+    mat = colouring.matrix()
+    todo = mat == big
+    comp = np.empty(colouring.n, dtype=np.intp)
+    for cs in smalls:
+        for cid, members in enumerate(metrics.components(cs)):
+            comp[members] = cid
+        same = todo & (comp[:, None] == comp[None, :])
+        mat[same] = cs
+        todo &= ~same
     perm = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
-    relabeled = modified.with_colours_permuted(perm)
+    relabel = np.zeros(256, dtype=np.uint8)
+    relabel[list(perm)] = list(perm.values())
+    relabeled = EdgeColouring.from_matrix(colouring.host, 4, relabel[mat])
     conn = gyarfas_connectivity_cover(relabeled)
     inverse = {new: old for old, new in perm.items()}
     parts = [CoverPart(p.vertices, inverse[p.colour]) for p in conn.parts]
@@ -175,7 +176,7 @@ def solve_connected_case(colouring: EdgeColouring,
     _require_k4_complete(colouring)
     if anomalies is None:
         anomalies = []
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     n = colouring.n
     for c in range(1, 5):
         if len(metrics.component_masks(c)) > 1:
@@ -264,7 +265,7 @@ def _realize_contradiction_pair(colouring, u, v, anomalies) -> Cover:
                                     "contradiction pair")
         if cover is not None:
             return cover
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     parts = [CoverPart(metrics.ball(1, u, 56), 1),
              CoverPart(metrics.ball(2, u, 26), 2)]
     return verified(colouring, parts, COVER_BOUND, "contradiction pair balls")
@@ -287,7 +288,7 @@ def solve_intersecting_case(colouring: EdgeColouring,
     _require_k4_complete(colouring)
     if anomalies is None:
         anomalies = []
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     n = colouring.n
 
     comp_data = []
@@ -393,7 +394,7 @@ def disjoint_corollary(colouring: EdgeColouring,
     _require_k4_complete(colouring)
     if anomalies is None:
         anomalies = []
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     n = colouring.n
     for c in range(1, 5):
         masks = metrics.component_masks(c)
@@ -459,7 +460,7 @@ def solve4(colouring: EdgeColouring) -> tuple[Cover, SolveTrace]:
     in the trace and the cascade continues.
     """
     _require_k4_complete(colouring)
-    metrics = MonoMetrics(colouring)
+    metrics = colouring.metrics
     anomalies: list[str] = []
     n = colouring.n
 

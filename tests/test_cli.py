@@ -145,3 +145,18 @@ def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):
     assert run("verify", str(col_path), str(cov_path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("monocover: error: ") and err.count("\n") == 1
+
+
+def test_usage_errors_exit_4_not_2(capsys):
+    # 2 means verified-invalid, so a usage error must not exit with it.
+    usage_errors = [("verify", "a", "b", "--bound", "x"), ("verify", "a"),
+                    ("solve", "a", "--no-such-flag"), ("layers", "build", "a"),
+                    ("no-such-command",), ()]
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 4, argv
+        assert "error: " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--help")
+    assert exc.value.code == 0

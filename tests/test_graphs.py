@@ -4,10 +4,11 @@ import math
 import random
 import tracemalloc
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_colouring, random_colouring
@@ -112,11 +113,23 @@ def test_infer_classes_rejects_non_clique_missing():
 
 def test_colouring_validation():
     host = HostGraph.complete(3)
-    with pytest.raises(ValueError):
-        EdgeColouring.from_pairs(host, 2, {(0, 1): 1, (0, 2): 1})  # absent pair
-    with pytest.raises(ValueError):
-        EdgeColouring.from_pairs(host, 2, {(0, 1): 3, (0, 2): 1, (1, 2): 1})
-    col = EdgeColouring.from_pairs(host, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+    good = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
+    bad = [
+        ({(0, 1): 1, (0, 2): 1}, "1..2"),  # absent pair
+        ({(0, 1): 1, (0, 2): 2, (-1, 1): 1}, "bad pair"),  # -1 would alias 2
+        ({(0, 1): 1, (0, 2): 2, (1, 2): 1, (1, 3): 1}, "bad pair"),  # vertex n
+        ({**good, (1, 1): 1}, "bad pair"),  # loop
+        ({**good, (1, 0): 1}, r"duplicate pair \(0,1\)"),
+        ({**good, (0, 1): 0}, "1..2"),
+        ({**good, (0, 1): 3}, "1..2"),
+        ({**good, (0, 1): 257}, "out of range"),  # a uint8 store would make it 1
+    ]
+    for colour, message in bad:
+        with pytest.raises(ValueError, match=message):
+            EdgeColouring.from_pairs(host, 2, colour)
+    with pytest.raises(ValueError, match="missing from the host"):
+        EdgeColouring.from_pairs(HostGraph(3, missing=[(0, 1)]), 2, good)
+    col = EdgeColouring.from_pairs(host, 2, good)
     assert col.colour_of(1, 0) == 1
     assert col.colours_at(0) == {1, 2}
     with pytest.raises(ValueError):
@@ -131,19 +144,26 @@ def test_missing_edges_have_no_colour():
         col.colour_of(0, 1)
 
 
-def test_colour_permutation():
-    col = random_colouring(6, 3, seed=5)
-    perm = {1: 3, 2: 1, 3: 2}
-    swapped = col.with_colours_permuted(perm)
-    for u, v, c in col.edges():
-        assert swapped.colour_of(u, v) == perm[c]
-
-
 def test_recoloured_changes_named_pairs_only():
     col = constant_colouring(4, 1, k=2)
-    out = col.recoloured({(0, 1): 2, (2, 3): 2})
-    assert out.colour_of(0, 1) == 2
-    assert out.colour_of(0, 2) == 1
+    out = col.recoloured({(0, 1): 2, (3, 2): 2})
+    assert [(u, v) for u, v, c in out.edges() if c == 2] == [(0, 1), (2, 3)]
+    assert all(c == 1 for _, _, c in col.edges())
+    bad = [
+        ({(-1, 2): 2}, "bad pair"),  # -1 would alias 3
+        ({(0, 4): 2}, "bad pair"),  # vertex n
+        ({(1, 1): 2}, "bad pair"),  # loop
+        ({(0, 1): 2, (1, 0): 1}, r"duplicate pair \(0,1\)"),
+        ({(0, 1): 0}, "1..2"),
+        ({(0, 1): 3}, "1..2"),
+        ({(0, 1): 257}, "out of range"),  # a uint8 store would make it 1
+    ]
+    for changes, message in bad:
+        with pytest.raises(ValueError, match=message):
+            col.recoloured(changes)
+    gap = random_colouring(4, 2, seed=1, host=HostGraph(4, missing=[(0, 1)]))
+    with pytest.raises(ValueError, match="missing from the host"):
+        gap.recoloured({(1, 0): 1})
 
 
 # -- components -----------------------------------------------------------
@@ -424,8 +444,40 @@ def test_colouring_parser_memory_bounded_by_input():
 # -- colouring parser properties ---------------------------------------
 
 
+def reference_colouring_state(host, k, mat):
+    """(k, rows, adj, missing, classes) of the colouring with colour matrix
+    ``mat`` (lists of ints), checked and built pair by pair, apart from
+    EdgeColouring.from_matrix.  Raises ValueError where it must reject."""
+    n = host.n
+    if k < 1:
+        raise ValueError("need at least one colour")
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError("malformed colour matrix")
+    for u in range(n):
+        if mat[u][u] != 0:
+            raise ValueError("diagonal entries must be uncoloured")
+        for v in range(u + 1, n):
+            c = mat[u][v]
+            if c != mat[v][u]:
+                raise ValueError("colour matrix must be symmetric")
+            if (u, v) in host.missing:
+                if c != 0:
+                    raise ValueError(f"missing pair ({u},{v}) must not be coloured")
+            elif not 1 <= c <= k:
+                raise ValueError(f"pair ({u},{v}) needs a colour in 1..{k}")
+    adj = [[0] * n for _ in range(k + 1)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = mat[u][v]
+            if c:
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+    return k, [bytes(row) for row in mat], adj, host.missing, host.classes
+
+
 def reference_parse_colouring(text):
-    """Line-by-line reading of the format, independent of the numpy parser."""
+    """Line-by-line reading of the format, independent of the numpy parser;
+    returns the state of ``reference_colouring_state``."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -464,7 +516,7 @@ def reference_parse_colouring(text):
     inferred = host.infer_classes()
     if inferred is not None and missing:
         host = HostGraph(n, missing, classes=inferred)
-    return EdgeColouring(host, k, [bytes(r) for r in mat])
+    return reference_colouring_state(host, k, [list(row) for row in mat])
 
 
 def parsed_state(col):
@@ -474,9 +526,9 @@ def parsed_state(col):
 def assert_same_outcome(text):
     """Both parsers accept ``text`` with equal results, or both reject it."""
     outcomes = []
-    for parse in (parse_colouring, reference_parse_colouring):
+    for parse in (lambda t: parsed_state(parse_colouring(t)), reference_parse_colouring):
         try:
-            outcomes.append(parsed_state(parse(text)))
+            outcomes.append(parse(text))
         except ValueError:
             outcomes.append(None)
     assert outcomes[0] == outcomes[1], text
@@ -484,9 +536,9 @@ def assert_same_outcome(text):
 
 
 @st.composite
-def colouring_texts(draw, min_n=1):
-    """File text of a random colouring of a complete, complete multipartite
-    or complete-minus-pairs host."""
+def coloured_hosts(draw, min_n=1):
+    """(host, k, colour of each present pair) for a random colouring of a
+    complete, complete multipartite or complete-minus-pairs host."""
     kind = draw(st.sampled_from(["complete", "multipartite", "minus-pairs"]))
     if kind == "multipartite":
         host = HostGraph.multipartite(
@@ -503,7 +555,52 @@ def colouring_texts(draw, min_n=1):
     present = [p for p in combinations(range(host.n), 2) if p not in host.missing]
     colours = draw(st.lists(st.integers(1, k), min_size=len(present),
                             max_size=len(present)))
-    return format_colouring(EdgeColouring.from_pairs(host, k, dict(zip(present, colours))))
+    return host, k, dict(zip(present, colours))
+
+
+@st.composite
+def colouring_texts(draw, min_n=1):
+    """File text of a colouring drawn by ``coloured_hosts``."""
+    return format_colouring(EdgeColouring.from_pairs(*draw(coloured_hosts(min_n))))
+
+
+MATRIX_FLAWS = [None, "asymmetric", "diagonal", "colour-0", "colour-k+1",
+                "missing-coloured"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_hosts(), st.sampled_from(MATRIX_FLAWS), st.data())
+def test_from_matrix_matches_reference_build(drawn, flaw, data):
+    # from_matrix against the pair-by-pair checks and adjacency build: equal
+    # rows and adjacency on valid matrices, and both reject a flawed one.
+    host, k, colour = drawn
+    n = host.n
+    mat = [[0] * n for _ in range(n)]
+    for (u, v), c in colour.items():
+        mat[u][v] = mat[v][u] = c
+    if flaw is not None:
+        if flaw == "asymmetric":
+            assume(n > 1)
+            u, v = data.draw(st.sampled_from(list(permutations(range(n), 2))))
+            mat[u][v] = mat[v][u] % (k + 1) + 1
+        elif flaw == "diagonal":
+            v = data.draw(st.integers(0, n - 1))
+            mat[v][v] = data.draw(st.integers(1, k))
+        else:
+            pool = sorted(host.missing if flaw == "missing-coloured" else colour)
+            assume(pool)
+            u, v = data.draw(st.sampled_from(pool))
+            mat[u][v] = mat[v][u] = {"colour-0": 0, "colour-k+1": k + 1}.get(flaw, 1)
+    try:
+        expect = reference_colouring_state(host, k, mat)
+    except ValueError:
+        expect = None
+    assert (expect is None) == (flaw is not None)
+    try:
+        got = parsed_state(EdgeColouring.from_matrix(host, k, np.array(mat, dtype=np.uint8)))
+    except ValueError:
+        got = None
+    assert got == expect
 
 
 @settings(max_examples=150, deadline=None)
@@ -585,6 +682,6 @@ def test_colouring_parser_accepts_ascii_digits_only():
     with pytest.raises(ValueError):  # '-' stands only for a colour
         parse_colouring("2 -\n0 1 1\n")
     for token in ("+3", "3_0", "\u0663", "\uff13"):
-        assert reference_parse_colouring(base.format(token)).colour_of(0, 1) in (3, 30)
+        assert reference_parse_colouring(base.format(token))[1][0][1] in (3, 30)
         with pytest.raises(ValueError):
             parse_colouring(base.format(token))

@@ -1,6 +1,7 @@
 """Brute-force oracle: minimal covers, scans, the worked example's impossibility."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -90,3 +91,32 @@ def test_scan_random_large_uses_solver():
     assert report.fallbacks == 0
     assert not report.witnesses
     assert report.worst_bound_needed <= 160
+
+
+def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
+    # Every min_cover_bruteforce call of a descent reads the colouring's one
+    # MonoMetrics, so each (colour, vertex) distance row is computed once.
+    from monocover import graphs, oracle
+    rows = Counter()
+    bfs_distances = graphs.bfs_distances
+
+    def counted(adj, n, source, within=None):
+        rows[id(adj), source] += 1
+        return bfs_distances(adj, n, source, within)
+
+    searches = 0
+    bruteforce = oracle.min_cover_bruteforce
+
+    def counted_search(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return bruteforce(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    monkeypatch.setattr(oracle, "min_cover_bruteforce", counted_search)
+    col = random_colouring(5, 3, seed=4)
+    assert col.metrics is col.metrics
+    assert minimal_bound(col, max_parts=2, start_bound=8) is not None
+    assert searches > 1
+    assert len(rows) == 3 * 5
+    assert set(rows.values()) == {1}

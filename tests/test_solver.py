@@ -123,6 +123,38 @@ def test_recolouring_preserves_small_components():
             assert any(new_mask & old == new_mask for old in big_masks)
 
 
+def test_small_diameter_recolouring_matches_pair_loop(monkeypatch):
+    # reduce_small_diameters recolours and relabels in one matrix pass; the
+    # colouring it hands to the connectivity cover must equal this loop's:
+    # each leftover-colour pair whose ends share a component of the first,
+    # else second, else third small colour takes that colour, then the
+    # small colours become 1, 2, 3 and the leftover colour 4.
+    from monocover import solver
+    handed = []
+    monkeypatch.setattr(solver, "gyarfas_connectivity_cover",
+                        lambda c: handed.append(c) or gyarfas_connectivity_cover(c))
+    for seed in range(4):
+        base = four_blocks(seed)
+        for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)):
+            table = np.zeros(256, dtype=np.uint8)
+            table[1:5] = order
+            col = EdgeColouring.from_matrix(base.host, 4, table[base.matrix()])
+            metrics = col.metrics
+            smalls = [c for c in range(1, 5) if metrics.colour_diameter(c) <= 160][:3]
+            big = next(c for c in range(1, 5) if c not in smalls)
+            ids = {c: {v: i for i, comp in enumerate(metrics.components(c))
+                       for v in comp} for c in smalls}
+            relabel = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
+            expect = []
+            for u, v, c in col.edges():
+                if c == big:
+                    c = next((cs for cs in smalls if ids[cs][u] == ids[cs][v]), c)
+                expect.append((u, v, relabel[c]))
+            handed.clear()
+            assert reduce_small_diameters(col, 160) is not None
+            assert list(handed[0].edges()) == expect, (seed, order)
+
+
 # -- stage 2 through the cascade ----------------------------------------------
 
 
