@@ -73,7 +73,7 @@ def _cmd_solve(args) -> int:
             for p, r in zip(cover.parts, report.parts)]
         payload["valid"] = report.valid
         with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
             fh.write("\n")
     print(f"branch {trace.branch} parts {len(cover.parts)} valid {report.valid}")
     if trace.branch == BRANCH_FALLBACK:

@@ -131,20 +131,29 @@ def format_cover(cover: Cover) -> str:
 
 
 def parse_cover(text: str) -> Cover:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Parse a cover file; ``#`` starts a comment that runs to the end of
+    its line.  A malformed file raises ValueError quoting the bad line."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty cover file")
-    head = dict(tok.split("=", 1) for tok in lines[0].split())
     try:
+        head = dict(tok.split("=", 1) for tok in lines[0].split())
         count = int(head["parts"])
         bound = math.inf if head["bound"] == "inf" else int(head["bound"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad cover header: {lines[0]!r}") from exc
     if len(lines) - 1 != count:
-        raise ValueError("part count does not match header")
+        raise ValueError(f"header {lines[0]!r} announces {count} parts, "
+                         f"the file lists {len(lines) - 1}")
     parts = []
     for line in lines[1:]:
-        colour_s, _, rest = line.partition(":")
-        verts = frozenset(int(tok) for tok in rest.split())
-        parts.append(CoverPart(verts, int(colour_s)))
+        colour, colon, rest = line.partition(":")
+        try:
+            if not colon:
+                raise ValueError("want 'colour: v1 v2 ...'")
+            parts.append(CoverPart(frozenset(int(tok) for tok in rest.split()),
+                                   int(colour)))
+        except ValueError as exc:
+            raise ValueError(f"bad cover part line {line!r}: {exc}") from exc
     return Cover(tuple(parts), bound)

@@ -287,10 +287,6 @@ class EdgeColouring:
                 if row[v]:
                     yield u, v, row[v]
 
-    def colours_at(self, v: int) -> set[int]:
-        row = self._rows[v]
-        return {c for c in row if c}
-
     def _check_colour(self, c: int) -> None:
         if not 1 <= c <= self.k:
             raise ValueError(f"colour {c} out of range 1..{self.k}")
@@ -453,14 +449,6 @@ class MonoMetrics:
     def components(self, c: int) -> list[list[int]]:
         return [list(iter_bits(m)) for m in self.component_masks(c)]
 
-    def component_id(self, c: int, v: int) -> int:
-        """1-based component id, ordinal by lowest contained vertex."""
-        self._check(c, v)
-        for i, m in enumerate(self.component_masks(c), start=1):
-            if m >> v & 1:
-                return i
-        raise AssertionError("component sweep must cover every vertex")
-
     def distances_from(self, c: int, x: int) -> list[int]:
         self._check(c, x)
         key = (c, x)
@@ -501,10 +489,6 @@ class MonoMetrics:
         """Largest distance between two vertices sharing a c-component."""
         diams = self.component_diameters(c)
         return max(diams) if diams else 0
-
-    def is_spanning_connected(self, c: int) -> bool:
-        masks = self.component_masks(c)
-        return len(masks) == 1
 
     def colour_within(self, c: int, bound: int) -> bool:
         """Same as ``colour_diameter(c) <= bound``, without exact diameters."""

@@ -1,31 +1,28 @@
 """End-to-end cover construction for 4-colourings of complete graphs.
 
-The solver runs a cascade of verified stages: a single spanning colour of
-small diameter; the three-small-colours reduction through the
-connectivity cover; layer mappings over all colour pairs hunting distant
-sets; the all-colours-connected analysis; the intersecting-components
-analysis; the disjoint-component ball cover; and, last, the
-connectivity-only cover, which is flagged because reaching it means no
-bounded-diameter branch closed the instance.  No stage ever returns an
-unverified cover: the constructions return through
-:func:`covers.verified`, which raises with a replayable witness instead,
-and anomalies raised by inner constructions are recorded in the trace and
-the cascade moves on.  All stages and layer mappings share the colouring's
-one cache, ``colouring.metrics``.  Threshold gates such as "three colours
-of diameter at most 160" ask :meth:`MonoMetrics.colour_within`, which
-settles most components with one BFS of the :func:`graphs.bfs_reach`
-kernel instead of computing exact diameters.
+:func:`solve4` runs the paper's case cascade as one loop over the stage
+table ``_STAGES``: one spanning colour of small diameter; three small
+colours, reduced through the connectivity cover; distant sets in the
+layer mappings of all colour pairs; all colours connected; intersecting
+components; disjoint components.  The first stage to return a cover
+closes the instance, else the connectivity-only cover does, flagged.
+Constructions return through :func:`covers.verified`, which raises
+:class:`ImpossibleByLemmaError` with a replayable witness rather than let
+an unverified cover out.  Each stage leaves a :class:`StageRecord`
+(outcome, wall time, anomalies with their witnesses) in the trace.  All
+stages share the colouring's one cache, ``colouring.metrics``.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .covers import Cover, CoverPart, verified, verify_cover
+from .covers import Cover, CoverPart, verified
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, iter_bits
 from .grid import cover_G3, points_from_colouring
@@ -49,14 +46,35 @@ BRANCH_FALLBACK = "ConnectivityFallback"
 
 
 @dataclass
+class StageRecord:
+    """One stage of one solve.  ``outcome`` is ``"closed"`` (it returned the
+    cover), ``"anomaly"`` (it did not, and recorded an anomaly) or
+    ``"n/a"``; each anomaly is ``{"message": str, "witness": dict}``."""
+
+    name: str
+    outcome: str = "n/a"
+    seconds: float = 0.0
+    anomalies: list[dict] = field(default_factory=list)
+
+
+@dataclass
 class SolveTrace:
     branch: str
     details: dict = field(default_factory=dict)
-    anomalies: tuple[str, ...] = ()
+    stages: tuple[StageRecord, ...] = ()
+
+    @property
+    def anomalies(self) -> tuple[str, ...]:
+        """The anomaly messages of every stage, in cascade order."""
+        return tuple(a["message"] for s in self.stages for a in s.anomalies)
 
     def to_json(self) -> dict:
+        """The trace as JSON data.  Stage times are left out, so that the
+        JSON of a solve depends on its colouring only."""
         return {"branch": self.branch, "details": self.details,
-                "anomalies": list(self.anomalies)}
+                "anomalies": list(self.anomalies),
+                "stages": [{"name": s.name, "outcome": s.outcome,
+                            "anomalies": s.anomalies} for s in self.stages]}
 
 
 def _require_k4_complete(colouring: EdgeColouring) -> None:
@@ -140,22 +158,31 @@ def reduce_small_diameters(colouring: EdgeColouring,
     return verified(colouring, parts, max(n1, 30), "small-diameter reduction")
 
 
-# -- 7-distant delegation helper ---------------------------------------------
+# -- recorded attempts and 7-distant triples -------------------------------------
 
 
-def _try_distant_triple(lm, coords_triple, anomalies, note) -> Cover | None:
-    triple = tuple(sorted(set(coords_triple)))
-    if len(triple) != 3 or not is_k_distant(triple, 7):
-        return None
-    if not has_rich_coordinates(lm.points):
-        anomalies.append(f"{note}: 7-distant triple found but coordinates "
-                         "take fewer than 28 values")
-        return None
+def _attempt(anomalies, note, errors, build, *args) -> Cover | None:
+    """``build(*args)``, or None after recording a failure of type ``errors``
+    as an anomaly, with the exception's witness if it carries one."""
     try:
-        return cover_from_dist7_triple(lm, triple)
-    except (ValueError, ImpossibleByLemmaError) as exc:
-        anomalies.append(f"{note}: {exc}")
+        return build(*args)
+    except errors as exc:
+        anomalies.append({"message": f"{note}: {exc}",
+                          "witness": getattr(exc, "witness", {})})
         return None
+
+
+def _try_distant_triples(lm, a, b, thirds, anomalies, note) -> Cover | None:
+    """The first cover from a 7-distant triple of index points ``a``, ``b``
+    and the point of a vertex in ``thirds``; failures are recorded."""
+    for z in thirds:
+        triple = tuple(sorted({a, b, lm.coords[z]}))
+        if len(triple) == 3 and is_k_distant(triple, 7):
+            cover = _attempt(anomalies, note, (ValueError, ImpossibleByLemmaError),
+                             cover_from_dist7_triple, lm, triple)
+            if cover is not None:
+                return cover
+    return None
 
 
 # -- stage 3: every colour connected ------------------------------------------
@@ -211,13 +238,11 @@ def solve_connected_case(colouring: EdgeColouring,
     d1xy = metrics.distances_from(1, x)[y]
     d2xy = len(path) - 1
     lm = build_layer_mapping(colouring, 1, 2, seeds=[x])
-    for i in range(1, k + 1):
-        z = path[10 * i]
-        cover = _try_distant_triple(
-            lm, ((0, 0), (d1xy, d2xy), lm.coords[z]), anomalies,
-            "connected case, geodesic point")
-        if cover is not None:
-            return cover
+    cover = _try_distant_triples(lm, (0, 0), (d1xy, d2xy),
+                                 [path[10 * i] for i in range(1, k + 1)],
+                                 anomalies, "connected case, geodesic point")
+    if cover is not None:
+        return cover
 
     def close_to_x(v):
         return metrics.distances_from(1, x)[v] <= 6
@@ -259,19 +284,34 @@ def _realize_contradiction_pair(colouring, u, v, anomalies) -> Cover:
     """Either some vertex completes a 7-distant triple with u and v, or two
     balls around u cover everything."""
     lm = build_layer_mapping(colouring, 1, 2, seeds=[u])
-    du, dv = lm.coords[u], lm.coords[v]
-    for z in range(colouring.n):
-        cover = _try_distant_triple(lm, (du, dv, lm.coords[z]), anomalies,
-                                    "contradiction pair")
-        if cover is not None:
-            return cover
+    cover = _try_distant_triples(lm, lm.coords[u], lm.coords[v], range(colouring.n),
+                                 anomalies, "contradiction pair")
+    if cover is not None:
+        return cover
     metrics = colouring.metrics
     parts = [CoverPart(metrics.ball(1, u, 56), 1),
              CoverPart(metrics.ball(2, u, 26), 2)]
     return verified(colouring, parts, COVER_BOUND, "contradiction pair balls")
 
 
-# -- stage 4: intersecting components -----------------------------------------
+# -- stages 4 and 5: components of different colours ---------------------------
+
+
+def _disjoint_pairs(metrics, min_diameter):
+    """(c, mask, c2, mask2) for every component ``mask`` of colour c with
+    diameter at least ``min_diameter`` and every component ``mask2`` of
+    another colour c2 disjoint from it, by c, then mask, c2 and mask2."""
+    for c in range(1, 5):
+        for mask, diam in zip(metrics.component_masks(c),
+                              metrics.component_diameters(c)):
+            if diam < min_diameter:
+                continue
+            for c2 in range(1, 5):
+                if c2 == c:
+                    continue
+                for mask2 in metrics.component_masks(c2):
+                    if not mask & mask2:
+                        yield c, mask, c2, mask2
 
 
 def solve_intersecting_case(colouring: EdgeColouring,
@@ -290,23 +330,11 @@ def solve_intersecting_case(colouring: EdgeColouring,
         anomalies = []
     metrics = colouring.metrics
     n = colouring.n
+    if next(_disjoint_pairs(metrics, DISJOINT_MIN_DIAMETER), None) is not None:
+        return None  # a disjoint pair: the next stage's case
 
-    comp_data = []
-    for c in range(1, 5):
-        masks = metrics.component_masks(c)
-        diams = metrics.component_diameters(c)
-        comp_data.append((masks, diams))
-    for c1 in range(1, 5):
-        for c2 in range(c1 + 1, 5):
-            for m1, d1 in zip(*comp_data[c1 - 1]):
-                for m2, d2 in zip(*comp_data[c2 - 1]):
-                    if (d1 >= DISJOINT_MIN_DIAMETER or
-                            d2 >= DISJOINT_MIN_DIAMETER) and m1 & m2 == 0:
-                        return None  # a disjoint pair: the next stage's case
-
-    multi = [c for c in range(1, 5) if len(comp_data[c - 1][0]) >= 2]
-    bigs = [c for c in range(1, 5)
-            if max(comp_data[c - 1][1]) > big_diameter]
+    multi = [c for c in range(1, 5) if len(metrics.component_masks(c)) >= 2]
+    bigs = [c for c in range(1, 5) if metrics.colour_diameter(c) > big_diameter]
     c_prime = c_big = None
     for cp in multi:
         cands = [c for c in bigs if c != cp]
@@ -317,7 +345,7 @@ def solve_intersecting_case(colouring: EdgeColouring,
         return None
 
     prime_id = [0] * n
-    for cid, mask in enumerate(comp_data[c_prime - 1][0]):
+    for cid, mask in enumerate(metrics.component_masks(c_prime)):
         for w in iter_bits(mask):
             prime_id[w] = cid
 
@@ -360,24 +388,14 @@ def solve_intersecting_case(colouring: EdgeColouring,
     z = next(w for w in range(n) if not ball50 >> w & 1)
     lm = build_layer_mapping(colouring, c_big, c_prime, seeds=[x, y, z],
                              value_policy="spread")
-    dx, dy = lm.coords[x], lm.coords[y]
-    for w in range(n):
-        cover = _try_distant_triple(lm, (dx, dy, lm.coords[w]), anomalies,
-                                    "intersecting case")
-        if cover is not None:
-            return cover
+    cover = _try_distant_triples(lm, lm.coords[x], lm.coords[y], range(n),
+                                 anomalies, "intersecting case")
+    if cover is not None:
+        return cover
     parts = [CoverPart(frozenset(iter_bits(ball50)), c_big),
              CoverPart(metrics.ball(c_prime, x, 6), c_prime),
              CoverPart(metrics.ball(c_prime, y, 6), c_prime)]
-    cover = Cover(tuple(parts), COVER_BOUND)
-    report = verify_cover(colouring, cover, bound=COVER_BOUND, max_parts=3)
-    if report.valid:
-        return cover
-    anomalies.append("intersecting case: ball cover failed verification")
-    return None
-
-
-# -- stage 5: disjoint components ----------------------------------------------
+    return verified(colouring, parts, COVER_BOUND, "intersecting case, three balls")
 
 
 def disjoint_corollary(colouring: EdgeColouring,
@@ -389,145 +407,127 @@ def disjoint_corollary(colouring: EdgeColouring,
     balls around any of its vertices cover everything; otherwise a far
     pair plus any vertex of the disjoint component seeds a layer mapping
     whose coordinates are spread far apart, handing over a 7-distant
-    triple.
+    triple.  A failure is recorded, and the next disjoint pair is tried.
     """
     _require_k4_complete(colouring)
     if anomalies is None:
         anomalies = []
     metrics = colouring.metrics
-    n = colouring.n
-    for c in range(1, 5):
-        masks = metrics.component_masks(c)
-        diams = metrics.component_diameters(c)
-        for mask, diam in zip(masks, diams):
-            if diam < min_diameter:
-                continue
-            for c2 in range(1, 5):
-                if c2 == c:
-                    continue
-                for mask2 in metrics.component_masks(c2):
-                    if mask & mask2:
-                        continue
-                    verts = list(iter_bits(mask))
-                    near = True
-                    far_pair = None
-                    for u in verts:
-                        row_c = metrics.distances_from(c, u)
-                        row_2 = metrics.distances_from(c2, u)
-                        for v in verts:
-                            if not 0 <= row_2[v] <= 12:
-                                near = False
-                            if row_c[v] >= 7 and not 0 <= row_2[v] <= 6:
-                                far_pair = far_pair or (u, v)
-                    if near:
-                        v0 = verts[0]
-                        others = [d for d in range(1, 5) if d not in (c, c2)]
-                        parts = [CoverPart(metrics.ball(c2, v0, 12), c2),
-                                 CoverPart(metrics.ball(others[0], v0, 1), others[0]),
-                                 CoverPart(metrics.ball(others[1], v0, 1), others[1])]
-                        cover = Cover(tuple(parts), COVER_BOUND)
-                        report = verify_cover(colouring, cover,
-                                              bound=COVER_BOUND, max_parts=3)
-                        if report.valid:
-                            return cover
-                        anomalies.append("disjoint corollary: ball cover "
-                                         "failed verification")
-                        continue
-                    if far_pair is None:
-                        continue
-                    x, y = far_pair
-                    z = next(iter_bits(mask2))
-                    lm = build_layer_mapping(colouring, c, c2,
-                                             seeds=[x, y, z],
-                                             value_policy="spread")
-                    cover = _try_distant_triple(
-                        lm, (lm.coords[x], lm.coords[y], lm.coords[z]),
-                        anomalies, "disjoint corollary")
-                    if cover is not None:
-                        return cover
+    for c, mask, c2, mask2 in _disjoint_pairs(metrics, min_diameter):
+        verts = list(iter_bits(mask))
+        near = True
+        far_pair = None
+        for u in verts:
+            row_c = metrics.distances_from(c, u)
+            row_2 = metrics.distances_from(c2, u)
+            for v in verts:
+                if not 0 <= row_2[v] <= 12:
+                    near = False
+                if row_c[v] >= 7 and not 0 <= row_2[v] <= 6:
+                    far_pair = far_pair or (u, v)
+        cover = None
+        if near:
+            v0 = verts[0]
+            others = [d for d in range(1, 5) if d not in (c, c2)]
+            parts = [CoverPart(metrics.ball(c2, v0, 12), c2),
+                     CoverPart(metrics.ball(others[0], v0, 1), others[0]),
+                     CoverPart(metrics.ball(others[1], v0, 1), others[1])]
+            cover = _attempt(anomalies, "disjoint corollary", ImpossibleByLemmaError,
+                             verified, colouring, parts, COVER_BOUND,
+                             "disjoint corollary, three balls")
+        elif far_pair is not None:
+            x, y = far_pair
+            z = next(iter_bits(mask2))
+            lm = build_layer_mapping(colouring, c, c2, seeds=[x, y, z],
+                                     value_policy="spread")
+            cover = _try_distant_triples(lm, lm.coords[x], lm.coords[y], [z],
+                                         anomalies, "disjoint corollary")
+        if cover is not None:
+            return cover
     return None
 
 
 # -- the cascade -----------------------------------------------------------------
 
 
-def solve4(colouring: EdgeColouring) -> tuple[Cover, SolveTrace]:
-    """Cover a 4-colouring of a complete graph by at most three parts.
-
-    Stages run in a fixed order and each returned cover has been verified
-    at bound 160 (the last-resort connectivity cover at bound infinity).
-    Anomalies from inner constructions are never fatal: they are recorded
-    in the trace and the cascade continues.
-    """
-    _require_k4_complete(colouring)
-    metrics = colouring.metrics
-    anomalies: list[str] = []
-    n = colouring.n
-
+def _single_colour(colouring: EdgeColouring):
     for c in range(1, 5):
-        if metrics.spans_within_diameter(c, COVER_BOUND):
-            cover = Cover((CoverPart(frozenset(range(n)), c),), COVER_BOUND)
-            return cover, SolveTrace(BRANCH_SINGLE_COLOUR, {"colour": c},
-                                     tuple(anomalies))
+        if colouring.metrics.spans_within_diameter(c, COVER_BOUND):
+            cover = Cover((CoverPart(frozenset(range(colouring.n)), c),), COVER_BOUND)
+            return BRANCH_SINGLE_COLOUR, {"colour": c}, cover
+    return None, None, None
 
-    try:
-        cover = reduce_small_diameters(colouring, SMALL_DIAMETER)
-        if cover is not None:
-            return cover, SolveTrace(BRANCH_SMALL_DIAM,
-                                     {"n1": SMALL_DIAMETER}, tuple(anomalies))
-    except ImpossibleByLemmaError as exc:
-        anomalies.append(f"small-diameter reduction: {exc}")
 
+def _layer_mappings(colouring: EdgeColouring, anomalies: list):
+    """Both value policies of every colour pair's layer mapping: a 3-distant
+    quadruple, else a 7-distant triple under rich coordinates, closes."""
     for c1, c2 in combinations(range(1, 5), 2):
         for policy in ("zero", "spread"):
             lm = build_layer_mapping(colouring, c1, c2, value_policy=policy)
-            quad = find_k_distant(lm.points, 3, 4)
-            if quad is not None:
-                try:
-                    cover = cover_from_dist3_quad(lm, quad)
-                    detail = {"pair": (c1, c2), "policy": policy,
-                              "distant_set": [list(p) for p in quad]}
-                    return cover, SolveTrace(BRANCH_LAYER_QUAD, detail,
-                                             tuple(anomalies))
-                except ImpossibleByLemmaError as exc:
-                    anomalies.append(f"layer quad ({c1},{c2},{policy}): {exc}")
-            triple = find_k_distant(lm.points, 7, 3)
-            if triple is not None and has_rich_coordinates(lm.points):
-                try:
-                    cover = cover_from_dist7_triple(lm, triple)
-                    detail = {"pair": (c1, c2), "policy": policy,
-                              "distant_set": [list(p) for p in triple]}
-                    return cover, SolveTrace(BRANCH_LAYER_TRIPLE7, detail,
-                                             tuple(anomalies))
-                except (ValueError, ImpossibleByLemmaError) as exc:
-                    anomalies.append(f"layer triple ({c1},{c2},{policy}): {exc}")
+            branch, found = BRANCH_LAYER_QUAD, find_k_distant(lm.points, 3, 4)
+            cover = None if found is None else _attempt(
+                anomalies, f"layer quad ({c1},{c2},{policy})", ImpossibleByLemmaError,
+                cover_from_dist3_quad, lm, found)
+            if cover is None:
+                branch, found = BRANCH_LAYER_TRIPLE7, find_k_distant(lm.points, 7, 3)
+                if found is not None and has_rich_coordinates(lm.points):
+                    cover = _attempt(anomalies, f"layer triple ({c1},{c2},{policy})",
+                                     (ValueError, ImpossibleByLemmaError),
+                                     cover_from_dist7_triple, lm, found)
+            if cover is not None:
+                return branch, {"pair": (c1, c2), "policy": policy,
+                                "distant_set": [list(p) for p in found]}, cover
+    return None, None, None
 
-    try:
-        cover = solve_connected_case(colouring, anomalies=anomalies)
-        if cover is not None:
-            return cover, SolveTrace(BRANCH_SINGLE_COMPONENT, {},
-                                     tuple(anomalies))
-    except ImpossibleByLemmaError as exc:
-        anomalies.append(f"connected case: {exc}")
 
-    try:
-        cover = solve_intersecting_case(colouring, anomalies=anomalies)
-        if cover is not None:
-            return cover, SolveTrace(BRANCH_INTERSECTING, {},
-                                     tuple(anomalies))
-    except ImpossibleByLemmaError as exc:
-        anomalies.append(f"intersecting case: {exc}")
+# The cascade in the paper's order, as (stage name, run): run(colouring,
+# anomalies) returns (branch, details, cover or None).  The lambdas read the
+# stage functions as module globals on each call, so that a test's patch or
+# a tracer's hook on the module attribute is what runs.
+_STAGES = (
+    ("single colour", lambda col, notes: _single_colour(col)),
+    ("small-diameter reduction", lambda col, notes: (
+        BRANCH_SMALL_DIAM, {"n1": SMALL_DIAMETER},
+        reduce_small_diameters(col, SMALL_DIAMETER))),
+    ("layer mappings", lambda col, notes: _layer_mappings(col, notes)),
+    ("connected case", lambda col, notes: (
+        BRANCH_SINGLE_COMPONENT, {}, solve_connected_case(col, anomalies=notes))),
+    ("intersecting case", lambda col, notes: (
+        BRANCH_INTERSECTING, {}, solve_intersecting_case(col, anomalies=notes))),
+    ("disjoint corollary", lambda col, notes: (
+        BRANCH_DISJOINT, {}, disjoint_corollary(col, anomalies=notes))),
+)
 
-    try:
-        cover = disjoint_corollary(colouring, anomalies=anomalies)
+
+def solve4(colouring: EdgeColouring) -> tuple[Cover, SolveTrace]:
+    """Cover a 4-colouring of a complete graph by at most three parts.
+
+    Each returned cover has been verified at bound 160 (the last-resort
+    connectivity cover at bound infinity).  A stage that raises
+    :class:`ImpossibleByLemmaError` is recorded, and the next stage runs.
+    """
+    _require_k4_complete(colouring)
+    stages = []
+    for name, run in _STAGES:
+        record = StageRecord(name)
+        stages.append(record)
+        start = time.perf_counter()
+        try:
+            branch, details, cover = run(colouring, record.anomalies)
+        except ImpossibleByLemmaError as exc:
+            record.anomalies.append({"message": f"{name}: {exc}",
+                                     "witness": exc.witness})
+            cover = None
+        record.seconds = time.perf_counter() - start
         if cover is not None:
-            return cover, SolveTrace(BRANCH_DISJOINT, {}, tuple(anomalies))
-    except ImpossibleByLemmaError as exc:
-        anomalies.append(f"disjoint corollary: {exc}")
+            record.outcome = "closed"
+            return cover, SolveTrace(branch, details, tuple(stages))
+        record.outcome = "anomaly" if record.anomalies else "n/a"
 
     cover = gyarfas_connectivity_cover(colouring)
+    metrics = colouring.metrics
     diag = {"colour_diameters": {c: metrics.colour_diameter(c)
                                  for c in range(1, 5)},
             "component_counts": {c: len(metrics.component_masks(c))
                                  for c in range(1, 5)}}
-    return cover, SolveTrace(BRANCH_FALLBACK, diag, tuple(anomalies))
+    return cover, SolveTrace(BRANCH_FALLBACK, diag, tuple(stages))

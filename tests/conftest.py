@@ -17,6 +17,15 @@ def constant_colouring(n, c, k=None):
     return EdgeColouring.build(host, k or c, lambda u, v: c)
 
 
+def rejects(parse, text):
+    """True iff ``parse(text)`` raises ValueError."""
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -160,3 +160,28 @@ def test_usage_errors_exit_4_not_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("verify", "--help")
     assert exc.value.code == 0
+
+
+def test_trace_json_keeps_a_stage_witness(tmp_path, monkeypatch):
+    from monocover import solver
+    from monocover.errors import ImpossibleByLemmaError
+    from monocover.generators import four_blocks
+
+    def forced(colouring, n1=solver.SMALL_DIAMETER):
+        raise ImpossibleByLemmaError("forced", {"replay": [1, 2, 3]})
+
+    monkeypatch.setattr(solver, "reduce_small_diameters", forced)
+    col_path, trace_path = tmp_path / "g.col", tmp_path / "g.json"
+    col_path.write_text(format_colouring(four_blocks(1)))
+    run("solve", str(col_path), "-o", str(tmp_path / "g.cov"),
+        "--trace", str(trace_path))
+    trace = json.loads(trace_path.read_text())
+    stages = {s["name"]: s for s in trace["stages"]}
+    assert list(stages)[:2] == ["single colour", "small-diameter reduction"]
+    assert stages["single colour"]["outcome"] == "n/a"
+    assert stages["small-diameter reduction"] == {
+        "name": "small-diameter reduction", "outcome": "anomaly",
+        "anomalies": [{"message": "small-diameter reduction: forced",
+                       "witness": {"replay": [1, 2, 3]}}]}
+    assert trace["anomalies"][0] == "small-diameter reduction: forced"
+    assert trace["branch"] != solver.BRANCH_SMALL_DIAM

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import constant_colouring, random_colouring
+from conftest import constant_colouring, random_colouring, rejects
 from monocover.covers import (Cover, CoverPart, format_cover, parse_cover,
                               verify_cover)
 from monocover.graphs import DISCONNECTED
@@ -104,3 +106,41 @@ def test_cover_file_rejects_bad_headers():
         parse_cover("parts=2 bound=1\n1: 0\n")
     with pytest.raises(ValueError):
         parse_cover("bound=1\n1: 0\n")
+
+
+def test_cover_file_errors_quote_the_line():
+    cases = [("parts 1 bound=1\n1: 0\n", "bad cover header: 'parts 1 bound=1'"),
+             ("parts=1 bound=1\n1 0 1\n", "bad cover part line '1 0 1'"),
+             ("parts=1 bound=1\n1: 0 x\n", "bad cover part line '1: 0 x'"),
+             ("parts=1 bound=1\n1:\n", "bad cover part line '1:'"),
+             ("parts=2 bound=1\n1: 0\n", "announces 2 parts, the file lists 1")]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_cover(text)
+    # a comment runs to the end of its line, indented or not
+    text = "# cover\nparts=1 bound=1  # one part\n  # indented\n1: 0 1 # tail\n"
+    assert parse_cover(text) == Cover.of([([0, 1], 1)], bound=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.frozensets(st.integers(0, 40), min_size=1),
+                          st.integers(1, 4)), min_size=1, max_size=4),
+       st.one_of(st.just(math.inf), st.integers(0, 500)), st.data())
+def test_cover_file_roundtrip_and_mutations(parts, bound, data):
+    cover = Cover(tuple(CoverPart(vs, c) for vs, c in parts), bound)
+    lines = format_cover(cover).splitlines()
+    assert parse_cover("\n".join(lines) + "\n") == cover
+    commented = ["# a cover", lines[0] + " # header", "  # note"] + lines[1:]
+    assert parse_cover("\n".join(commented)) == cover
+    i = data.draw(st.integers(1, len(lines) - 1), label="part line")
+    mutants = {
+        "part line dropped": lines[:i] + lines[i + 1:],
+        "part line duplicated": lines[:i + 1] + lines[i:],
+        "header token without '='": [lines[0].replace("=", " ", 1)] + lines[1:],
+        "header value not an integer": [lines[0] + "x"] + lines[1:],
+        "vertex not an integer": lines[:i] + [lines[i] + " x"] + lines[i + 1:],
+        "colour not an integer": lines[:i] + ["x" + lines[i]] + lines[i + 1:],
+        "part line without ':'": lines[:i] + [lines[i].replace(":", "")] + lines[i + 1:],
+    }
+    assert [what for what, mutant in mutants.items()
+            if not rejects(parse_cover, "\n".join(mutant) + "\n")] == []

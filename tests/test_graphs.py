@@ -131,7 +131,6 @@ def test_colouring_validation():
         EdgeColouring.from_pairs(HostGraph(3, missing=[(0, 1)]), 2, good)
     col = EdgeColouring.from_pairs(host, 2, good)
     assert col.colour_of(1, 0) == 1
-    assert col.colours_at(0) == {1, 2}
     with pytest.raises(ValueError):
         col.colour_of(1, 1)
 
@@ -193,10 +192,12 @@ def test_component_ids_ordinal_by_lowest_vertex():
     col = EdgeColouring.from_pairs(host, 2, {
         (0, 1): 2, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1, (2, 3): 2})
     m = MonoMetrics(col)
-    # colour-1 components: {0,2} and {1,3}
-    assert m.component_id(1, 0) == 1
-    assert m.component_id(1, 2) == 1
-    assert m.component_id(1, 1) == 2
+    # colour-1 components {0,2} and {1,3}, listed by lowest vertex: the
+    # grid signatures and the connectivity cover index them in this order
+    assert m.component_masks(1) == [0b0101, 0b1010]
+    assert m.components(1) == [[0, 2], [1, 3]]
+    # colour 2 is connected: one component
+    assert m.component_masks(2) == [0b1111]
 
 
 # -- balls ----------------------------------------------------------------
@@ -346,7 +347,7 @@ def test_distance_finite_iff_same_component():
     for c in range(1, 5):
         for u in range(7):
             for v in range(7):
-                same = m.component_id(c, u) == m.component_id(c, v)
+                same = any(mask >> u & mask >> v & 1 for mask in m.component_masks(c))
                 assert (m.dist(c, u, v) < math.inf) == same
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_colouring
+from conftest import random_colouring, rejects
 from monocover.errors import ImpossibleByLemmaError
 from monocover.grid import (Coplanar5, GridCoverPart, GridPointSet, SearchResult,
                             Struct1, Struct2, Struct3, ThreeLines,
@@ -326,7 +326,7 @@ def test_points_from_connected_small_colours():
     col = random_colouring(12, 4, seed=1)
     from monocover.graphs import MonoMetrics
     m = MonoMetrics(col)
-    if all(m.is_spanning_connected(c) for c in (1, 2, 3)):
+    if all(len(m.component_masks(c)) == 1 for c in (1, 2, 3)):
         ps, fibres = points_from_colouring(col)
         assert ps.points == {(1, 1, 1)}
         assert fibres[(1, 1, 1)] == frozenset(range(12))
@@ -360,3 +360,23 @@ def test_points_file_roundtrip():
     assert parse_points(text) == ps
     with pytest.raises(ValueError):
         parse_points("2\n0 0 0\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda l: st.frozensets(
+    st.tuples(*[st.integers(0, 30)] * l), min_size=1, max_size=8)), st.data())
+def test_points_file_roundtrip_and_mutations(points, data):
+    ps = GridPointSet.of(points)
+    lines = format_points(ps).splitlines()
+    assert parse_points("\n".join(lines) + "\n") == ps
+    commented = ["# points", lines[0] + " # arity", "  # note"] + lines[1:]
+    assert parse_points("\n".join(commented)) == ps
+    i = data.draw(st.integers(1, len(lines) - 1), label="point line")
+    mutants = {
+        "header not an integer": ["x"] + lines[1:],
+        "no point lines": lines[:1],
+        "coordinate not an integer": lines[:i] + [lines[i] + " x"] + lines[i + 1:],
+        "point of the wrong arity": lines[:i] + [lines[i] + " 0"] + lines[i + 1:],
+    }
+    assert [what for what, mutant in mutants.items()
+            if not rejects(parse_points, "\n".join(mutant) + "\n")] == []

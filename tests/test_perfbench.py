@@ -20,3 +20,18 @@ def test_traced_names_resolve():
     with tracing.Tracer().installed():
         pass
     assert [vars(owner)[attr] for owner, attr in hooks] == before
+
+
+def test_tracer_sees_the_cascade_stages():
+    # solve4 reads its stage functions as module attributes on each call, so
+    # the tracer's hooks on them see the calls a solve makes.
+    from monocover import generators, solver
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _, trace = solver.solve4(generators.four_blocks(1))
+    assert trace.branch == solver.BRANCH_SMALL_DIAM
+    assert [(s.name, s.outcome) for s in trace.stages] == [
+        ("single colour", "n/a"), ("small-diameter reduction", "closed")]
+    metrics = tracer.metrics()
+    assert metrics["solver.reduce_small_diameters.calls"] == (1, "count")
+    assert metrics["solver.gyarfas_connectivity_cover.calls"] == (1, "count")

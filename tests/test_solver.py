@@ -202,7 +202,7 @@ def test_connected_case_engages_below_gate():
     col = connected_paths_colouring(60)
     from monocover.graphs import MonoMetrics
     m = MonoMetrics(col)
-    assert all(m.is_spanning_connected(c) for c in range(1, 5))
+    assert all(len(m.component_masks(c)) == 1 for c in range(1, 5))
     cover = solve_connected_case(col, min_diameter=20)
     if cover is not None:
         assert verify_cover(col, cover, bound=160, max_parts=3).valid
@@ -231,7 +231,7 @@ def test_connected_case_ball_route():
     col = hub_colouring(50, 3)
     from monocover.graphs import MonoMetrics
     m = MonoMetrics(col)
-    assert all(m.is_spanning_connected(c) for c in range(1, 5))
+    assert all(len(m.component_masks(c)) == 1 for c in range(1, 5))
     cover = solve_connected_case(col, min_diameter=1)
     assert cover is not None
     assert verify_cover(col, cover, bound=160, max_parts=3).valid

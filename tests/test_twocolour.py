@@ -109,6 +109,22 @@ def test_bipartite_split_two_by_two():
     check_split(col, out)
 
 
+def test_bipartite_block_colourings_split():
+    # Criterion 2's uniform K_{8,8} draws never give a Split, so a wrong
+    # Split would pass it; these block colourings give one every time.
+    # Random nonempty blocks A1, B1 of side 1 and A2, B2 of side 2: the
+    # aligned products A1 x A2 and B1 x B2 take colour 1, the crossed ones 2.
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b = rng.randint(2, 9), rng.randint(2, 9)
+        a1 = set(rng.sample(range(a), rng.randint(1, a - 1)))
+        a2 = set(rng.sample(range(a, a + b), rng.randint(1, b - 1)))
+        col = bipartite_colouring(a, b, lambda u, v: 1 if (u in a1) == (v in a2) else 2)
+        out = bipartite_two_colour(col)
+        assert isinstance(out, Split), (a1, a2)
+        check_split(col, out)
+
+
 def test_bipartite_long_component_forces_other_colour():
     # colour 1 is a path snaking across K_{5,5}: its diameter is 9, so
     # colour 2 must span with diameter <= 9.
