@@ -1,8 +1,13 @@
 """Cover data model and the verifier every solver output must pass.
 
-:func:`verify_cover` judges a cover and reports exact part diameters;
+:func:`verify_cover` judges a cover and reports exact part diameters,
+which the CLI's ``verify`` lines and the oracle read.
 :func:`verified` is the verify-or-raise step that every construction in
-``solver`` and ``layers`` returns through.
+``solver`` and ``layers`` returns through.  It decides by threshold:
+one BFS per part settles "diameter <= bound" unless the bound lies
+between an eccentricity and twice it, so exact diameters are computed
+only by :func:`verify_cover`, and by :func:`verified` only for the
+witness of a cover that fails.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ImpossibleByLemmaError
-from .graphs import DISCONNECTED, EdgeColouring, set_diameter
+from .graphs import (DISCONNECTED, EdgeColouring, diameter_within, mask_of,
+                     parse_decimal, set_diameter)
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class CoverReport:
     part_count_ok: bool
 
 
+def _check_part(colouring: EdgeColouring, part: CoverPart) -> None:
+    if part.colour < 1 or part.colour > colouring.k:
+        raise ValueError(f"part colour {part.colour} out of range")
+    if any(v < 0 or v >= colouring.n for v in part.vertices):
+        raise ValueError("part vertex out of range")
+
+
 def verify_cover(colouring: EdgeColouring, cover: Cover,
                  bound: float | None = None,
                  max_parts: int | None = None) -> CoverReport:
@@ -71,7 +84,7 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
 
     Valid iff the parts cover every vertex, each part induces a connected
     monochromatic subgraph of diameter <= bound, and there are at most
-    ``max_parts`` parts (default k-1).
+    ``max_parts`` parts (default k-1).  Each part's diameter is exact.
     """
     if bound is None:
         bound = cover.claimed_bound
@@ -82,10 +95,7 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     reports = []
     all_ok = True
     for part in cover.parts:
-        if part.colour < 1 or part.colour > colouring.k:
-            raise ValueError(f"part colour {part.colour} out of range")
-        if any(v < 0 or v >= n for v in part.vertices):
-            raise ValueError("part vertex out of range")
+        _check_part(colouring, part)
         diam = set_diameter(colouring, part.colour, part.vertices)
         connected = diam is not DISCONNECTED
         reports.append(PartReport(connected, diam))
@@ -100,22 +110,34 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
 
 def verified(colouring: EdgeColouring, parts: Iterable[CoverPart], bound: float,
              what: str, witness: dict | None = None) -> Cover:
-    """The cover of ``parts`` at ``bound``, if it passes :func:`verify_cover`.
+    """The cover of ``parts`` at ``bound``, if :func:`verify_cover` would
+    call it valid with at most k-1 parts.
 
-    Constructions return through this helper, with at most k-1 parts.  On
-    failure it raises :class:`ImpossibleByLemmaError` whose witness adds to
-    ``witness`` the uncovered vertices and, per part, its full sorted
-    vertex list, colour and measured diameter, enough to replay the check.
+    Constructions return through this helper.  It decides each part by
+    :func:`graphs.diameter_within`, a threshold test that costs one BFS
+    when twice the part's eccentricity is within the bound, and raises
+    the same ``ValueError`` as :func:`verify_cover` for a colour or vertex
+    out of range.  Only a failing cover is passed to :func:`verify_cover`:
+    the :class:`ImpossibleByLemmaError` then raised has a witness that adds
+    to ``witness`` the uncovered vertices and, per part, its full sorted
+    vertex list, colour and exact diameter, enough to replay the check.
     """
     cover = Cover(tuple(parts), bound)
+    valid = len(cover.parts) <= colouring.k - 1
+    covered = 0
+    for part in cover.parts:
+        _check_part(colouring, part)
+        mask = mask_of(part.vertices)
+        covered |= mask
+        valid = valid and diameter_within(colouring.adj_rows(part.colour), mask, bound)
+    if valid and covered == (1 << colouring.n) - 1:
+        return cover
     report = verify_cover(colouring, cover, bound=bound)
-    if not report.valid:
-        witness = dict(witness or {})
-        witness["uncovered"] = sorted(report.uncovered)
-        witness["parts"] = [(sorted(p.vertices), p.colour, repr(r.diameter))
-                            for p, r in zip(cover.parts, report.parts)]
-        raise ImpossibleByLemmaError(f"{what}: cover failed verification", witness)
-    return cover
+    witness = dict(witness or {})
+    witness["uncovered"] = sorted(report.uncovered)
+    witness["parts"] = [(sorted(p.vertices), p.colour, repr(r.diameter))
+                        for p, r in zip(cover.parts, report.parts)]
+    raise ImpossibleByLemmaError(f"{what}: cover failed verification", witness)
 
 
 # -- cover file format ----------------------------------------------------
@@ -132,15 +154,16 @@ def format_cover(cover: Cover) -> str:
 
 def parse_cover(text: str) -> Cover:
     """Parse a cover file; ``#`` starts a comment that runs to the end of
-    its line.  A malformed file raises ValueError quoting the bad line."""
+    its line.  Numbers are 1 to 18 ASCII decimal digits, as in colouring
+    files.  A malformed file raises ValueError quoting the bad line."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty cover file")
     try:
         head = dict(tok.split("=", 1) for tok in lines[0].split())
-        count = int(head["parts"])
-        bound = math.inf if head["bound"] == "inf" else int(head["bound"])
+        count = parse_decimal(head["parts"])
+        bound = math.inf if head["bound"] == "inf" else parse_decimal(head["bound"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad cover header: {lines[0]!r}") from exc
     if len(lines) - 1 != count:
@@ -152,8 +175,8 @@ def parse_cover(text: str) -> Cover:
         try:
             if not colon:
                 raise ValueError("want 'colour: v1 v2 ...'")
-            parts.append(CoverPart(frozenset(int(tok) for tok in rest.split()),
-                                   int(colour)))
+            parts.append(CoverPart(frozenset(map(parse_decimal, rest.split())),
+                                   parse_decimal(colour.strip())))
         except ValueError as exc:
             raise ValueError(f"bad cover part line {line!r}: {exc}") from exc
     return Cover(tuple(parts), bound)

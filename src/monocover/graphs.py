@@ -12,7 +12,8 @@ One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 it has reached its whole mask, :func:`diameter_of_mask` is the only
 all-sources sweep, and :func:`diameter_within` answers "connected with
 diameter at most b" with a single BFS unless b lies between an
-eccentricity and twice it.
+eccentricity and twice it.  ``BFS_RUNS`` counts the calls of
+:func:`bfs_reach` since import; ``solver.solve4`` reads it per stage.
 
 A colouring has one constructor and one metrics cache:
 :meth:`EdgeColouring.from_matrix` alone checks a colouring and derives its
@@ -302,6 +303,8 @@ class EdgeColouring:
 
 # -- the BFS kernel ------------------------------------------------------
 
+BFS_RUNS = 0  # calls of bfs_reach so far; read it, never reset it
+
 
 def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
               radius: int | None = None,
@@ -316,6 +319,8 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
     set has its level written into it.  Returns (levels, reached_mask)
     where levels is the distance to the farthest reached vertex.
     """
+    global BFS_RUNS
+    BFS_RUNS += 1
     seen = start_mask
     frontier = start_mask
     levels = 0
@@ -538,6 +543,16 @@ _BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
 _DIGIT = np.zeros(256, dtype=bool)
 _DIGIT[ord("0"):ord("9") + 1] = True
 _MAX_DIGITS = 18  # keeps every value inside int64
+
+
+def parse_decimal(token: str) -> int:
+    """A number token of the cover and point files, read as the colouring
+    parser reads its numbers: 1 to 18 ASCII decimal digits and nothing
+    else, so `+1`, `1_0` and non-ASCII digits are rejected."""
+    if not (0 < len(token) <= _MAX_DIGITS and token.isascii() and token.isdigit()):
+        raise ValueError(f"want at most {_MAX_DIGITS} ASCII decimal digits, "
+                         f"got {token!r}")
+    return int(token)
 
 
 def format_colouring(colouring: EdgeColouring) -> str:

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, HostGraph
+from .graphs import EdgeColouring, HostGraph, parse_decimal
 
 GridPoint = tuple[int, ...]
 
@@ -575,16 +575,25 @@ def format_points(point_set: GridPointSet) -> str:
 
 
 def parse_points(text: str) -> GridPointSet:
+    """Parse a point file; ``#`` starts a comment that runs to the end of
+    its line.  Numbers are 1 to 18 ASCII decimal digits, as in colouring
+    files.  A malformed header or point line raises ValueError quoting it."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty point file")
-    l = int(lines[0])
+    try:
+        l = parse_decimal(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"bad point header {lines[0]!r}: {exc}") from exc
     pts = []
     for ln in lines[1:]:
-        coords = tuple(int(tok) for tok in ln.split())
-        if len(coords) != l:
-            raise ValueError(f"point {coords} has arity != {l}")
+        try:
+            coords = tuple(map(parse_decimal, ln.split()))
+            if len(coords) != l:
+                raise ValueError(f"want {l} coordinates, got {len(coords)}")
+        except ValueError as exc:
+            raise ValueError(f"bad point line {ln!r}: {exc}") from exc
         pts.append(coords)
     if not pts:
         raise ValueError("point file lists no points")

@@ -14,6 +14,7 @@ the one BFS kernel of :mod:`graphs`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -131,7 +132,17 @@ def is_k_distant(points: Iterable[Point], k: int) -> bool:
 
 
 def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, ...] | None:
-    """Lexicographically first k-distant subset of the given cardinality."""
+    """Lexicographically first k-distant subset of the given cardinality.
+
+    A depth-first search over the points in sorted order extends a chosen
+    prefix only with later points, so ``compat[i]`` holds just the later
+    points k-distant from point i.  With the points sorted by x, those
+    with x_j >= x_i + k are one suffix of indices, found by bisection.
+    The points with |y_j - y_i| >= k are a prefix and a suffix of the
+    points taken in y order; one sweep in that order keeps both as
+    running ORs.  So the rows cost O(m log m) bisections and O(m)
+    big-integer operations, and the only O(m^2) bits are the m rows.
+    """
     if k < 1 or size < 1:
         raise ValueError("k and size must be positive")
     pts = sorted(set(points))
@@ -140,12 +151,23 @@ def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, .
         return None
     if size == 1:
         return (pts[0],)
+    full = (1 << m) - 1
+    xs = [p[0] for p in pts]
+    by_y = sorted(range(m), key=lambda i: pts[i][1])
+    ys = [pts[i][1] for i in by_y]
     compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(pts[i][0] - pts[j][0]) >= k and abs(pts[i][1] - pts[j][1]) >= k:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    below = above = 0  # the points by_y[:lo] and by_y[:hi], as masks
+    lo = hi = 0
+    for i in by_y:
+        x, y = pts[i]
+        while lo < m and ys[lo] <= y - k:
+            below |= 1 << by_y[lo]
+            lo += 1
+        while hi < m and ys[hi] < y + k:
+            above |= 1 << by_y[hi]
+            hi += 1
+        j = bisect_left(xs, x + k)  # the first point with x_j >= x + k
+        compat[i] = (full >> j << j) & (below | full ^ above)
 
     def extend(common: int, depth: int, start: int) -> tuple[int, ...] | None:
         if depth == size:

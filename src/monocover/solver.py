@@ -9,8 +9,8 @@ closes the instance, else the connectivity-only cover does, flagged.
 Constructions return through :func:`covers.verified`, which raises
 :class:`ImpossibleByLemmaError` with a replayable witness rather than let
 an unverified cover out.  Each stage leaves a :class:`StageRecord`
-(outcome, wall time, anomalies with their witnesses) in the trace.  All
-stages share the colouring's one cache, ``colouring.metrics``.
+(outcome, wall time, BFS runs, anomalies with their witnesses) in the
+trace.  All stages share the colouring's one cache, ``colouring.metrics``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import graphs
 from .covers import Cover, CoverPart, verified
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, iter_bits
@@ -49,11 +50,14 @@ BRANCH_FALLBACK = "ConnectivityFallback"
 class StageRecord:
     """One stage of one solve.  ``outcome`` is ``"closed"`` (it returned the
     cover), ``"anomaly"`` (it did not, and recorded an anomaly) or
-    ``"n/a"``; each anomaly is ``{"message": str, "witness": dict}``."""
+    ``"n/a"``; each anomaly is ``{"message": str, "witness": dict}``.
+    ``bfs_runs`` counts the calls of ``graphs.bfs_reach`` the stage made;
+    rows the colouring's metrics cache already held cost none."""
 
     name: str
     outcome: str = "n/a"
     seconds: float = 0.0
+    bfs_runs: int = 0
     anomalies: list[dict] = field(default_factory=list)
 
 
@@ -74,7 +78,8 @@ class SolveTrace:
         return {"branch": self.branch, "details": self.details,
                 "anomalies": list(self.anomalies),
                 "stages": [{"name": s.name, "outcome": s.outcome,
-                            "anomalies": s.anomalies} for s in self.stages]}
+                            "bfs_runs": s.bfs_runs, "anomalies": s.anomalies}
+                           for s in self.stages]}
 
 
 def _require_k4_complete(colouring: EdgeColouring) -> None:
@@ -453,7 +458,8 @@ def disjoint_corollary(colouring: EdgeColouring,
 def _single_colour(colouring: EdgeColouring):
     for c in range(1, 5):
         if colouring.metrics.spans_within_diameter(c, COVER_BOUND):
-            cover = Cover((CoverPart(frozenset(range(colouring.n)), c),), COVER_BOUND)
+            cover = verified(colouring, [CoverPart(frozenset(range(colouring.n)), c)],
+                             COVER_BOUND, "single colour", {"colour": c})
             return BRANCH_SINGLE_COLOUR, {"colour": c}, cover
     return None, None, None
 
@@ -511,7 +517,7 @@ def solve4(colouring: EdgeColouring) -> tuple[Cover, SolveTrace]:
     for name, run in _STAGES:
         record = StageRecord(name)
         stages.append(record)
-        start = time.perf_counter()
+        start, runs = time.perf_counter(), graphs.BFS_RUNS
         try:
             branch, details, cover = run(colouring, record.anomalies)
         except ImpossibleByLemmaError as exc:
@@ -519,6 +525,7 @@ def solve4(colouring: EdgeColouring) -> tuple[Cover, SolveTrace]:
                                      "witness": exc.witness})
             cover = None
         record.seconds = time.perf_counter() - start
+        record.bfs_runs = graphs.BFS_RUNS - runs
         if cover is not None:
             record.outcome = "closed"
             return cover, SolveTrace(branch, details, tuple(stages))

@@ -188,8 +188,10 @@ def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]
         return None
 
     # One colour unused on cross edges: the other one is a 1-colouring.
+    # _cross_adj leaves the rows outside the union at 0, so read only those
+    # inside it.
     for c, other in ((ca, cb), (cb, ca)):
-        if all(row == 0 for row in adj[other]):
+        if not any(adj[other][v] for v in iter_bits(union)):
             got = attempt([c])
             if got:
                 return got

@@ -180,7 +180,7 @@ def test_trace_json_keeps_a_stage_witness(tmp_path, monkeypatch):
     assert list(stages)[:2] == ["single colour", "small-diameter reduction"]
     assert stages["single colour"]["outcome"] == "n/a"
     assert stages["small-diameter reduction"] == {
-        "name": "small-diameter reduction", "outcome": "anomaly",
+        "name": "small-diameter reduction", "outcome": "anomaly", "bfs_runs": 0,
         "anomalies": [{"message": "small-diameter reduction: forced",
                        "witness": {"replay": [1, 2, 3]}}]}
     assert trace["anomalies"][0] == "small-diameter reduction: forced"

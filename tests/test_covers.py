@@ -1,6 +1,7 @@
 """Cover verifier: validity rules, monotonicity, oracle agreement, file I/O."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import constant_colouring, random_colouring, rejects
 from monocover.covers import (Cover, CoverPart, format_cover, parse_cover,
-                              verify_cover)
-from monocover.graphs import DISCONNECTED
+                              verified, verify_cover)
+from monocover.errors import ImpossibleByLemmaError
+from monocover.graphs import DISCONNECTED, EdgeColouring, HostGraph
 from test_graphs import floyd_warshall_induced
 
 
@@ -91,6 +93,73 @@ def test_part_diameters_agree_with_all_pairs_oracle(rng):
         assert rep.parts[0].diameter == floyd_warshall_induced(col, c, verts)
 
 
+def skewed_colouring(n, rng):
+    """A 4-colouring of K_n whose colour weights are drawn per instance, so
+    that a rare colour gives long induced paths and large eccentricities."""
+    weights = [rng.random() ** 3 + 0.01 for _ in range(4)]
+    colour = {(u, v): rng.choices((1, 2, 3, 4), weights)[0]
+              for u in range(n) for v in range(u + 1, n)}
+    return EdgeColouring.from_pairs(HostGraph.complete(n), 4, colour)
+
+
+def random_part(col, rng):
+    n, c = col.n, rng.randint(1, 4)
+    kind = rng.randrange(4)
+    if kind == 0:    # any subset, often disconnected
+        vs = rng.sample(range(n), rng.randint(1, n))
+    elif kind == 1:  # a ball, connected with eccentricity up to r from x
+        vs = col.metrics.ball(c, rng.randrange(n), rng.randint(0, n))
+    elif kind == 2:  # a whole component
+        vs = rng.choice(col.metrics.components(c))
+    else:
+        vs = range(n)
+    return CoverPart(frozenset(vs), c)
+
+
+def test_verified_agrees_with_verify_cover():
+    # verified decides by threshold; it must accept exactly the covers
+    # verify_cover calls valid with at most k-1 parts, and on a failure
+    # give the witness made from verify_cover's exact report.
+    rng = random.Random(20261018)
+    outcomes = {"valid": 0, "invalid": 0, "ValueError": 0}
+    for case in range(1500):
+        n = rng.randint(1, 14)
+        col = skewed_colouring(n, rng)
+        parts = [random_part(col, rng) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:   # cover the rest with one part, maybe disconnected
+            left = set(range(n)).difference(*(p.vertices for p in parts))
+            if left:
+                parts.append(CoverPart(frozenset(left), rng.randint(1, 4)))
+        if rng.random() < 0.1:   # a colour or a vertex out of range
+            i = rng.randrange(len(parts))
+            bad = (CoverPart(parts[i].vertices, rng.choice((0, 5))) if rng.random() < 0.5
+                   else CoverPart(parts[i].vertices | {rng.choice((-1, n))}, parts[i].colour))
+            parts[i] = bad
+        bound = math.inf if rng.random() < 0.1 else rng.randint(0, n + 1)
+        cover = Cover(tuple(parts), bound)
+        try:
+            report = verify_cover(col, cover, bound=bound)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                verified(col, parts, bound, "case", {"case": case})
+            assert str(got.value) == str(exc)
+            outcomes["ValueError"] += 1
+            continue
+        if report.valid:
+            assert verified(col, parts, bound, "case", {"case": case}) == cover
+            outcomes["valid"] += 1
+            continue
+        with pytest.raises(ImpossibleByLemmaError) as got:
+            verified(col, parts, bound, "case", {"case": case})
+        assert str(got.value) == "case: cover failed verification"
+        assert got.value.witness == {
+            "case": case, "uncovered": sorted(report.uncovered),
+            "parts": [(sorted(p.vertices), p.colour, repr(r.diameter))
+                      for p, r in zip(parts, report.parts)]}
+        outcomes["invalid"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_cover_file_roundtrip():
     cover = Cover.of([([0, 1, 2], 1), ([2, 4], 3)], bound=160)
     text = format_cover(cover)
@@ -114,6 +183,9 @@ def test_cover_file_errors_quote_the_line():
              ("parts=1 bound=1\n1: 0 x\n", "bad cover part line '1: 0 x'"),
              ("parts=1 bound=1\n1:\n", "bad cover part line '1:'"),
              ("parts=2 bound=1\n1: 0\n", "announces 2 parts, the file lists 1")]
+    cases += [("parts=1 bound=1_6_0\n1: 0\n", "bad cover header: 'parts=1 bound=1_6_0'"),
+              ("parts=1 bound=1\n+1: 0\n", "bad cover part line '\\+1: 0'"),
+              ("parts=1 bound=1\n1: \u0663\n", "bad cover part line '1: \u0663'")]
     for text, message in cases:
         with pytest.raises(ValueError, match=message):
             parse_cover(text)
@@ -141,6 +213,12 @@ def test_cover_file_roundtrip_and_mutations(parts, bound, data):
         "vertex not an integer": lines[:i] + [lines[i] + " x"] + lines[i + 1:],
         "colour not an integer": lines[:i] + ["x" + lines[i]] + lines[i + 1:],
         "part line without ':'": lines[:i] + [lines[i].replace(":", "")] + lines[i + 1:],
+        "vertex with a sign": lines[:i] + [lines[i] + " +1"] + lines[i + 1:],
+        "vertex with underscores": lines[:i] + [lines[i] + " 0_1"] + lines[i + 1:],
+        "non-ASCII digit": lines[:i] + [lines[i] + " \u0663"] + lines[i + 1:],
+        "19-digit vertex": lines[:i] + [lines[i] + " " + "1" * 19] + lines[i + 1:],
+        "colour with a sign": lines[:i] + ["+" + lines[i]] + lines[i + 1:],
+        "part count with underscores": [lines[0].replace("parts=", "parts=0_", 1)] + lines[1:],
     }
     assert [what for what, mutant in mutants.items()
             if not rejects(parse_cover, "\n".join(mutant) + "\n")] == []

@@ -362,6 +362,18 @@ def test_points_file_roundtrip():
         parse_points("2\n0 0 0\n")
 
 
+def test_points_file_errors_quote_the_line():
+    cases = [("x\n0 0\n", "bad point header 'x'"),
+             ("2\n0 x\n", "bad point line '0 x'"),
+             ("2\n0 0 0\n", "bad point line '0 0 0': want 2 coordinates, got 3"),
+             ("2\n+1 0\n", "bad point line '\\+1 0'"),
+             ("2\n1_6 0\n", "bad point line '1_6 0'"),
+             ("2\n\u0663 0\n", "bad point line '\u0663 0'")]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_points(text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda l: st.frozensets(
     st.tuples(*[st.integers(0, 30)] * l), min_size=1, max_size=8)), st.data())
@@ -377,6 +389,11 @@ def test_points_file_roundtrip_and_mutations(points, data):
         "no point lines": lines[:1],
         "coordinate not an integer": lines[:i] + [lines[i] + " x"] + lines[i + 1:],
         "point of the wrong arity": lines[:i] + [lines[i] + " 0"] + lines[i + 1:],
+        "coordinate with a sign": lines[:i] + ["+" + lines[i]] + lines[i + 1:],
+        "coordinate with underscores": lines[:i] + [lines[i] + "_0"] + lines[i + 1:],
+        "non-ASCII digit": lines[:i] + [lines[i][:-1] + "\u0663"] + lines[i + 1:],
+        "19-digit coordinate": lines[:i] + [lines[i] + "0" * 19] + lines[i + 1:],
+        "header with a sign": ["+" + lines[0]] + lines[1:],
     }
     assert [what for what, mutant in mutants.items()
             if not rejects(parse_points, "\n".join(mutant) + "\n")] == []

@@ -202,6 +202,50 @@ def brute_force_k_distant(points, k, size):
     return None
 
 
+def pruned_k_distant(points, k, size):
+    """The first k-distant subset in lexicographic order, by a search that
+    extends a chosen prefix only with later points far from all of it."""
+    pts = sorted(points)
+
+    def far(p, q):
+        return abs(p[0] - q[0]) >= k and abs(p[1] - q[1]) >= k
+
+    def extend(chosen, start):
+        if len(chosen) == size:
+            return tuple(chosen)
+        for j in range(start, len(pts)):
+            if all(far(p, pts[j]) for p in chosen):
+                got = extend(chosen + [pts[j]], j + 1)
+                if got is not None:
+                    return got
+        return None
+
+    return extend([], 0)
+
+
+def hard_points(rng, k):
+    """Point sets that stress the row construction: large gaps between
+    clusters (as the "spread" policy's bases n + 7 apart), differences of
+    exactly k and k - 1, and repeated x or y values."""
+    m = rng.randint(1, 80)
+    kind = rng.randrange(4)
+    if kind == 0:    # clusters at bases far apart
+        gap = rng.randint(k + 8, 90)
+        def coord():
+            return rng.randrange(4) * gap + rng.randint(0, 2 * k)
+    elif kind == 1:  # a lattice of step k, with some points one below
+        def coord():
+            return rng.randint(0, 8) * k - rng.randint(0, 1)
+    else:            # few distinct values in one coordinate
+        few = [rng.randint(0, 4 * k) for _ in range(rng.randint(1, 3))]
+        def coord():
+            return rng.choice(few)
+    def wide():
+        return rng.randint(0, 12 * k)
+    fx, fy = [(coord, coord), (coord, coord), (coord, wide), (wide, coord)][kind]
+    return {(fx(), fy()) for _ in range(m)}
+
+
 def test_find_k_distant_matches_bruteforce(rng):
     for _ in range(150):
         m = rng.randint(1, 40)
@@ -211,6 +255,15 @@ def test_find_k_distant_matches_bruteforce(rng):
         got = find_k_distant(pts, k, size)
         want = brute_force_k_distant(pts, k, size)
         assert got == want
+    found = 0
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        pts = hard_points(rng, k)
+        size = rng.randint(1, 5)
+        want = pruned_k_distant(pts, k, size)
+        assert find_k_distant(pts, k, size) == want, (sorted(pts), k, size)
+        found += want is not None
+    assert 100 <= found <= 300
 
 
 # -- dist-3 triple covers --------------------------------------------------

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import constant_colouring, random_colouring
+from monocover import graphs
 from monocover.covers import verify_cover
 from monocover.generators import (four_blocks, ladder, layered_adversarial,
                                   random_uniform, section5_example,
                                   sharpness_x, two_paths)
-from monocover.graphs import DISCONNECTED, EdgeColouring, HostGraph, set_diameter
+from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
+                              set_diameter)
 from monocover.solver import (BRANCH_FALLBACK, BRANCH_LAYER_QUAD,
                               BRANCH_SINGLE_COLOUR, BRANCH_SMALL_DIAM,
                               disjoint_corollary, gyarfas_connectivity_cover,
@@ -153,6 +155,43 @@ def test_small_diameter_recolouring_matches_pair_loop(monkeypatch):
             handed.clear()
             assert reduce_small_diameters(col, 160) is not None
             assert list(handed[0].edges()) == expect, (seed, order)
+
+
+# -- stage 0 and the stage records ---------------------------------------------
+
+
+def test_single_colour_stage_returns_through_verification(monkeypatch):
+    # A metrics answer that claims a non-spanning colour spans must not let
+    # a bad one-part cover out: stage 0 records the failure, witness and
+    # all, and a later stage closes.
+    col = four_blocks(seed=1)
+    assert not col.metrics.spans_within_diameter(1, 160)
+    real = MonoMetrics.spans_within_diameter
+    monkeypatch.setattr(MonoMetrics, "spans_within_diameter",
+                        lambda self, c, bound: c == 1 or real(self, c, bound))
+    cover, trace = solve4(col)
+    check_solved(col, cover, trace)
+    assert trace.branch == BRANCH_SMALL_DIAM
+    first = trace.stages[0]
+    assert (first.name, first.outcome) == ("single colour", "anomaly")
+    [anomaly] = first.anomalies
+    assert anomaly["message"] == "single colour: single colour: cover failed verification"
+    assert anomaly["witness"] == {
+        "colour": 1, "uncovered": [],
+        "parts": [(list(range(col.n)), 1, repr(set_diameter(col, 1, range(col.n))))]}
+
+
+def test_stage_records_count_bfs_runs():
+    col = two_paths(200, seed=3)
+    before = graphs.BFS_RUNS
+    _, trace = solve4(col)
+    runs = [s.bfs_runs for s in trace.stages]
+    assert sum(runs) == graphs.BFS_RUNS - before
+    assert trace.branch == BRANCH_LAYER_QUAD and all(r > 0 for r in runs)
+    assert [s["bfs_runs"] for s in trace.to_json()["stages"]] == runs
+    # the count depends on the colouring only, given a cold metrics cache
+    _, again = solve4(two_paths(200, seed=3))
+    assert [s.bfs_runs for s in again.stages] == runs
 
 
 # -- stage 2 through the cascade ----------------------------------------------
