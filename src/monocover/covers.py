@@ -161,10 +161,13 @@ def parse_cover(text: str) -> Cover:
     if not lines:
         raise ValueError("empty cover file")
     try:
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
+        toks = [tok.split("=", 1) for tok in lines[0].split()]
+        head = dict(toks)
+        if len(toks) != 2 or head.keys() != {"parts", "bound"}:
+            raise ValueError("want 'parts=N bound=B', each key once")
         count = parse_decimal(head["parts"])
         bound = math.inf if head["bound"] == "inf" else parse_decimal(head["bound"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad cover header: {lines[0]!r}") from exc
     if len(lines) - 1 != count:
         raise ValueError(f"header {lines[0]!r} announces {count} parts, "

@@ -176,28 +176,14 @@ class GridCoverPart:
         if self.kind == "hyperplane":
             return all(p[self.axis] == self.value for p in self.members)
         if self.kind == "connected":
-            return _is_connected(sorted(self.members))
+            return len(_g3_components(self.members)) == 1
         return False
 
 
-def _is_connected(pts: Sequence[GridPoint]) -> bool:
-    if not pts:
-        return False
-    todo = {pts[0]}
-    seen = set()
-    rest = set(pts)
-    while todo:
-        p = todo.pop()
-        seen.add(p)
-        rest.discard(p)
-        todo |= {q for q in rest if grid_adjacent(p, q)}
-    return not rest
-
-
-def _g3_components(pts: Sequence[GridPoint]) -> list[list[GridPoint]]:
+def _g3_components(pts: Iterable[GridPoint]) -> list[list[GridPoint]]:
     left = set(pts)
     comps = []
-    for p in sorted(pts):
+    for p in sorted(left):
         if p not in left:
             continue
         comp = {p}
@@ -407,7 +393,7 @@ def exists_two_part_cover(point_set: GridPointSet) -> bool:
         if not members:
             return set(range(l))
         axes = {i for i in range(l) if len({p[i] for p in members}) == 1}
-        if _is_connected(members):
+        if len(_g3_components(members)) == 1:
             axes = set(range(l))
         return axes
 

@@ -188,15 +188,11 @@ def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, .
     return tuple(pts[i] for i in got)
 
 
-def coordinate_value_counts(points: Iterable[Point]) -> tuple[int, int]:
+def has_rich_coordinates(points: Iterable[Point]) -> bool:
+    """True iff both coordinates take at least RICH_COORDINATE_VALUES values."""
     pts = list(points)
-    return (len({p[0] for p in pts}), len({p[1] for p in pts}))
-
-
-def has_rich_coordinates(points: Iterable[Point],
-                         minimum: int = RICH_COORDINATE_VALUES) -> bool:
-    a, b = coordinate_value_counts(points)
-    return a >= minimum and b >= minimum
+    return (len({p[0] for p in pts}) >= RICH_COORDINATE_VALUES
+            and len({p[1] for p in pts}) >= RICH_COORDINATE_VALUES)
 
 
 # -- distant-set covers ---------------------------------------------------
@@ -219,8 +215,8 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
     if len(triple) != 3 or not is_k_distant(triple, 3):
         raise ValueError("need a 3-distant triple of index points")
     _require_points(lm, triple)
-    groups = [sorted(iter_bits(lm.layer_mask(p))) for p in triple]
-    c, _ = multipartite_colour(lm.colouring, groups, lm.reserved_pair)
+    c, _ = multipartite_colour(lm.colouring, [lm.layer_mask(p) for p in triple],
+                               lm.reserved_pair)
     union = lm.union(triple)
     diam = set_diameter(lm.colouring, c, union)
     if not isinstance(diam, int) or diam > 20:
@@ -276,7 +272,7 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
                 "layer point close to all three of a 3-distant triple",
                 witness={"triple": triple, "point": point})
         e = anchors[0]
-        out = bipartite_outcome(col, sorted(lm.layer(point)), sorted(lm.layer(e)),
+        out = bipartite_outcome(col, lm.layer_mask(point), lm.layer_mask(e),
                                 lm.reserved_pair)
         if isinstance(out, Split) or out.colour == c:
             p_core.append(point)
@@ -307,8 +303,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         raise ValueError("need a 3-distant quadruple of index points")
     _require_points(lm, quad)
     col = lm.colouring
-    groups = [sorted(iter_bits(lm.layer_mask(p))) for p in quad]
-    cbase, _ = multipartite_colour(col, groups, lm.reserved_pair)
+    cbase, _ = multipartite_colour(col, [lm.layer_mask(p) for p in quad],
+                                   lm.reserved_pair)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
 
     base_points: list[Point] = []
@@ -323,8 +319,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
                 witness={"quad": quad, "point": point})
         pair = (anchors[0], anchors[1])
         c_pt, _ = multipartite_colour(
-            col, [sorted(lm.layer(pair[0])), sorted(lm.layer(pair[1])),
-                  sorted(lm.layer(point))], lm.reserved_pair)
+            col, [lm.layer_mask(pair[0]), lm.layer_mask(pair[1]),
+                  lm.layer_mask(point)], lm.reserved_pair)
         if c_pt == cbase:
             base_points.append(point)
         else:
@@ -487,8 +483,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         union_mask = lm.union_mask(group)
         if union_mask & ~v_mask == 0:
             return None
-        out = bipartite_outcome(col, sorted(iter_bits(union_mask)),
-                                sorted(lm.layer(pillar)), lm.reserved_pair)
+        out = bipartite_outcome(col, union_mask, lm.layer_mask(pillar),
+                                lm.reserved_pair)
         if isinstance(out, MonoSpanning) and out.colour == cbar:
             return CoverPart(frozenset(iter_bits(union_mask | lm.layer_mask(pillar))), cbar)
         raise ImpossibleByLemmaError(
@@ -497,8 +493,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     part2 = pillar_part(group2, y_pt, "2") if group2 else None
     part3 = pillar_part(group3, x_pt, "3") if group3 else None
     if part2 is not None and part3 is not None:
-        both = sorted(iter_bits(lm.union_mask(group2))), sorted(iter_bits(lm.union_mask(group3)))
-        out = bipartite_outcome(col, both[0], both[1], lm.reserved_pair)
+        out = bipartite_outcome(col, lm.union_mask(group2), lm.union_mask(group3),
+                                lm.reserved_pair)
         if isinstance(out, MonoSpanning) and out.colour == cbar:
             parts.append(CoverPart(part2.vertices | part3.vertices, cbar))
         elif isinstance(out, MonoSpanning):
@@ -514,8 +510,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     if group1:
         union1 = lm.union_mask(group1)
         if union1 & ~v_mask:
-            out = bipartite_outcome(col, sorted(iter_bits(union1)),
-                                    sorted(lm.layer(c_anchor)), lm.reserved_pair)
+            out = bipartite_outcome(col, union1, lm.layer_mask(c_anchor),
+                                    lm.reserved_pair)
             if isinstance(out, MonoSpanning):
                 parts.append(CoverPart(
                     frozenset(iter_bits(union1 | lm.layer_mask(c_anchor))), out.colour))

@@ -1,22 +1,23 @@
 """Constructive 2-colour covers on complete, bipartite and multipartite hosts.
 
-The engines work over arbitrary vertex groups of a parent colouring with a
-designated colour pair, so the same code serves both the public host-level
-operations and the layer machinery, where the groups are layers and the
-pair is the reserved colour pair.  Only cross-group edges count; each
-branch verifies the certificate it claims before returning it, falling
-through to the next branch otherwise.
+The engines work over vertex groups of a parent colouring, given as
+bitmasks, with a designated colour pair, so the same code serves both the
+public host-level operations and the layer machinery, where the groups are
+layers and the pair is the reserved colour pair.  Only cross-group edges
+count; each branch verifies the certificate it claims before returning it,
+falling through to the next branch otherwise.  The multipartite engine
+verifies the two colours of its pair in order and returns the first that
+spans; the lemma's proof of why one does is not replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, HostGraph, components_masks,
-                     diameter_of_mask, diameter_within, iter_bits, mask_of)
+from .graphs import (DISCONNECTED, EdgeColouring, components_masks, diameter_of_mask,
+                     diameter_within, iter_bits, mask_of)
 
 SPANNING_DIAMETER_BOUND = 3      # complete host, 2 colours
 BIPARTITE_DIAMETER_BOUND = 10
@@ -44,23 +45,22 @@ class Split:
 BipartiteOutcome = MonoSpanning | Split
 
 
-def _cross_adj(colouring: EdgeColouring, groups: Sequence[Sequence[int]],
-               pair: tuple[int, int]) -> tuple[dict[int, list[int]], int, list[int]]:
+def _cross_adj(colouring: EdgeColouring, masks: Sequence[int],
+               pair: tuple[int, int]) -> tuple[dict[int, list[int]], int]:
     """Adjacency restricted to cross-group edges of the two given colours.
 
-    Returns (adj-by-colour, union mask, per-group masks).  Raises if some
-    present cross-group edge uses a colour outside the pair.
+    ``masks`` are the group bitmasks.  Returns (adj-by-colour, union
+    mask).  Raises if some present cross-group edge uses a colour outside
+    the pair.
     """
-    n = colouring.n
-    gmasks = [mask_of(g) for g in groups]
     union = 0
-    for m in gmasks:
+    for m in masks:
         if union & m:
             raise ValueError("groups must be disjoint")
         union |= m
-    adj: dict[int, list[int]] = {c: [0] * n for c in pair}
+    adj: dict[int, list[int]] = {c: [0] * colouring.n for c in pair}
     host = colouring.host
-    for gi, gmask in enumerate(gmasks):
+    for gmask in masks:
         other = union & ~gmask
         for v in iter_bits(gmask):
             seen = 0
@@ -73,16 +73,17 @@ def _cross_adj(colouring: EdgeColouring, groups: Sequence[Sequence[int]],
                 if host.has_edge(v, w):
                     raise ValueError(
                         f"cross edge ({v},{w}) coloured outside the pair {pair}")
-    return adj, union, gmasks
+    return adj, union
 
 
-def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
-                      side2: Sequence[int], pair: tuple[int, int]) -> BipartiteOutcome:
+def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
+                      pair: tuple[int, int]) -> BipartiteOutcome:
     """Two-colour analysis of the complete bipartite graph between two groups.
 
-    Returns a verified outcome whenever one exists: either one colour spans
-    both sides with diameter at most 10, or both sides split into two
-    blocks with the colouring constant on the four block products.
+    The groups are the vertex bitmasks ``mask1`` and ``mask2``.  Returns a
+    verified outcome whenever one exists: either one colour spans both
+    sides with diameter at most 10, or both sides split into two blocks
+    with the colouring constant on the four block products.
     Branches follow: a component of diameter >= 7 forces the other colour;
     three components in one colour force the other colour; a single
     component wins as-is; otherwise extract the split.
@@ -93,10 +94,10 @@ def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
     whose cross edges all take the other, so each colour misses a vertex,
     and the remaining rows match no block pattern.
     """
-    if not side1 or not side2:
+    if not mask1 or not mask2:
         raise ValueError("both sides must be nonempty")
     ca, cb = pair
-    adj, union, (mask1, mask2) = _cross_adj(colouring, [side1, side2], pair)
+    adj, union = _cross_adj(colouring, (mask1, mask2), pair)
     comps = {c: components_masks(adj[c], colouring.n, within=union) for c in pair}
 
     def mono(c: int) -> MonoSpanning | None:
@@ -124,8 +125,9 @@ def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
         got = mono(c)
         if got is not None:
             return got
-    # Two components each: extract the block structure anchored at side1[0].
-    u0 = min(side1)
+    # Two components each: extract the block structure anchored at the
+    # lowest vertex of side 1.
+    u0 = (mask1 & -mask1).bit_length() - 1
     a2 = adj[ca][u0] & mask2
     b2 = mask2 & ~a2
     a1 = b1 = 0
@@ -148,86 +150,41 @@ def bipartite_outcome(colouring: EdgeColouring, side1: Sequence[int],
             return got
     raise ImpossibleByLemmaError(
         "no two-colour bipartite outcome verified",
-        witness={"side1": sorted(side1), "side2": sorted(side2), "pair": pair})
+        witness={"side1": list(iter_bits(mask1)), "side2": list(iter_bits(mask2)),
+                 "pair": pair})
 
 
-def multipartite_colour(colouring: EdgeColouring, groups: Sequence[Sequence[int]],
+def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
                         pair: tuple[int, int]) -> tuple[int, int]:
     """Colour whose cross-group graph spans all groups with bounded diameter.
 
-    Returns (colour, exact diameter) whenever such a colour exists; the
-    diameter is at most 20 for three groups and at most 60 otherwise.
-    Candidates are ordered by the pairwise bipartite outcomes (three
-    groups) or by a recursive auxiliary colouring of the group indices
-    (more groups), then verified.
+    ``masks`` are the group bitmasks.  The candidates are the colours of
+    ``pair`` in the given order, each verified on the cross-group graph.
+    The lemma's proof that one of them spans (pairwise bipartite outcomes,
+    an auxiliary colouring of the groups) is not replayed.  Returns
+    (colour, exact diameter) for the first colour that spans the union
+    within the bound: 20 for three groups, 60 otherwise.
 
-    Raises :class:`ImpossibleByLemmaError`, with the groups, the pair and
-    the bound as witness, when no colour spans within the bound.  The
-    degenerate pattern: one group holds a vertex whose cross edges all
-    take one colour and another whose cross edges all take the other, so
-    each colour misses a vertex and neither is connected at any diameter.
-    The raise is exact: when a pair or triple of groups has no outcome of
-    its own, both colours are tested directly.
+    Raises :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
+    lists), the pair and the bound as witness, exactly when neither colour
+    spans within the bound.  The degenerate pattern: one group holds a
+    vertex whose cross edges all take one colour and another whose cross
+    edges all take the other, so each colour misses a vertex and neither
+    is connected at any diameter.
     """
-    r = len(groups)
+    r = len(masks)
     if r < 3:
         raise ValueError("need at least three groups")
-    ca, cb = pair
-    adj, union, _ = _cross_adj(colouring, groups, pair)
+    adj, union = _cross_adj(colouring, masks, pair)
     bound = TRIPARTITE_DIAMETER_BOUND if r == 3 else MULTIPARTITE_DIAMETER_BOUND
-
-    def attempt(order: Sequence[int]) -> tuple[int, int] | None:
-        seen = set()
-        for c in order:
-            if c in seen:
-                continue
-            seen.add(c)
-            diam = diameter_of_mask(adj[c], union, stop_above=bound)
-            if diam is not DISCONNECTED and diam <= bound:
-                return c, diam
-        return None
-
-    # One colour unused on cross edges: the other one is a 1-colouring.
-    # _cross_adj leaves the rows outside the union at 0, so read only those
-    # inside it.
-    for c, other in ((ca, cb), (cb, ca)):
-        if not any(adj[other][v] for v in iter_bits(union)):
-            got = attempt([c])
-            if got:
-                return got
-
-    try:
-        if r == 3:
-            outs = [bipartite_outcome(colouring, groups[i], groups[j], pair)
-                    for i, j in ((0, 1), (0, 2), (1, 2))]
-            monos = [o.colour for o in outs if isinstance(o, MonoSpanning)]
-            order: list[int] = []
-            if len(monos) >= 2:
-                # Two spanning pairs of groups sharing a colour chain together.
-                for c in pair:
-                    if monos.count(c) >= 2:
-                        order.append(c)
-            order += monos + [ca, cb]
-        else:
-            aux_host = HostGraph.complete(r - 1)
-            aux_colours = {}
-            for i, j in combinations(range(r - 1), 2):
-                c, _ = multipartite_colour(
-                    colouring, [groups[i], groups[j], groups[r - 1]], pair)
-                aux_colours[(i, j)] = 1 if c == ca else 2
-            aux = EdgeColouring.from_pairs(aux_host, 2, aux_colours)
-            c_aux = erdos_rado_cover(aux)
-            order = [ca, cb] if c_aux == 1 else [cb, ca]
-    except ImpossibleByLemmaError:
-        # A degenerate pair or triple of groups has no outcome of its own;
-        # the whole graph may still have a spanning colour, so test both.
-        order = [ca, cb]
-    got = attempt(order)
-    if got:
-        return got
+    for c in pair:
+        diam = diameter_of_mask(adj[c], union, stop_above=bound)
+        if diam is not DISCONNECTED and diam <= bound:
+            return c, diam
     raise ImpossibleByLemmaError(
         "no spanning colour within the multipartite bound",
-        witness={"groups": [sorted(g) for g in groups], "pair": pair, "bound": bound})
+        witness={"groups": [list(iter_bits(m)) for m in masks], "pair": pair,
+                 "bound": bound})
 
 
 # -- public host-level operations ----------------------------------------
@@ -262,7 +219,8 @@ def bipartite_two_colour(colouring: EdgeColouring) -> BipartiteOutcome:
         raise ValueError("host must be complete bipartite with recorded classes")
     if colouring.k != 2:
         raise ValueError("exactly two colours expected")
-    return bipartite_outcome(colouring, classes[0], classes[1], (1, 2))
+    return bipartite_outcome(colouring, mask_of(classes[0]), mask_of(classes[1]),
+                             (1, 2))
 
 
 @dataclass(frozen=True)
@@ -286,6 +244,6 @@ def multipartite_two_colour(colouring: EdgeColouring) -> MultipartiteResult:
         raise ValueError("host must be complete multipartite with >= 3 classes")
     if colouring.k != 2:
         raise ValueError("exactly two colours expected")
-    c, diam = multipartite_colour(colouring, classes, (1, 2))
+    c, diam = multipartite_colour(colouring, [mask_of(g) for g in classes], (1, 2))
     bound = TRIPARTITE_DIAMETER_BOUND if len(classes) == 3 else MULTIPARTITE_DIAMETER_BOUND
     return MultipartiteResult(c, bound, diam)

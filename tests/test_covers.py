@@ -186,6 +186,12 @@ def test_cover_file_errors_quote_the_line():
     cases += [("parts=1 bound=1_6_0\n1: 0\n", "bad cover header: 'parts=1 bound=1_6_0'"),
               ("parts=1 bound=1\n+1: 0\n", "bad cover part line '\\+1: 0'"),
               ("parts=1 bound=1\n1: \u0663\n", "bad cover part line '1: \u0663'")]
+    cases += [("parts=9 parts=1 bound=5 colour=7 bound=1\n1: 0 1\n",
+               "bad cover header: 'parts=9 parts=1 bound=5 colour=7 bound=1'"),
+              ("parts=1 bound=1 parts=1\n1: 0\n",
+               "bad cover header: 'parts=1 bound=1 parts=1'"),
+              ("parts=1 bound=1 colour=1\n1: 0\n",
+               "bad cover header: 'parts=1 bound=1 colour=1'")]
     for text, message in cases:
         with pytest.raises(ValueError, match=message):
             parse_cover(text)
@@ -205,6 +211,7 @@ def test_cover_file_roundtrip_and_mutations(parts, bound, data):
     commented = ["# a cover", lines[0] + " # header", "  # note"] + lines[1:]
     assert parse_cover("\n".join(commented)) == cover
     i = data.draw(st.integers(1, len(lines) - 1), label="part line")
+    j = data.draw(st.integers(0, 1), label="header token")
     mutants = {
         "part line dropped": lines[:i] + lines[i + 1:],
         "part line duplicated": lines[:i + 1] + lines[i:],
@@ -219,6 +226,7 @@ def test_cover_file_roundtrip_and_mutations(parts, bound, data):
         "19-digit vertex": lines[:i] + [lines[i] + " " + "1" * 19] + lines[i + 1:],
         "colour with a sign": lines[:i] + ["+" + lines[i]] + lines[i + 1:],
         "part count with underscores": [lines[0].replace("parts=", "parts=0_", 1)] + lines[1:],
+        "a header token duplicated": [lines[0] + " " + lines[0].split()[j]] + lines[1:],
     }
     assert [what for what, mutant in mutants.items()
             if not rejects(parse_cover, "\n".join(mutant) + "\n")] == []

@@ -1,14 +1,17 @@
 """Solver cascade: stages, generators, determinism, connectivity cover."""
 
+import hashlib
+import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import constant_colouring, random_colouring
 from monocover import graphs
-from monocover.covers import verify_cover
+from monocover.covers import format_cover, verify_cover
 from monocover.generators import (four_blocks, ladder, layered_adversarial,
                                   random_uniform, section5_example,
                                   sharpness_x, two_paths)
@@ -366,6 +369,28 @@ def test_solve_deterministic():
     c1, t1 = solve4(col)
     c2, t2 = solve4(col)
     assert c1 == c2 and t1.branch == t2.branch
+
+
+def test_solve4_outputs_pinned():
+    # The cover, branch, details and anomaly messages of solve4 on a fixed
+    # set of 220 instances, hashed: a change that alters any of them turns
+    # this red.  The branch counts say which kind of instance moved.
+    cols = [layered_adversarial(seed) for seed in range(200)]
+    cols += [two_paths(n, random.Random(i).randrange(2**31))
+             for n in (300, 400, 500, 600) for i in range(1, 6)]
+    digest = hashlib.sha256()
+    branches = Counter()
+    for col in cols:
+        cover, trace = solve4(col)
+        branches[trace.branch] += 1
+        digest.update(json.dumps(
+            [format_cover(cover), trace.branch,
+             json.dumps(trace.details, sort_keys=True, default=repr),
+             list(trace.anomalies)]).encode())
+    assert branches == {BRANCH_SINGLE_COLOUR: 83, BRANCH_SMALL_DIAM: 52,
+                        BRANCH_LAYER_QUAD: 85}
+    assert digest.hexdigest() == (
+        "d8a1cd90b4aef325958c03f6291d68f32455bdbcf76b514680c8d2247ec15db6")
 
 
 def test_sharpness_colouring_three_parts():

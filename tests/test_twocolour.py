@@ -240,13 +240,18 @@ def test_multipartite_inconsistent_partitions_case():
     check_multipartite(col, res)
 
 
-def spanning_colour_exists(col, bound):
-    """Independent existence check: some colour spans connected within bound."""
+def first_spanning_colour(col, bound):
+    """The first of colours 1, 2 that spans connected within bound, or None."""
     for c in (1, 2):
         d = set_diameter(col, c, range(col.n))
         if d is not DISCONNECTED and d <= bound:
-            return True
-    return False
+            return c
+    return None
+
+
+def spanning_colour_exists(col, bound):
+    """Independent existence check: some colour spans connected within bound."""
+    return first_spanning_colour(col, bound) is not None
 
 
 def test_multipartite_no_spanning_colour_counterexample():
@@ -277,6 +282,7 @@ def test_multipartite_exhaustive_k222_complete_relative_to_existence():
         else:
             assert res.bound == 20
             check_multipartite(col, res)
+            assert res.colour == first_spanning_colour(col, res.bound)
     assert impossible == 96
 
 
@@ -293,6 +299,7 @@ def test_multipartite_many_classes(rng):
             else:
                 assert res.bound == bound
                 check_multipartite(col, res)
+                assert res.colour == first_spanning_colour(col, res.bound)
 
 
 def test_multipartite_rejects_bipartite():
