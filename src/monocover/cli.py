@@ -15,7 +15,8 @@ import math
 import sys
 
 from .covers import format_cover, parse_cover, verify_cover
-from .generators import GeneratorSpec, generate
+from .generators import (layered_adversarial, random_uniform, section5_example,
+                         sharpness_x)
 from .graphs import DISCONNECTED, format_colouring, parse_colouring
 from .grid import (GridPointSet, bounded_degree_search, classify_independent4,
                    classify_independent5, colouring_from_points, cover_G3,
@@ -43,16 +44,18 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
     if args.kind == "random-uniform":
-        params = {"n": args.n, "k": args.k, "seed": args.seed}
+        colouring = random_uniform(args.n, args.k, args.seed)
     elif args.kind == "layered-adversarial":
-        params = {"seed": args.seed, "variant": args.variant}
+        colouring = layered_adversarial(args.seed, args.variant)
+    elif args.kind == "sharpness-x":
+        colouring = sharpness_x()
     elif args.kind == "section5-example":
-        params = {"n": args.n, "seed": args.seed}
-    elif args.kind == "from-points":
-        params = {"points": parse_points(_read(args.points))}
-    colouring = generate(GeneratorSpec(args.kind, params))
+        colouring = section5_example(args.n, args.seed)
+    else:
+        if args.points is None:
+            raise ValueError("gen from-points needs --points FILE")
+        colouring, _ = colouring_from_points(parse_points(_read(args.points)))
     _write(args.output, format_colouring(colouring))
     return OK
 

@@ -13,7 +13,6 @@ SingleColour.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,10 @@ SHARPNESS_POINTS = GridPointSet.of([
 
 def random_uniform(n: int, k: int, seed: int) -> EdgeColouring:
     """Uniform colouring of K_n; seed fully determines the output."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    if k > 255:
+        raise ValueError(f"k = {k} exceeds the 255 colours a byte can hold")
     rng = np.random.default_rng(seed)
     mat = rng.integers(1, k + 1, size=(n, n), dtype=np.uint8)
     mat = np.triu(mat, 1)
@@ -171,26 +174,3 @@ def layered_adversarial(seed: int, variant: str = "mixed") -> EdgeColouring:
     if variant == "ladder":
         return ladder(rng.randint(8, 24), rng.randint(0, 10**9))
     raise ValueError(f"unknown adversarial variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def generate(spec: GeneratorSpec) -> EdgeColouring:
-    """Dispatch a generator spec; unknown kinds raise ValueError."""
-    kind, p = spec.kind, spec.params
-    if kind == "random-uniform":
-        return random_uniform(p["n"], p.get("k", 4), p.get("seed", 0))
-    if kind == "layered-adversarial":
-        return layered_adversarial(p.get("seed", 0), p.get("variant", "mixed"))
-    if kind == "sharpness-x":
-        return sharpness_x()
-    if kind == "section5-example":
-        return section5_example(p["n"], p.get("seed", 0))
-    if kind == "from-points":
-        colouring, _ = colouring_from_points(p["points"])
-        return colouring
-    raise ValueError(f"unknown generator kind {spec.kind!r}")

@@ -226,7 +226,7 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
     return c, union, diam
 
 
-def _classify_against(lm: LayerMapping, anchors: Sequence[Point], point: Point,
+def _classify_against(anchors: Sequence[Point], point: Point,
                       separation: int = 2) -> list[Point]:
     """Anchors that are ``separation``-distant from ``point``, sorted."""
     return [a for a in anchors
@@ -266,7 +266,7 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
     for point in lm.points:
         if point in triple:
             continue
-        anchors = _classify_against(lm, triple, point)
+        anchors = _classify_against(triple, point)
         if not anchors:
             raise ImpossibleByLemmaError(
                 "layer point close to all three of a 3-distant triple",
@@ -312,7 +312,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     for point in lm.points:
         if point in quad:
             continue
-        anchors = _classify_against(lm, quad, point)
+        anchors = _classify_against(quad, point)
         if len(anchors) < 2:
             raise ImpossibleByLemmaError(
                 "layer point close to three of a 3-distant quadruple",
@@ -332,15 +332,10 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         intersecting = any(set(p1) & set(p2)
                            for p1, p2 in combinations(pairs, 2))
         if intersecting or len(pairs) == 1:
-            if len(pairs) > 1:
-                merged = 0
-                for pair in pairs:
-                    merged |= lm.union_mask(pair) | lm.union_mask(pair_groups[pair])
-                parts.append(CoverPart(frozenset(iter_bits(merged)), cbar))
-            else:
-                pair = pairs[0]
-                parts.append(CoverPart(
-                    lm.union(pair) | lm.union(pair_groups[pair]), cbar))
+            merged = 0
+            for pair in pairs:
+                merged |= lm.union_mask(pair) | lm.union_mask(pair_groups[pair])
+            parts.append(CoverPart(frozenset(iter_bits(merged)), cbar))
         else:
             if len(pairs) > 2:
                 raise ImpossibleByLemmaError(
@@ -373,7 +368,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
 
     # A point 3-distant from the whole triple upgrades it to a quadruple.
     for point in points:
-        if len(_classify_against(lm, triple, point, separation=3)) == 3:
+        if len(_classify_against(triple, point, separation=3)) == 3:
             return cover_from_dist3_quad(lm, triple + (point,))
 
     c, core, _ = cover_from_dist3_triple(lm, triple)

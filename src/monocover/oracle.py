@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .covers import Cover, CoverPart, verify_cover
 from .graphs import (EdgeColouring, HostGraph, diameter_within, iter_bits,
@@ -156,12 +156,16 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _canonical_colour_tuple(codes: tuple[int, ...], k: int) -> bool:
-    """True iff the edge-colour tuple is minimal over colour permutations."""
-    for perm in permutations(range(1, k + 1)):
-        relabeled = tuple(perm[c - 1] for c in codes)
-        if relabeled < codes:
+def _canonical_colour_tuple(codes: tuple[int, ...]) -> bool:
+    """True iff the edge-colour tuple is minimal over colour permutations.
+
+    That is: each colour first appears after every smaller one.
+    """
+    top = 0
+    for c in codes:
+        if c > top + 1:
             return False
+        top = max(top, c)
     return True
 
 
@@ -193,7 +197,7 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
                 digits.append(x % k + 1)
                 x //= k
             codes = tuple(digits)
-            if not _canonical_colour_tuple(codes, k):
+            if not _canonical_colour_tuple(codes):
                 continue
             if limit is not None and report.instances_checked >= limit:
                 report.complete = False

@@ -5,9 +5,12 @@ bitmasks, with a designated colour pair, so the same code serves both the
 public host-level operations and the layer machinery, where the groups are
 layers and the pair is the reserved colour pair.  Only cross-group edges
 count; each branch verifies the certificate it claims before returning it,
-falling through to the next branch otherwise.  The multipartite engine
-verifies the two colours of its pair in order and returns the first that
-spans; the lemma's proof of why one does is not replayed.
+falling through to the next branch otherwise.  Neither engine replays
+the lemma's proof of why an outcome exists; each verifies candidates in a
+fixed order.  The bipartite engine takes, for its pair (ca, cb), the
+first colour within 6, else the second within 10, else the first within
+10, else the split.  The multipartite engine verifies the two colours of
+its pair in order and returns the first that spans.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, components_masks, diameter_of_mask,
-                     diameter_within, iter_bits, mask_of)
+from .graphs import (DISCONNECTED, EdgeColouring, diameter_of_mask, diameter_within,
+                     iter_bits, mask_of)
 
 SPANNING_DIAMETER_BOUND = 3      # complete host, 2 colours
 BIPARTITE_DIAMETER_BOUND = 10
@@ -83,10 +86,11 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
     The groups are the vertex bitmasks ``mask1`` and ``mask2``.  Returns a
     verified outcome whenever one exists: either one colour spans both
     sides with diameter at most 10, or both sides split into two blocks
-    with the colouring constant on the four block products.
-    Branches follow: a component of diameter >= 7 forces the other colour;
-    three components in one colour force the other colour; a single
-    component wins as-is; otherwise extract the split.
+    with the colouring constant on the four block products.  With
+    ``pair = (ca, cb)`` the rule is: ``ca`` if it spans within 6, else
+    ``cb`` if it spans within 10, else ``ca`` if it spans within 10, else
+    the split.  The lemma's proof of why one of these exists is not
+    replayed.
 
     Raises :class:`ImpossibleByLemmaError`, with the sides and the pair as
     witness, exactly when no outcome exists.  The degenerate pattern: one
@@ -98,60 +102,35 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
         raise ValueError("both sides must be nonempty")
     ca, cb = pair
     adj, union = _cross_adj(colouring, (mask1, mask2), pair)
-    comps = {c: components_masks(adj[c], colouring.n, within=union) for c in pair}
 
-    def mono(c: int) -> MonoSpanning | None:
-        if len(comps[c]) != 1:
-            return None
-        diam = diameter_of_mask(adj[c], union, stop_above=BIPARTITE_DIAMETER_BOUND)
-        if diam <= BIPARTITE_DIAMETER_BOUND:
+    def mono(c: int, bound: int) -> MonoSpanning | None:
+        diam = diameter_of_mask(adj[c], union, stop_above=bound)
+        if diam is not DISCONNECTED and diam <= bound:
             return MonoSpanning(c, diam)
         return None
 
-    # A long component in one colour makes the other colour span tightly.
-    for c, other in ((ca, cb), (cb, ca)):
-        for comp in comps[c]:
-            if not diameter_within(adj[c], comp, 6):
-                got = mono(other)
-                if got is not None:
-                    return got
-    # Three components in one colour connect the other one.
-    for c, other in ((ca, cb), (cb, ca)):
-        if len(comps[c]) >= 3:
-            got = mono(other)
-            if got is not None:
-                return got
-    for c in pair:
-        got = mono(c)
-        if got is not None:
-            return got
-    # Two components each: extract the block structure anchored at the
+    got = (mono(ca, 6) or mono(cb, BIPARTITE_DIAMETER_BOUND)
+           or mono(ca, BIPARTITE_DIAMETER_BOUND))
+    if got is not None:
+        return got
+    # Neither colour spans: extract the block structure anchored at the
     # lowest vertex of side 1.
     u0 = (mask1 & -mask1).bit_length() - 1
     a2 = adj[ca][u0] & mask2
     b2 = mask2 & ~a2
     a1 = b1 = 0
-    ok = True
     for u in iter_bits(mask1):
         if adj[ca][u] & ~a2 == 0 and adj[cb][u] & ~b2 == 0:
             a1 |= 1 << u
         elif adj[ca][u] & ~b2 == 0 and adj[cb][u] & ~a2 == 0:
             b1 |= 1 << u
         else:
-            ok = False
-            break
-    if ok:
-        return Split(frozenset(iter_bits(a1)), frozenset(iter_bits(b1)),
-                     frozenset(iter_bits(a2)), frozenset(iter_bits(b2)), ca)
-    # Degenerate structure: accept any verified spanning colour.
-    for c in pair:
-        got = mono(c)
-        if got is not None:
-            return got
-    raise ImpossibleByLemmaError(
-        "no two-colour bipartite outcome verified",
-        witness={"side1": list(iter_bits(mask1)), "side2": list(iter_bits(mask2)),
-                 "pair": pair})
+            raise ImpossibleByLemmaError(
+                "no two-colour bipartite outcome verified",
+                witness={"side1": list(iter_bits(mask1)),
+                         "side2": list(iter_bits(mask2)), "pair": pair})
+    return Split(frozenset(iter_bits(a1)), frozenset(iter_bits(b1)),
+                 frozenset(iter_bits(a2)), frozenset(iter_bits(b2)), ca)
 
 
 def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],

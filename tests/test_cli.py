@@ -147,6 +147,19 @@ def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):
     assert err.startswith("monocover: error: ") and err.count("\n") == 1
 
 
+def test_gen_rejects_unusable_values_in_one_line(capsys):
+    cases = [(("from-points",), "gen from-points needs --points FILE"),
+             (("random-uniform", "--k", "300"),
+              "k = 300 exceeds the 255 colours a byte can hold"),
+             (("random-uniform", "--k", "0"), "n and k must be positive"),
+             (("random-uniform", "--n", "-3"), "n and k must be positive")]
+    for argv, message in cases:
+        assert run("gen", *argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"monocover: error: {message}\n"
+
+
 def test_usage_errors_exit_4_not_2(capsys):
     # 2 means verified-invalid, so a usage error must not exit with it.
     usage_errors = [("verify", "a", "b", "--bound", "x"), ("verify", "a"),

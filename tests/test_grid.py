@@ -235,6 +235,16 @@ def test_cover_many_singleton_components(rng):
     assert len(parts) <= 3
 
 
+def test_cover_four_singletons():
+    # The even-weight corners of the unit cube: four isolated points with no
+    # coplanar complete representative set and no collinear pair.
+    ps = GridPointSet.of([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    assert cover_G3(ps) == [
+        GridCoverPart("connected", frozenset({(0, 0, 0)})),
+        GridCoverPart("connected", frozenset({(0, 1, 1)})),
+        GridCoverPart("hyperplane", frozenset({(1, 1, 0), (1, 0, 1)}), 0, 1)]
+
+
 def test_cover_rejects_other_arity():
     with pytest.raises(ValueError):
         cover_G3(GridPointSet.of([(0, 0)]))

@@ -69,7 +69,12 @@ def test_scan_k2_n4_spanning_colour():
     assert report.complete
     assert not report.witnesses
     assert report.worst_bound_needed <= 3
-    assert report.instances_checked > 0
+    # One colouring per orbit under colour relabelling (Burnside):
+    # 2^6 / 2! for two colours, S(6,1) + S(6,2) + S(6,3) for three.
+    assert report.instances_checked == 32
+    three = exhaustive_colouring_scan(4, 3, bound=3, max_parts=2)
+    assert three.complete and not three.witnesses
+    assert three.instances_checked == 122
 
 
 def test_scan_limit_flags_incomplete():

@@ -18,7 +18,8 @@ from monocover.generators import (four_blocks, ladder, layered_adversarial,
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
                               set_diameter)
 from monocover.solver import (BRANCH_FALLBACK, BRANCH_LAYER_QUAD,
-                              BRANCH_SINGLE_COLOUR, BRANCH_SMALL_DIAM,
+                              BRANCH_LAYER_TRIPLE7, BRANCH_SINGLE_COLOUR,
+                              BRANCH_SMALL_DIAM,
                               disjoint_corollary, gyarfas_connectivity_cover,
                               reduce_small_diameters, solve4,
                               solve_connected_case, solve_intersecting_case)
@@ -182,6 +183,32 @@ def test_single_colour_stage_returns_through_verification(monkeypatch):
     assert anomaly["witness"] == {
         "colour": 1, "uncovered": [],
         "parts": [(list(range(col.n)), 1, repr(set_diameter(col, 1, range(col.n))))]}
+
+
+def test_layer_stage_records_a_failed_quad_and_goes_on(monkeypatch):
+    # A quadruple cover that raises is recorded with its witness; the same
+    # mapping then closes through its 7-distant triple.
+    from monocover import solver
+    from monocover.errors import ImpossibleByLemmaError
+    real, quads = solver.cover_from_dist3_quad, []
+
+    def fail_once(lm, quad):
+        quads.append(quad)
+        if len(quads) == 1:
+            raise ImpossibleByLemmaError("forced", {"quad": list(quad)})
+        return real(lm, quad)
+
+    monkeypatch.setattr(solver, "cover_from_dist3_quad", fail_once)
+    col = two_paths(200, seed=3)
+    cover, trace = solve4(col)
+    check_solved(col, cover, trace)
+    assert trace.branch == BRANCH_LAYER_TRIPLE7
+    assert (trace.details["pair"], trace.details["policy"]) == ((1, 2), "zero")
+    layer = trace.stages[2]
+    assert (layer.name, layer.outcome) == ("layer mappings", "closed")
+    assert layer.anomalies == [{"message": "layer quad (1,2,zero): forced",
+                                "witness": {"quad": list(quads[0])}}]
+    assert trace.anomalies == ("layer quad (1,2,zero): forced",)
 
 
 def test_stage_records_count_bfs_runs():

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import constant_colouring
 from monocover.errors import ImpossibleByLemmaError
-from monocover.graphs import DISCONNECTED, EdgeColouring, HostGraph, set_diameter
-from monocover.twocolour import (MonoSpanning, Split, bipartite_two_colour,
-                                 erdos_rado_cover, multipartite_two_colour)
+from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, mask_of,
+                              set_diameter)
+from monocover.twocolour import (MonoSpanning, Split, bipartite_outcome,
+                                 bipartite_two_colour, erdos_rado_cover,
+                                 multipartite_colour, multipartite_two_colour)
 
 
 def complete_two_colouring(n, colour_fn):
@@ -135,6 +137,31 @@ def test_bipartite_long_component_forces_other_colour():
     out = bipartite_two_colour(col)
     assert isinstance(out, MonoSpanning) and out.colour == 2
     assert out.diameter <= 9
+
+
+def test_bipartite_outcome_follows_its_rule():
+    # For the pair (ca, cb): ca if it spans within 6, else cb within 10,
+    # else ca within 10.  Snake paths with a few extra colour-1 edges give
+    # colour 1 diameters on both sides of 6, so both pair orders matter.
+    preferred = 0
+    for a in range(2, 9):
+        order = [x for i in range(a) for x in (i, a + i)]
+        path = {tuple(sorted(p)) for p in zip(order, order[1:])}
+        cross = sorted(set(product(range(a), range(a, 2 * a))) - path)
+        rng = random.Random(a)
+        for flips in range(4):
+            ones = path | set(rng.sample(cross, min(flips, len(cross))))
+            col = bipartite_colouring(a, a, lambda u, v: 1 if (u, v) in ones else 2)
+            diam = {c: set_diameter(col, c, range(2 * a)) for c in (1, 2)}
+            within = {c: diam[c] is not DISCONNECTED and diam[c] <= 10 for c in (1, 2)}
+            for ca, cb in ((1, 2), (2, 1)):
+                out = bipartite_outcome(col, mask_of(range(a)),
+                                        mask_of(range(a, 2 * a)), (ca, cb))
+                want = ca if within[ca] and (diam[ca] <= 6 or not within[cb]) else cb
+                assert isinstance(out, MonoSpanning), (a, flips, ca)
+                assert (out.colour, out.diameter) == (want, diam[want]), (a, flips, ca)
+                preferred += within[ca] and want == cb
+    assert preferred > 0
 
 
 def bipartite_outcome_exists(col):
@@ -300,6 +327,16 @@ def test_multipartite_many_classes(rng):
                 assert res.bound == bound
                 check_multipartite(col, res)
                 assert res.colour == first_spanning_colour(col, res.bound)
+
+
+def test_engines_reject_a_cross_edge_outside_the_pair():
+    col = EdgeColouring.build(HostGraph.multipartite([2, 2, 2]), 3,
+                              lambda u, v: 3 if (u, v) == (1, 4) else 1)
+    message = r"cross edge \(1,4\) coloured outside the pair \(1, 2\)"
+    with pytest.raises(ValueError, match=message):
+        bipartite_outcome(col, 0b11, 0b110000, (1, 2))
+    with pytest.raises(ValueError, match=message):
+        multipartite_colour(col, [0b11, 0b1100, 0b110000], (1, 2))
 
 
 def test_multipartite_rejects_bipartite():
