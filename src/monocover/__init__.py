@@ -3,7 +3,7 @@
 from .covers import Cover, CoverPart, CoverReport, verify_cover
 from .errors import ImpossibleByLemmaError
 from .graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
-                     mono_ball, mono_components, parse_colouring, set_diameter)
+                     parse_colouring, set_diameter)
 
 __all__ = [
     "Cover",
@@ -14,8 +14,6 @@ __all__ = [
     "HostGraph",
     "ImpossibleByLemmaError",
     "MonoMetrics",
-    "mono_ball",
-    "mono_components",
     "parse_colouring",
     "set_diameter",
     "verify_cover",

@@ -1,10 +1,12 @@
 """Command-line front door: generators, solvers, verifiers, converters.
 
 All file formats are line-oriented text.  Exit codes: 0 verified success,
-2 verified-invalid, 3 fallback or incomplete result, 4 rejected input (a
-usage error, or a malformed or unreadable file or a value a command cannot
-use, reported as one line `monocover: error: <message>` on stderr).  Flags
-only; no configuration files or environment variables.
+2 verified-invalid, 3 fallback or incomplete result, or no result (a
+``solve --lemma`` instance on which the lemma has no outcome, reported as
+one line `monocover: no outcome: <message>` on stderr), 4 rejected input
+(a usage error, or a malformed or unreadable file or a value a command
+cannot use, reported as one line `monocover: error: <message>` on
+stderr).  Flags only; no configuration files or environment variables.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import math
 import sys
 
 from .covers import format_cover, parse_cover, verify_cover
+from .errors import ImpossibleByLemmaError
 from .generators import (layered_adversarial, random_uniform, section5_example,
                          sharpness_x)
-from .graphs import DISCONNECTED, format_colouring, parse_colouring
+from .graphs import DISCONNECTED, format_colouring, parse_colouring, set_diameter
 from .grid import (GridPointSet, bounded_degree_search, classify_independent4,
                    classify_independent5, colouring_from_points, cover_G3,
                    format_points, parse_points, points_from_colouring)
@@ -87,7 +90,6 @@ def _cmd_solve(args) -> int:
 def _solve_lemma(args, colouring) -> int:
     if args.lemma == "2cols":
         c = erdos_rado_cover(colouring)
-        from .graphs import set_diameter
         print(f"colour {c} diameter {set_diameter(colouring, c, range(colouring.n))}")
         return OK
     if args.lemma == "2colsbip":
@@ -128,7 +130,7 @@ def _cmd_layers(args) -> int:
                              value_policy=args.policy)
     print("D1 D2 size")
     for point in lm.points:
-        print(f"{point[0]} {point[1]} {len(lm.layer(point))}")
+        print(f"{point[0]} {point[1]} {lm.layer_mask(point).bit_count()}")
     return OK
 
 
@@ -287,6 +289,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"monocover: error: {exc}", file=sys.stderr)
         return REJECTED
+    except ImpossibleByLemmaError as exc:
+        print(f"monocover: no outcome: {exc}", file=sys.stderr)
+        return INCOMPLETE
 
 
 if __name__ == "__main__":

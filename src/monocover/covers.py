@@ -3,11 +3,13 @@
 :func:`verify_cover` judges a cover and reports exact part diameters,
 which the CLI's ``verify`` lines and the oracle read.
 :func:`verified` is the verify-or-raise step that every construction in
-``solver`` and ``layers`` returns through.  It decides by threshold:
-one BFS per part settles "diameter <= bound" unless the bound lies
-between an eccentricity and twice it, so exact diameters are computed
-only by :func:`verify_cover`, and by :func:`verified` only for the
-witness of a cover that fails.
+``solver`` and ``layers`` returns through.  The constructions hold
+vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``
+pairs; it is the one place where they become :class:`CoverPart`
+frozensets.  It decides by threshold: one BFS per part settles
+"diameter <= bound" unless the bound lies between an eccentricity and
+twice it, so exact diameters are computed only by :func:`verify_cover`,
+and by :func:`verified` only for the witness of a cover that fails.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, diameter_within, mask_of,
+from .graphs import (DISCONNECTED, EdgeColouring, diameter_within, iter_bits,
                      parse_decimal, set_diameter)
 
 
@@ -108,12 +110,13 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     return CoverReport(valid, tuple(reports), uncovered, part_count_ok)
 
 
-def verified(colouring: EdgeColouring, parts: Iterable[CoverPart], bound: float,
-             what: str, witness: dict | None = None) -> Cover:
-    """The cover of ``parts`` at ``bound``, if :func:`verify_cover` would
-    call it valid with at most k-1 parts.
+def verified(colouring: EdgeColouring, parts: Iterable[tuple[int, int]],
+             bound: float, what: str, witness: dict | None = None) -> Cover:
+    """The cover of ``parts``, ``(vertex mask, colour)`` pairs, at ``bound``,
+    if :func:`verify_cover` would call it valid with at most k-1 parts.
 
-    Constructions return through this helper.  It decides each part by
+    Constructions return through this helper, and it alone turns their
+    masks into :class:`CoverPart` frozensets.  It decides each part by
     :func:`graphs.diameter_within`, a threshold test that costs one BFS
     when twice the part's eccentricity is within the bound, and raises
     the same ``ValueError`` as :func:`verify_cover` for a colour or vertex
@@ -122,14 +125,14 @@ def verified(colouring: EdgeColouring, parts: Iterable[CoverPart], bound: float,
     to ``witness`` the uncovered vertices and, per part, its full sorted
     vertex list, colour and exact diameter, enough to replay the check.
     """
-    cover = Cover(tuple(parts), bound)
-    valid = len(cover.parts) <= colouring.k - 1
+    parts = list(parts)
+    cover = Cover.of(((iter_bits(mask), c) for mask, c in parts), bound)
+    valid = len(parts) <= colouring.k - 1
     covered = 0
-    for part in cover.parts:
+    for part, (mask, c) in zip(cover.parts, parts):
         _check_part(colouring, part)
-        mask = mask_of(part.vertices)
         covered |= mask
-        valid = valid and diameter_within(colouring.adj_rows(part.colour), mask, bound)
+        valid = valid and diameter_within(colouring.adj_rows(c), mask, bound)
     if valid and covered == (1 << colouring.n) - 1:
         return cover
     report = verify_cover(colouring, cover, bound=bound)

@@ -6,6 +6,9 @@ within-class pairs of some partition, the host is complete multipartite
 and the partition is recorded.  Per-colour adjacency is stored as one
 bitmask per vertex, so component sweeps, balls and diameters all reduce
 to integer BFS, which is fast enough for exhaustive desk-scale testing.
+Inside the library a vertex set is a bitmask too: components, balls and
+layers are masks, and only ``covers.verified`` turns a construction's
+masks into the frozensets of a cover.
 
 One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 (distances, balls and components are calls to it) and stops as soon as
@@ -444,15 +447,14 @@ class MonoMetrics:
             raise ValueError(f"vertex {v} out of range")
 
     def component_masks(self, c: int) -> list[int]:
+        """The c-components as masks, singletons included, in increasing
+        order of lowest vertex."""
         self._check(c)
         got = self._comps.get(c)
         if got is None:
             got = components_masks(self._adj[c], self.n)
             self._comps[c] = got
         return got
-
-    def components(self, c: int) -> list[list[int]]:
-        return [list(iter_bits(m)) for m in self.component_masks(c)]
 
     def distances_from(self, c: int, x: int) -> list[int]:
         self._check(c, x)
@@ -470,6 +472,7 @@ class MonoMetrics:
         return float("inf") if d < 0 else d
 
     def ball_mask(self, c: int, x: int, r: int) -> int:
+        """B_c(x, r) as a mask: every vertex at c-distance at most r from x."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
         row = self.distances_from(c, x)
@@ -478,9 +481,6 @@ class MonoMetrics:
             if 0 <= d <= r:
                 m |= 1 << v
         return m
-
-    def ball(self, c: int, x: int, r: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.ball_mask(c, x, r)))
 
     def component_diameters(self, c: int) -> list[int]:
         self._check(c)
@@ -503,16 +503,6 @@ class MonoMetrics:
         """True iff G[c] is connected on all vertices with diameter <= bound."""
         self._check(c)
         return diameter_within(self._adj[c], (1 << self.n) - 1, bound)
-
-
-def mono_components(colouring: EdgeColouring, c: int) -> list[list[int]]:
-    """Partition of the vertices into c-components (singletons included)."""
-    return colouring.metrics.components(c)
-
-
-def mono_ball(metrics: MonoMetrics, c: int, x: int, r: int) -> frozenset[int]:
-    """B_c(x, r): every vertex at c-distance at most r from x."""
-    return metrics.ball(c, x, r)
 
 
 def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, HostGraph, parse_decimal
+from .graphs import EdgeColouring, HostGraph, iter_bits, parse_decimal
 
 GridPoint = tuple[int, ...]
 
@@ -539,8 +539,8 @@ def points_from_colouring(colouring: EdgeColouring) -> tuple[GridPointSet, dict[
     metrics = colouring.metrics
     ids = [[0] * colouring.n for _ in range(k - 1)]
     for c in range(1, k):
-        for cid, comp in enumerate(metrics.components(c), start=1):
-            for v in comp:
+        for cid, comp in enumerate(metrics.component_masks(c), start=1):
+            for v in iter_bits(comp):
                 ids[c - 1][v] = cid
     fibres: dict[GridPoint, set[int]] = {}
     for v in range(colouring.n):

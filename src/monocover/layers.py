@@ -4,8 +4,10 @@ A layer mapping assigns every vertex a pair of coordinates built from BFS
 distances in two generating colours; layers whose index points differ by
 at least 2 in both coordinates can only see the two reserved colours
 across them.  The cover constructions exploit 3- and 7-distant index sets
-to assemble full covers with at most three parts; each one returns
-through :func:`covers.verified`, which raises ImpossibleByLemmaError with
+to assemble full covers with at most three parts.  Layers, their unions
+and the certificate H are vertex bitmasks; each construction hands its
+parts to :func:`covers.verified` as ``(mask, colour)`` pairs, and that
+step builds the cover's frozensets or raises ImpossibleByLemmaError with
 a replayable witness when the output fails verification.  Coordinates
 come from the shared ``colouring.metrics`` rows and the core balls of the
 7-distant construction from ``graphs.bfs_reach(..., radius=r)``, both on
@@ -18,9 +20,9 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .covers import Cover, CoverPart, verified
+from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, bfs_reach, iter_bits, set_diameter
+from .graphs import EdgeColouring, bfs_reach, diameter_of_mask, iter_bits
 from .twocolour import MonoSpanning, Split, bipartite_outcome, multipartite_colour
 
 Point = tuple[int, int]
@@ -60,17 +62,11 @@ class LayerMapping:
     def layer_mask(self, point: Point) -> int:
         return self._layers[point]
 
-    def layer(self, point: Point) -> frozenset[int]:
-        return frozenset(iter_bits(self._layers[point]))
-
     def union_mask(self, points: Iterable[Point]) -> int:
         m = 0
         for p in points:
             m |= self._layers[p]
         return m
-
-    def union(self, points: Iterable[Point]) -> frozenset[int]:
-        return frozenset(iter_bits(self.union_mask(points)))
 
 
 def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
@@ -204,12 +200,12 @@ def _require_points(lm: LayerMapping, pts: Iterable[Point]) -> None:
             raise ValueError(f"{p} is not a layer index point")
 
 
-def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[int, frozenset[int], int]:
+def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[int, int, int]:
     """Reserved colour connecting the three layers of a 3-distant triple.
 
-    Returns (colour, union of the three layers, measured diameter <= 20);
-    the measurement is on the full induced subgraph, where within-layer
-    edges can only help.
+    Returns (colour, mask of the union of the three layers, measured
+    diameter <= 20); the measurement is on the full induced subgraph,
+    where within-layer edges can only help.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or not is_k_distant(triple, 3):
@@ -217,8 +213,8 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
     _require_points(lm, triple)
     c, _ = multipartite_colour(lm.colouring, [lm.layer_mask(p) for p in triple],
                                lm.reserved_pair)
-    union = lm.union(triple)
-    diam = set_diameter(lm.colouring, c, union)
+    union = lm.union_mask(triple)
+    diam = diameter_of_mask(lm.colouring.adj_rows(c), union)
     if not isinstance(diam, int) or diam > 20:
         raise ImpossibleByLemmaError(
             "triple cover exceeded its diameter bound",
@@ -234,25 +230,25 @@ def _classify_against(anchors: Sequence[Point], point: Point,
 
 
 def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
-                                h_vertices: Iterable[int]) -> Cover:
+                                h_mask: int) -> Cover:
     """Full cover from a 3-distant triple plus a connected certificate H.
 
-    H must contain two of the triple's layers and be connected in the
-    reserved colour other than the triple's own; every other layer
-    attaches to the triple core in that colour, to H, or to the third
-    layer, giving at most three parts with bound max(40, diam(H) + 20).
+    H, a vertex mask, must contain two of the triple's layers and be
+    connected in the reserved colour other than the triple's own; every
+    other layer attaches to the triple core in that colour, to H, or to
+    the third layer, giving at most three parts with bound
+    max(40, diam(H) + 20).
     """
     triple = tuple(sorted(triple))
     c, core, _ = cover_from_dist3_triple(lm, triple)
     cprime = lm.c4 if c == lm.c3 else lm.c3
     col = lm.colouring
-    h_set = frozenset(h_vertices)
-    n3 = set_diameter(col, cprime, h_set)
+    n3 = diameter_of_mask(col.adj_rows(cprime), h_mask)
     if not isinstance(n3, int):
         raise ValueError("certificate subgraph is not connected in its colour")
     anchor_pair = None
     for a, b in combinations(triple, 2):
-        if lm.layer(a) <= h_set and lm.layer(b) <= h_set:
+        if not lm.union_mask((a, b)) & ~h_mask:
             anchor_pair = (a, b)
             break
     if anchor_pair is None:
@@ -281,13 +277,13 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
         else:
             p_third.append(point)
 
-    parts = [CoverPart(core | lm.union(p_core), c)]
+    parts = [(core | lm.union_mask(p_core), c)]
     if p_h:
-        parts.append(CoverPart(h_set | lm.union(p_h), cprime))
+        parts.append((h_mask | lm.union_mask(p_h), cprime))
     if p_third:
-        parts.append(CoverPart(lm.layer(third) | lm.union(p_third), cprime))
+        parts.append((lm.layer_mask(third) | lm.union_mask(p_third), cprime))
     return verified(col, parts, bound, "extended triple cover",
-                    {"triple": triple, "H": sorted(h_set), "N3": n3})
+                    {"triple": triple, "H": list(iter_bits(h_mask)), "N3": n3})
 
 
 def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
@@ -326,7 +322,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         else:
             pair_groups.setdefault(pair, []).append(point)
 
-    parts = [CoverPart(lm.union(quad) | lm.union(base_points), cbase)]
+    parts = [(lm.union_mask(quad) | lm.union_mask(base_points), cbase)]
     if pair_groups:
         pairs = sorted(pair_groups)
         intersecting = any(set(p1) & set(p2)
@@ -335,15 +331,14 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
             merged = 0
             for pair in pairs:
                 merged |= lm.union_mask(pair) | lm.union_mask(pair_groups[pair])
-            parts.append(CoverPart(frozenset(iter_bits(merged)), cbar))
+            parts.append((merged, cbar))
         else:
             if len(pairs) > 2:
                 raise ImpossibleByLemmaError(
                     "more than two pairwise-disjoint anchor pairs",
                     witness={"quad": quad, "pairs": pairs})
             for pair in pairs:
-                parts.append(CoverPart(
-                    lm.union(pair) | lm.union(pair_groups[pair]), cbar))
+                parts.append((lm.union_mask(pair) | lm.union_mask(pair_groups[pair]), cbar))
     return verified(col, parts, QUAD_COVER_BOUND, "quadruple cover",
                     {"quad": quad, "base_colour": cbase})
 
@@ -455,7 +450,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
             c_sub, union_sub, _ = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
                 _, h = bfs_reach(col.adj_rows(c), core_mask, radius=20)
-                return cover_from_dist3_triple_ext(lm, sub, frozenset(iter_bits(h)))
+                return cover_from_dist3_triple_ext(lm, sub, h)
             attached[point] = 40
         elif (e1, e2) == (b_anchor, a_anchor):
             group1.append(point)
@@ -469,19 +464,20 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                 witness={"triple": triple, "point": point, "pattern": (e1, e2)})
 
     _, v_mask = bfs_reach(col.adj_rows(c), core_mask, radius=40)
-    v_set = frozenset(iter_bits(v_mask))
-    parts = [CoverPart(v_set, c)]
+    parts = [(v_mask, c)]
     witness = {"triple": triple, "pillars": (x_pt, y_pt),
                "groups": [len(group1), len(group2), len(group3)]}
 
-    def pillar_part(group: list[Point], pillar: Point, name: str) -> CoverPart | None:
+    def pillar_part(group: list[Point], pillar: Point, name: str) -> int | None:
+        """The group joined to its pillar, a part in cbar; None when the
+        core ball already holds the group."""
         union_mask = lm.union_mask(group)
         if union_mask & ~v_mask == 0:
             return None
         out = bipartite_outcome(col, union_mask, lm.layer_mask(pillar),
                                 lm.reserved_pair)
         if isinstance(out, MonoSpanning) and out.colour == cbar:
-            return CoverPart(frozenset(iter_bits(union_mask | lm.layer_mask(pillar))), cbar)
+            return union_mask | lm.layer_mask(pillar)
         raise ImpossibleByLemmaError(
             f"far group {name} neither absorbed nor pillar-connected", witness)
 
@@ -490,17 +486,14 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     if part2 is not None and part3 is not None:
         out = bipartite_outcome(col, lm.union_mask(group2), lm.union_mask(group3),
                                 lm.reserved_pair)
-        if isinstance(out, MonoSpanning) and out.colour == cbar:
-            parts.append(CoverPart(part2.vertices | part3.vertices, cbar))
-        elif isinstance(out, MonoSpanning):
-            parts.append(CoverPart(frozenset(iter_bits(
-                lm.union_mask(group2) | lm.union_mask(group3))), c))
+        if isinstance(out, MonoSpanning) and out.colour != cbar:
+            parts.append((lm.union_mask(group2) | lm.union_mask(group3), c))
         else:
-            parts.append(CoverPart(part2.vertices | part3.vertices, cbar))
+            parts.append((part2 | part3, cbar))
     elif part2 is not None:
-        parts.append(part2)
+        parts.append((part2, cbar))
     elif part3 is not None:
-        parts.append(part3)
+        parts.append((part3, cbar))
 
     if group1:
         union1 = lm.union_mask(group1)
@@ -508,8 +501,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
             out = bipartite_outcome(col, union1, lm.layer_mask(c_anchor),
                                     lm.reserved_pair)
             if isinstance(out, MonoSpanning):
-                parts.append(CoverPart(
-                    frozenset(iter_bits(union1 | lm.layer_mask(c_anchor))), out.colour))
+                parts.append((union1 | lm.layer_mask(c_anchor), out.colour))
             else:
                 raise ImpossibleByLemmaError(
                     "near group neither absorbed nor anchor-connected", witness)

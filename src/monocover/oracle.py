@@ -240,7 +240,8 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
                     report.fallbacks += 1
                     report.witnesses.append(sub_seed)
                     continue
-                rep = verify_cover(colouring, cover, bound=bound or 160,
+                rep = verify_cover(colouring, cover,
+                                   bound=160 if bound is None else bound,
                                    max_parts=max_parts)
                 if not rep.valid:
                     report.witnesses.append(sub_seed)

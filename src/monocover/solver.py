@@ -6,9 +6,11 @@ colours, reduced through the connectivity cover; distant sets in the
 layer mappings of all colour pairs; all colours connected; intersecting
 components; disjoint components.  The first stage to return a cover
 closes the instance, else the connectivity-only cover does, flagged.
-Constructions return through :func:`covers.verified`, which raises
-:class:`ImpossibleByLemmaError` with a replayable witness rather than let
-an unverified cover out.  Each stage leaves a :class:`StageRecord`
+Constructions build their parts as ``(vertex mask, colour)`` pairs from
+the masks of ``colouring.metrics`` (balls, components) and return through
+:func:`covers.verified`, which turns them into the cover's frozensets, or
+raises :class:`ImpossibleByLemmaError` with a replayable witness rather
+than let an unverified cover out.  Each stage leaves a :class:`StageRecord`
 (outcome, wall time, BFS runs, anomalies with their witnesses) in the
 trace.  All stages share the colouring's one cache, ``colouring.metrics``.
 """
@@ -23,9 +25,9 @@ from itertools import combinations
 import numpy as np
 
 from . import graphs
-from .covers import Cover, CoverPart, verified
+from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, iter_bits
+from .graphs import EdgeColouring, iter_bits, mask_of
 from .grid import cover_G3, points_from_colouring
 from .layers import (build_layer_mapping, cover_from_dist7_triple,
                      cover_from_dist3_quad, find_k_distant,
@@ -109,13 +111,12 @@ def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
     for gp in grid_parts:
         if gp.kind == "hyperplane":
             c = gp.axis + 1
-            part = CoverPart(frozenset(metrics.components(c)[gp.value - 1]), c)
+            part = (metrics.component_masks(c)[gp.value - 1], c)
         elif len(gp.members) == 1:
             sig = next(iter(gp.members))
-            part = CoverPart(frozenset(metrics.components(1)[sig[0] - 1]), 1)
+            part = (metrics.component_masks(1)[sig[0] - 1], 1)
         else:
-            verts = frozenset().union(*(fibres[p] for p in gp.members))
-            part = CoverPart(verts, 4)
+            part = (mask_of(v for p in gp.members for v in fibres[p]), 4)
         # Two singleton grid parts can promote to the same component.
         if part not in parts:
             parts.append(part)
@@ -148,8 +149,8 @@ def reduce_small_diameters(colouring: EdgeColouring,
     todo = mat == big
     comp = np.empty(colouring.n, dtype=np.intp)
     for cs in smalls:
-        for cid, members in enumerate(metrics.components(cs)):
-            comp[members] = cid
+        for cid, members in enumerate(metrics.component_masks(cs)):
+            comp[list(iter_bits(members))] = cid
         same = todo & (comp[:, None] == comp[None, :])
         mat[same] = cs
         todo &= ~same
@@ -159,7 +160,7 @@ def reduce_small_diameters(colouring: EdgeColouring,
     relabeled = EdgeColouring.from_matrix(colouring.host, 4, relabel[mat])
     conn = gyarfas_connectivity_cover(relabeled)
     inverse = {new: old for old, new in perm.items()}
-    parts = [CoverPart(p.vertices, inverse[p.colour]) for p in conn.parts]
+    parts = [(mask_of(p.vertices), inverse[p.colour]) for p in conn.parts]
     return verified(colouring, parts, max(n1, 30), "small-diameter reduction")
 
 
@@ -231,9 +232,9 @@ def solve_connected_case(colouring: EdgeColouring,
         # every colour-1 edge has small colour-2 distance between its ends,
         # so three balls around any vertex cover everything
         x = 0
-        parts = [CoverPart(metrics.ball(2, x, 78), 2),
-                 CoverPart(metrics.ball(3, x, 1), 3),
-                 CoverPart(metrics.ball(4, x, 1), 4)]
+        parts = [(metrics.ball_mask(2, x, 78), 2),
+                 (metrics.ball_mask(3, x, 1), 3),
+                 (metrics.ball_mask(4, x, 1), 4)]
         return verified(colouring, parts, COVER_BOUND, "connected case, no pair")
 
     x, y = pair
@@ -294,8 +295,8 @@ def _realize_contradiction_pair(colouring, u, v, anomalies) -> Cover:
     if cover is not None:
         return cover
     metrics = colouring.metrics
-    parts = [CoverPart(metrics.ball(1, u, 56), 1),
-             CoverPart(metrics.ball(2, u, 26), 2)]
+    parts = [(metrics.ball_mask(1, u, 56), 1),
+             (metrics.ball_mask(2, u, 26), 2)]
     return verified(colouring, parts, COVER_BOUND, "contradiction pair balls")
 
 
@@ -387,9 +388,8 @@ def solve_intersecting_case(colouring: EdgeColouring,
     x, y = pair
     ball50 = metrics.ball_mask(c_big, x, 50)
     if ball50 == (1 << n) - 1:
-        return verified(colouring,
-                        [CoverPart(frozenset(iter_bits(ball50)), c_big)],
-                        COVER_BOUND, "intersecting case, one ball")
+        return verified(colouring, [(ball50, c_big)], COVER_BOUND,
+                        "intersecting case, one ball")
     z = next(w for w in range(n) if not ball50 >> w & 1)
     lm = build_layer_mapping(colouring, c_big, c_prime, seeds=[x, y, z],
                              value_policy="spread")
@@ -397,9 +397,8 @@ def solve_intersecting_case(colouring: EdgeColouring,
                                  anomalies, "intersecting case")
     if cover is not None:
         return cover
-    parts = [CoverPart(frozenset(iter_bits(ball50)), c_big),
-             CoverPart(metrics.ball(c_prime, x, 6), c_prime),
-             CoverPart(metrics.ball(c_prime, y, 6), c_prime)]
+    parts = [(ball50, c_big), (metrics.ball_mask(c_prime, x, 6), c_prime),
+             (metrics.ball_mask(c_prime, y, 6), c_prime)]
     return verified(colouring, parts, COVER_BOUND, "intersecting case, three balls")
 
 
@@ -434,9 +433,9 @@ def disjoint_corollary(colouring: EdgeColouring,
         if near:
             v0 = verts[0]
             others = [d for d in range(1, 5) if d not in (c, c2)]
-            parts = [CoverPart(metrics.ball(c2, v0, 12), c2),
-                     CoverPart(metrics.ball(others[0], v0, 1), others[0]),
-                     CoverPart(metrics.ball(others[1], v0, 1), others[1])]
+            parts = [(metrics.ball_mask(c2, v0, 12), c2),
+                     (metrics.ball_mask(others[0], v0, 1), others[0]),
+                     (metrics.ball_mask(others[1], v0, 1), others[1])]
             cover = _attempt(anomalies, "disjoint corollary", ImpossibleByLemmaError,
                              verified, colouring, parts, COVER_BOUND,
                              "disjoint corollary, three balls")
@@ -458,7 +457,7 @@ def disjoint_corollary(colouring: EdgeColouring,
 def _single_colour(colouring: EdgeColouring):
     for c in range(1, 5):
         if colouring.metrics.spans_within_diameter(c, COVER_BOUND):
-            cover = verified(colouring, [CoverPart(frozenset(range(colouring.n)), c)],
+            cover = verified(colouring, [((1 << colouring.n) - 1, c)],
                              COVER_BOUND, "single colour", {"colour": c})
             return BRANCH_SINGLE_COLOUR, {"colour": c}, cover
     return None, None, None

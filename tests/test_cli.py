@@ -7,6 +7,9 @@ import pytest
 from monocover.cli import main
 from monocover.covers import parse_cover
 from monocover.graphs import format_colouring, parse_colouring
+from monocover.layers import build_layer_mapping
+from test_twocolour import (bipartite_colouring, multipartite_colouring,
+                            no_outcome_bipartite, no_spanning_multipartite)
 
 
 def run(*argv):
@@ -79,6 +82,39 @@ def test_solve_lemma_2cols(tmp_path, capsys):
     assert "colour" in out
 
 
+def lemma_run(tmp_path, capsys, lemma, colouring):
+    """``solve --lemma`` on the colouring: (exit code, stdout, stderr)."""
+    path = tmp_path / "lemma.col"
+    path.write_text(format_colouring(colouring))
+    code = run("solve", "--lemma", lemma, str(path))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_solve_lemma_bipartite_outcomes(tmp_path, capsys):
+    mono = bipartite_colouring(3, 3, lambda u, v: 1)
+    assert lemma_run(tmp_path, capsys, "2colsbip", mono) == (
+        0, "mono-spanning colour 1 diameter 2\n", "")
+    aligned = {(0, 2), (1, 3)}
+    blocks = bipartite_colouring(2, 2, lambda u, v: 1 if (u, v) in aligned else 2)
+    assert lemma_run(tmp_path, capsys, "2colsbip", blocks) == (
+        0, "split colour_aa 1\n  A1: 0\n  B1: 1\n  A2: 2\n  B2: 3\n", "")
+
+
+def test_solve_lemma_multipartite_colour(tmp_path, capsys):
+    col = multipartite_colouring([2, 2, 2], lambda u, v: 1)
+    assert lemma_run(tmp_path, capsys, "mult2col", col) == (
+        0, "colour 1 bound 20 diameter 2\n", "")
+
+
+@pytest.mark.parametrize("lemma, colouring", [
+    ("2colsbip", no_outcome_bipartite), ("mult2col", no_spanning_multipartite)])
+def test_solve_lemma_without_outcome_exits_3(tmp_path, capsys, lemma, colouring):
+    code, out, err = lemma_run(tmp_path, capsys, lemma, colouring())
+    assert code == 3 and out == ""
+    assert err.startswith("monocover: no outcome: ") and err.count("\n") == 1
+
+
 def test_layers_table(tmp_path, capsys):
     col_path = tmp_path / "g.col"
     run("gen", "random-uniform", "--n", "8", "--k", "4", "--seed", "9",
@@ -87,6 +123,13 @@ def test_layers_table(tmp_path, capsys):
                "--seed", "0,3") == 0
     out = capsys.readouterr().out
     assert out.startswith("D1 D2 size")
+    rows = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
+    assert sum(size for _, _, size in rows) == 8
+    lm = build_layer_mapping(parse_colouring(col_path.read_text()), 1, 2,
+                             seeds=[0, 3])
+    assert [(d1, d2) for d1, d2, _ in rows] == list(lm.points)
+    for d1, d2, size in rows:
+        assert size == sum(lm.coords[v] == (d1, d2) for v in range(8))
 
 
 def test_grid_commands(tmp_path, capsys):

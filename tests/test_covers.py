@@ -11,7 +11,7 @@ from conftest import constant_colouring, random_colouring, rejects
 from monocover.covers import (Cover, CoverPart, format_cover, parse_cover,
                               verified, verify_cover)
 from monocover.errors import ImpossibleByLemmaError
-from monocover.graphs import DISCONNECTED, EdgeColouring, HostGraph
+from monocover.graphs import DISCONNECTED, EdgeColouring, HostGraph, iter_bits, mask_of
 from test_graphs import floyd_warshall_induced
 
 
@@ -108,12 +108,17 @@ def random_part(col, rng):
     if kind == 0:    # any subset, often disconnected
         vs = rng.sample(range(n), rng.randint(1, n))
     elif kind == 1:  # a ball, connected with eccentricity up to r from x
-        vs = col.metrics.ball(c, rng.randrange(n), rng.randint(0, n))
+        vs = iter_bits(col.metrics.ball_mask(c, rng.randrange(n), rng.randint(0, n)))
     elif kind == 2:  # a whole component
-        vs = rng.choice(col.metrics.components(c))
+        vs = iter_bits(rng.choice(col.metrics.component_masks(c)))
     else:
         vs = range(n)
     return CoverPart(frozenset(vs), c)
+
+
+def as_masks(parts):
+    """The ``(mask, colour)`` pairs that ``verified`` takes."""
+    return [(mask_of(p.vertices), p.colour) for p in parts]
 
 
 def test_verified_agrees_with_verify_cover():
@@ -140,17 +145,19 @@ def test_verified_agrees_with_verify_cover():
         try:
             report = verify_cover(col, cover, bound=bound)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                verified(col, parts, bound, "case", {"case": case})
-            assert str(got.value) == str(exc)
+            # a mask cannot hold vertex -1, so verified never sees it
+            if all(v >= 0 for p in parts for v in p.vertices):
+                with pytest.raises(ValueError) as got:
+                    verified(col, as_masks(parts), bound, "case", {"case": case})
+                assert str(got.value) == str(exc)
             outcomes["ValueError"] += 1
             continue
         if report.valid:
-            assert verified(col, parts, bound, "case", {"case": case}) == cover
+            assert verified(col, as_masks(parts), bound, "case", {"case": case}) == cover
             outcomes["valid"] += 1
             continue
         with pytest.raises(ImpossibleByLemmaError) as got:
-            verified(col, parts, bound, "case", {"case": case})
+            verified(col, as_masks(parts), bound, "case", {"case": case})
         assert str(got.value) == "case: cover failed verification"
         assert got.value.witness == {
             "case": case, "uncovered": sorted(report.uncovered),

@@ -16,8 +16,8 @@ from monocover.generators import two_paths
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
                               MonoMetrics, bfs_distances, bfs_reach,
                               diameter_of_mask, diameter_within,
-                              format_colouring, mask_of, mono_ball,
-                              mono_components, parse_colouring, set_diameter)
+                              format_colouring, iter_bits, mask_of,
+                              parse_colouring, set_diameter)
 
 
 # -- independent oracles --------------------------------------------------
@@ -48,6 +48,16 @@ def components_by_union_find(colouring, c):
     for v in range(colouring.n):
         groups.setdefault(uf.find(v), []).append(v)
     return sorted(groups.values())
+
+
+def components(metrics, c):
+    """The c-components as vertex lists, read from their masks."""
+    return [list(iter_bits(m)) for m in metrics.component_masks(c)]
+
+
+def ball(metrics, c, x, r):
+    """B_c(x, r) as a vertex set, read from its mask."""
+    return set(iter_bits(metrics.ball_mask(c, x, r)))
 
 
 def floyd_warshall_induced(colouring, c, vertices):
@@ -170,21 +180,21 @@ def test_recoloured_changes_named_pairs_only():
 
 def test_components_monochromatic_triangle():
     col = constant_colouring(3, 1, k=2)
-    assert mono_components(col, 1) == [[0, 1, 2]]
-    assert mono_components(col, 2) == [[0], [1], [2]]
+    assert components(col.metrics, 1) == [[0, 1, 2]]
+    assert components(col.metrics, 2) == [[0], [1], [2]]
 
 
 def test_components_colour_out_of_range():
     col = constant_colouring(3, 1, k=2)
     with pytest.raises(ValueError):
-        mono_components(col, 3)
+        components(col.metrics, 3)
 
 
 def test_components_match_union_find_oracle():
     for seed in range(30):
         col = random_colouring(6, 2, seed=seed)
-        assert mono_components(col, 1) == components_by_union_find(col, 1)
-        assert mono_components(col, 2) == components_by_union_find(col, 2)
+        assert components(col.metrics, 1) == components_by_union_find(col, 1)
+        assert components(col.metrics, 2) == components_by_union_find(col, 2)
 
 
 def test_component_ids_ordinal_by_lowest_vertex():
@@ -195,7 +205,7 @@ def test_component_ids_ordinal_by_lowest_vertex():
     # colour-1 components {0,2} and {1,3}, listed by lowest vertex: the
     # grid signatures and the connectivity cover index them in this order
     assert m.component_masks(1) == [0b0101, 0b1010]
-    assert m.components(1) == [[0, 2], [1, 3]]
+    assert components(m, 1) == [[0, 2], [1, 3]]
     # colour 2 is connected: one component
     assert m.component_masks(2) == [0b1111]
 
@@ -207,13 +217,13 @@ def test_ball_radius_zero_is_centre():
     col = random_colouring(5, 3, seed=2)
     m = MonoMetrics(col)
     for v in range(5):
-        assert mono_ball(m, 2, v, 0) == {v}
+        assert ball(m, 2, v, 0) == {v}
 
 
 def test_ball_star_of_colour_one():
     col = constant_colouring(4, 1, k=2)
     m = MonoMetrics(col)
-    assert mono_ball(m, 1, 2, 1) == {0, 1, 2, 3}
+    assert ball(m, 1, 2, 1) == {0, 1, 2, 3}
 
 
 def test_ball_on_embedded_path():
@@ -222,8 +232,8 @@ def test_ball_on_embedded_path():
     path = {(0, 1), (1, 2), (2, 3)}
     col = EdgeColouring.build(host, 2, lambda u, v: 1 if (u, v) in path else 2)
     m = MonoMetrics(col)
-    assert mono_ball(m, 1, 0, 2) == {0, 1, 2}
-    assert mono_ball(m, 1, 0, 3) == {0, 1, 2, 3}
+    assert ball(m, 1, 0, 2) == {0, 1, 2}
+    assert ball(m, 1, 0, 3) == {0, 1, 2, 3}
 
 
 def test_ball_with_full_radius_is_component():
@@ -232,8 +242,8 @@ def test_ball_with_full_radius_is_component():
         m = MonoMetrics(col)
         for c in (1, 2, 3):
             for v in range(7):
-                comp = next(cc for cc in m.components(c) if v in cc)
-                assert sorted(mono_ball(m, c, v, 7)) == comp
+                comp = next(cc for cc in components(m, c) if v in cc)
+                assert sorted(ball(m, c, v, 7)) == comp
 
 
 # -- set diameter ---------------------------------------------------------

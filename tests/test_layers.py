@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_colouring
 from monocover.covers import verify_cover
-from monocover.graphs import EdgeColouring, HostGraph, MonoMetrics, set_diameter
+from monocover.graphs import (EdgeColouring, HostGraph, MonoMetrics, iter_bits,
+                              set_diameter)
 from monocover.layers import (LayerMapping, build_layer_mapping,
                               cover_from_dist3_quad, cover_from_dist3_triple,
                               cover_from_dist3_triple_ext,
@@ -90,7 +91,7 @@ def check_layer_invariants(lm):
     # layers partition the vertex set and agree with the coordinates
     seen = set()
     for p in lm.points:
-        layer = lm.layer(p)
+        layer = set(iter_bits(lm.layer_mask(p)))
         assert layer and not (layer & seen)
         seen |= layer
         for v in layer:
@@ -116,7 +117,7 @@ def test_single_vertex_mapping():
     col = EdgeColouring.build(HostGraph.complete(1), 4, lambda u, v: 1)
     lm = build_layer_mapping(col, 1, 2)
     assert lm.points == ((0, 0),)
-    assert lm.layer((0, 0)) == {0}
+    assert lm.layer_mask((0, 0)) == 1 << 0
 
 
 def test_connected_colours_give_distance_coordinates():
@@ -282,7 +283,7 @@ def test_triple_cover_all_one_reserved_colour():
     assert triple is not None
     c, union, diam = cover_from_dist3_triple(lm, triple)
     assert c == 3 and diam <= 2
-    assert union == lm.union(triple)
+    assert union == lm.union_mask(triple)
 
 
 def test_triple_cover_random_instances(rng):
@@ -291,7 +292,7 @@ def test_triple_cover_random_instances(rng):
         triple = find_k_distant(lm.points, 3, 3)
         c, union, diam = cover_from_dist3_triple(lm, triple)
         assert c in (3, 4) and diam <= 20
-        assert set_diameter(col, c, union) == diam
+        assert set_diameter(col, c, iter_bits(union)) == diam
 
 
 def test_triple_cover_rejects_close_points():
@@ -313,8 +314,8 @@ def test_extended_triple_cover_with_self_certificate(rng):
         cprime = 7 - c  # other of {3,4}
         pair = [p for p in triple]
         for a, b in combinations(pair, 2):
-            h = lm.union((a, b))
-            if set_diameter(col, cprime, h) in (0, 1, 2):
+            h = lm.union_mask((a, b))
+            if set_diameter(col, cprime, iter_bits(h)) in (0, 1, 2):
                 cover = cover_from_dist3_triple_ext(lm, triple, h)
                 rep = verify_cover(col, cover, bound=cover.claimed_bound, max_parts=3)
                 assert rep.valid
@@ -330,8 +331,8 @@ def test_extended_triple_cover_degenerate_point_set():
     triple = find_k_distant(lm.points, 3, 3)
     assert triple == lm.points
     c, union, _ = cover_from_dist3_triple(lm, triple)
-    assert c == 3 and union == {0, 1, 2}
-    cover = cover_from_dist3_triple_ext(lm, triple, {1, 2})
+    assert c == 3 and union == 0b111
+    cover = cover_from_dist3_triple_ext(lm, triple, 0b110)
     assert len(cover.parts) == 1
     assert cover.claimed_bound == 40
     assert verify_cover(col, cover, bound=40, max_parts=3).valid
@@ -341,7 +342,7 @@ def test_extended_triple_cover_invalid_certificate():
     col, lm = ladder_mapping(10, lambda u, v, gap: 3)
     triple = find_k_distant(lm.points, 3, 3)
     with pytest.raises(ValueError):
-        cover_from_dist3_triple_ext(lm, triple, {0})  # misses two layers
+        cover_from_dist3_triple_ext(lm, triple, 0b1)  # misses two layers
 
 
 # -- dist-3 quadruple covers ------------------------------------------------

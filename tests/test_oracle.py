@@ -98,6 +98,15 @@ def test_scan_random_large_uses_solver():
     assert report.worst_bound_needed <= 160
 
 
+def test_scan_random_large_checks_bound_zero():
+    # bound 0 is a bound, not "use the default 160": no cover of K_12 by
+    # three parts has every part of diameter 0, so every sample is a witness
+    report = exhaustive_colouring_scan(12, 4, bound=0, max_parts=3,
+                                       sampler="random", seed=1, count=3)
+    assert report.fallbacks == 0
+    assert len(report.witnesses) == 3
+
+
 def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
     # Every min_cover_bruteforce call of a descent reads the colouring's one
     # MonoMetrics, so each (colour, vertex) distance row is computed once.

@@ -16,7 +16,7 @@ from monocover.generators import (four_blocks, ladder, layered_adversarial,
                                   random_uniform, section5_example,
                                   sharpness_x, two_paths)
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
-                              set_diameter)
+                              iter_bits, set_diameter)
 from monocover.solver import (BRANCH_FALLBACK, BRANCH_LAYER_QUAD,
                               BRANCH_LAYER_TRIPLE7, BRANCH_SINGLE_COLOUR,
                               BRANCH_SMALL_DIAM,
@@ -108,8 +108,8 @@ def test_recolouring_preserves_small_components():
     big = next(c for c in range(1, 5) if c not in smalls)
     ids = {c: [0] * col.n for c in smalls}
     for c in smalls:
-        for cid, comp in enumerate(metrics.components(c)):
-            for v in comp:
+        for cid, comp in enumerate(metrics.component_masks(c)):
+            for v in iter_bits(comp):
                 ids[c][v] = cid
     changes = {}
     for u, v, c in col.edges():
@@ -122,7 +122,7 @@ def test_recolouring_preserves_small_components():
         modified = col.recoloured(changes)
         m2 = MonoMetrics(modified)
         for cs in smalls:
-            assert metrics.components(cs) == m2.components(cs)
+            assert metrics.component_masks(cs) == m2.component_masks(cs)
         # leftover-colour components only shrink
         big_masks = metrics.component_masks(big)
         for new_mask in m2.component_masks(big):
@@ -148,8 +148,8 @@ def test_small_diameter_recolouring_matches_pair_loop(monkeypatch):
             metrics = col.metrics
             smalls = [c for c in range(1, 5) if metrics.colour_diameter(c) <= 160][:3]
             big = next(c for c in range(1, 5) if c not in smalls)
-            ids = {c: {v: i for i, comp in enumerate(metrics.components(c))
-                       for v in comp} for c in smalls}
+            ids = {c: {v: i for i, comp in enumerate(metrics.component_masks(c))
+                       for v in iter_bits(comp)} for c in smalls}
             relabel = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
             expect = []
             for u, v, c in col.edges():

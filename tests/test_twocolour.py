@@ -199,9 +199,10 @@ def test_bipartite_random_property_run(rng):
     assert impossible <= 10  # the degenerate pattern is rare
 
 
-def test_bipartite_no_outcome_counterexample():
-    # one class holds an all-colour-1 vertex and an all-colour-2 vertex
-    # while the remaining rows break any block pattern
+def no_outcome_bipartite():
+    """A K_{8,8} colouring with no outcome: one class holds an all-colour-1
+    vertex and an all-colour-2 vertex while the remaining rows break any
+    block pattern."""
     def colour(u, v):
         if u == 0:
             return 1
@@ -209,7 +210,11 @@ def test_bipartite_no_outcome_counterexample():
             return 2
         return 1 if (u + v) % 3 else 2
 
-    col = bipartite_colouring(8, 8, colour)
+    return bipartite_colouring(8, 8, colour)
+
+
+def test_bipartite_no_outcome_counterexample():
+    col = no_outcome_bipartite()
     assert not bipartite_outcome_exists(col)
     with pytest.raises(ImpossibleByLemmaError):
         bipartite_two_colour(col)
@@ -281,11 +286,15 @@ def spanning_colour_exists(col, bound):
     return first_spanning_colour(col, bound) is not None
 
 
+def no_spanning_multipartite():
+    """A K_{2,2,2} colouring with no spanning colour: one vertex sees only
+    colour 2, a classmate sees only colour 1, so each colour misses a
+    vertex."""
+    return multipartite_colouring([2, 2, 2], lambda u, v: 2 if u == 0 else 1)
+
+
 def test_multipartite_no_spanning_colour_counterexample():
-    # One vertex sees only colour 2, a classmate sees only colour 1: each
-    # colour misses a vertex, so no connected spanning colour can exist.
-    col = multipartite_colouring(
-        [2, 2, 2], lambda u, v: 2 if u == 0 else 1)
+    col = no_spanning_multipartite()
     assert not spanning_colour_exists(col, bound=10**9)
     with pytest.raises(ImpossibleByLemmaError):
         multipartite_two_colour(col)
