@@ -72,10 +72,12 @@ class CoverReport:
     part_count_ok: bool
 
 
-def _check_part(colouring: EdgeColouring, part: CoverPart) -> None:
-    if part.colour < 1 or part.colour > colouring.k:
-        raise ValueError(f"part colour {part.colour} out of range")
-    if any(v < 0 or v >= colouring.n for v in part.vertices):
+def _check_part(colouring: EdgeColouring, colour: int, in_range: bool) -> None:
+    """Raise for a part colour out of range, then for a part vertex out of
+    range, which the caller has settled in ``in_range``."""
+    if colour < 1 or colour > colouring.k:
+        raise ValueError(f"part colour {colour} out of range")
+    if not in_range:
         raise ValueError("part vertex out of range")
 
 
@@ -97,7 +99,8 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     reports = []
     all_ok = True
     for part in cover.parts:
-        _check_part(colouring, part)
+        _check_part(colouring, part.colour,
+                    min(part.vertices) >= 0 and max(part.vertices) < n)
         diam = set_diameter(colouring, part.colour, part.vertices)
         connected = diam is not DISCONNECTED
         reports.append(PartReport(connected, diam))
@@ -128,12 +131,13 @@ def verified(colouring: EdgeColouring, parts: Iterable[tuple[int, int]],
     parts = list(parts)
     cover = Cover.of(((iter_bits(mask), c) for mask, c in parts), bound)
     valid = len(parts) <= colouring.k - 1
+    n = colouring.n
     covered = 0
-    for part, (mask, c) in zip(cover.parts, parts):
-        _check_part(colouring, part)
+    for mask, c in parts:
+        _check_part(colouring, c, not mask >> n)
         covered |= mask
         valid = valid and diameter_within(colouring.adj_rows(c), mask, bound)
-    if valid and covered == (1 << colouring.n) - 1:
+    if valid and covered == (1 << n) - 1:
         return cover
     report = verify_cover(colouring, cover, bound=bound)
     witness = dict(witness or {})

@@ -1,10 +1,19 @@
 """Brute-force ground truth: minimal covers at tiny sizes, exhaustive scans.
 
-Everything here is independent of the constructive solvers: covers are
-found by enumerating canonical vertex partitions with per-part colour
-tuples, pruning on component membership and ambient distances, and
-finishing each part with an exact extension search inside its candidate
-pool.  Scans canonicalize colourings up to colour permutation.
+Everything here is independent of the constructive solvers.  A search
+reads tables built once per colouring (:func:`_tables`): for each colour
+c and vertex v, the adjacency rows and the c-balls around v at every
+radius, cumulative shells of the cached ``metrics.distances_from`` rows;
+the ball of radius n-1 is v's c-component.  A search at bound r reads
+the balls of radius r, or the components when the bound is None, so
+:func:`minimal_bound` runs its whole descent on one set of tables.  The search (:func:`_search`) assigns vertices to at most
+``max_parts`` blocks in canonical order (blocks indexed by first
+contained vertex).  Each block carries the set of colours in which its
+vertices are pairwise near, and a block left with no colour prunes the
+branch.  When every vertex is placed, each block is finished in the
+first of its colours that admits an exact extension inside its pool.
+Scans walk the colourings of K_n up to colour permutation, one canonical
+colour tuple each.
 """
 
 from __future__ import annotations
@@ -12,127 +21,180 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations
+from operator import or_
+from typing import Iterator
 
-from .covers import Cover, CoverPart, verify_cover
-from .graphs import (EdgeColouring, HostGraph, diameter_within, iter_bits,
-                     set_diameter)
+from .covers import Cover, verify_cover
+from .graphs import (EdgeColouring, HostGraph, diameter_of_mask,
+                     diameter_within, iter_bits)
 from .solver import BRANCH_FALLBACK, solve4
 
 MAX_ORACLE_VERTICES = 14
+
+
+def _checked_bound(colouring: EdgeColouring, max_parts: int,
+                   bound: float | None) -> int | None:
+    """The bound as a search reads it, None for connectivity only;
+    raises ValueError on an instance or budget the oracle refuses."""
+    if colouring.n > MAX_ORACLE_VERTICES:
+        raise ValueError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices")
+    if max_parts < 1:
+        raise ValueError("need a positive part budget")
+    if bound is None or bound == math.inf:
+        return None
+    if bound < 0 or int(bound) != bound:
+        raise ValueError("bound must be a nonnegative integer or None")
+    return int(bound)
+
+
+def _tables(colouring: EdgeColouring) -> tuple[list, list]:
+    """``(adj, balls)``: ``adj[c]`` the c-adjacency rows and ``balls[c][v][r]``
+    the mask of vertices at c-distance at most r from v, for r < n, so
+    ``balls[c][v][n - 1]`` is v's c-component (index 0 unused)."""
+    n = colouring.n
+    metrics = colouring.metrics
+    bits = [1 << u for u in range(n)]
+    adj = [None]
+    balls = [None]
+    for c in range(1, colouring.k + 1):
+        adj.append(colouring.adj_rows(c))
+        rows = []
+        for v in range(n):
+            shells = [0] * n
+            for d, bit in zip(metrics.distances_from(c, v), bits):
+                if d >= 0:
+                    shells[d] |= bit
+            rows.append(list(accumulate(shells, or_)))
+        balls.append(rows)
+    return adj, balls
+
+
+def _search(adj: list, balls: list, max_parts: int,
+            bound: int | None) -> list[tuple[int, int]] | None:
+    """``(mask, colour)`` parts of a cover within the bound, at most
+    ``max_parts`` of them, or None if none exists; ``bound`` None asks
+    for connectivity only.
+
+    Exhaustive: every vertex goes to one block, so some partition of any
+    cover's vertices into the blocks of its parts is visited, and a block
+    keeps a colour only while its vertices are pairwise near in it.  Each
+    finished block may then grow inside its pool, the vertices near all of
+    its own, which is complete for existence because any valid superset
+    lives inside the pool.
+    """
+    k = len(adj) - 1
+    n = len(balls[1])
+    r = n - 1 if bound is None else min(bound, n - 1)
+    max_diam = math.inf if bound is None else bound
+    full = (1 << n) - 1
+    # far[v][i]: the vertices not near v in colour i + 1
+    far = [[full & ~balls[c][v][r] for c in range(1, k + 1)] for v in range(n)]
+    all_colours = (1 << k) - 1
+    colours_of = {all_colours: tuple(range(k))}  # colour set -> its indices
+    masks = [0] * max_parts
+    colour_sets = [0] * max_parts
+
+    def extend(mask, c) -> int | None:
+        rows = adj[c]
+        if diameter_within(rows, mask, max_diam):
+            return mask
+        pool = full
+        for v in iter_bits(mask):
+            pool &= balls[c][v][r]
+        if pool == mask:
+            return None
+        if diameter_within(rows, pool, max_diam):
+            return pool
+        extras = list(iter_bits(pool & ~mask))
+        for size in range(1, len(extras) + 1):
+            for combo in combinations(extras, size):
+                cand = mask
+                for v in combo:
+                    cand |= 1 << v
+                if diameter_within(rows, cand, max_diam):
+                    return cand
+        return None
+
+    def finish(used):
+        parts = []
+        for b in range(used):
+            for i in colours_of[colour_sets[b]]:
+                grown = extend(masks[b], i + 1)
+                if grown is not None:
+                    parts.append((grown, i + 1))
+                    break
+            else:
+                return None
+        return parts
+
+    def assign(v, used):
+        if v == n:
+            return finish(used)
+        bit = 1 << v
+        far_v = far[v]
+        for b in range(used):
+            m = masks[b]
+            s = colour_sets[b]
+            keep = 0
+            for i in colours_of[s]:
+                if not m & far_v[i]:
+                    keep |= 1 << i
+            if keep:
+                if keep not in colours_of:
+                    colours_of[keep] = tuple(iter_bits(keep))
+                masks[b] = m | bit
+                colour_sets[b] = keep
+                got = assign(v + 1, used)
+                masks[b] = m
+                colour_sets[b] = s
+                if got is not None:
+                    return got
+        if used < max_parts:
+            masks[used] = bit
+            colour_sets[used] = all_colours
+            return assign(v + 1, used + 1)
+        return None
+
+    return assign(0, 0)
 
 
 def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
                          bound: int | None = None) -> Cover | None:
     """A valid cover within the bound and part budget, or None if none exists.
 
-    ``bound=None`` asks for connectivity only.  Exhaustive: vertices are
-    assigned to base parts in canonical order (parts indexed by first
-    contained vertex), partial assignments are pruned by component
-    membership and ambient distance, and each base part may then grow
-    inside its feasibility pool, which is complete for existence because
-    any valid superset lives inside the pool.
+    ``bound=None`` (or ``math.inf``) asks for connectivity only; a
+    negative or fractional bound raises ValueError.  Exhaustive: see :func:`_search`.
     """
-    n = colouring.n
-    if n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices")
-    if max_parts < 1:
-        raise ValueError("need a positive part budget")
-    if bound is not None and bound == math.inf:
-        bound = None
-    max_diam = math.inf if bound is None else bound
-    k = colouring.k
-    metrics = colouring.metrics
-    adj = {c: colouring.adj_rows(c) for c in range(1, k + 1)}
-    comp_mask = {c: {} for c in range(1, k + 1)}
-    for c in range(1, k + 1):
-        for mask in metrics.component_masks(c):
-            for v in iter_bits(mask):
-                comp_mask[c][v] = mask
-    dist = {c: [metrics.distances_from(c, v) for v in range(n)]
-            for c in range(1, k + 1)}
-
-    def compatible(c, u, v) -> bool:
-        d = dist[c][u][v]
-        if d < 0:
-            return False
-        return bound is None or d <= bound
-
-    def extend(mask, c) -> int | None:
-        if diameter_within(adj[c], mask, max_diam):
-            return mask
-        first = (mask & -mask).bit_length() - 1
-        pool = comp_mask[c][first]
-        if mask & ~pool:
-            return None
-        if bound is not None:
-            for v in iter_bits(mask):
-                pool &= metrics.ball_mask(c, v, bound)
-        if pool == mask:
-            return None
-        if diameter_within(adj[c], pool, max_diam):
-            return pool
-        extras = list(iter_bits(pool & ~mask))
-        for r in range(1, len(extras) + 1):
-            for combo in combinations(extras, r):
-                cand = mask
-                for v in combo:
-                    cand |= 1 << v
-                if diameter_within(adj[c], cand, max_diam):
-                    return cand
+    bound = _checked_bound(colouring, max_parts, bound)
+    found = _search(*_tables(colouring), max_parts, bound)
+    if found is None:
         return None
-
-    def search(p, colours) -> Cover | None:
-        masks = [0] * p
-
-        def assign(v, used):
-            if v == n:
-                if used < p:
-                    return None
-                final = []
-                for b in range(p):
-                    grown = extend(masks[b], colours[b])
-                    if grown is None:
-                        return None
-                    final.append(CoverPart(frozenset(iter_bits(grown)),
-                                           colours[b]))
-                return Cover(tuple(final), math.inf if bound is None else bound)
-            for b in range(min(used + 1, p)):
-                c = colours[b]
-                ok = all(compatible(c, v, u) for u in iter_bits(masks[b]))
-                if ok:
-                    masks[b] |= 1 << v
-                    got = assign(v + 1, max(used, b + 1))
-                    if got is not None:
-                        return got
-                    masks[b] &= ~(1 << v)
-            return None
-
-        return assign(0, 0)
-
-    for p in range(1, max_parts + 1):
-        for colours in product(range(1, k + 1), repeat=p):
-            got = search(p, colours)
-            if got is not None:
-                return got
-    return None
+    return Cover.of(((iter_bits(mask), c) for mask, c in found),
+                    math.inf if bound is None else bound)
 
 
 def minimal_bound(colouring: EdgeColouring, max_parts: int,
                   start_bound: int) -> int | None:
-    """Smallest bound at which a cover exists, descending from start_bound."""
-    cover = min_cover_bruteforce(colouring, max_parts, start_bound)
-    if cover is None:
+    """Smallest bound at which a cover exists, descending from start_bound.
+
+    Every search of the descent reads the same tables; each step asks for
+    a cover whose parts all have diameter below the worst part of the
+    last one found.
+    """
+    bound = _checked_bound(colouring, max_parts, start_bound)
+    adj, balls = _tables(colouring)
+    found = _search(adj, balls, max_parts, bound)
+    if found is None:
         return None
     while True:
-        worst = max(set_diameter(colouring, p.colour, p.vertices)
-                    for p in cover.parts)
+        worst = max(diameter_of_mask(adj[c], mask) for mask, c in found)
         if worst == 0:
             return 0
-        lower = min_cover_bruteforce(colouring, max_parts, worst - 1)
+        lower = _search(adj, balls, max_parts, worst - 1)
         if lower is None:
             return worst
-        cover = lower
+        found = lower
 
 
 @dataclass
@@ -156,17 +218,40 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _canonical_colour_tuple(codes: tuple[int, ...]) -> bool:
-    """True iff the edge-colour tuple is minimal over colour permutations.
+def _canonical_colour_tuples(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The canonical tuples of length m over colours 1..k, those in which
+    each colour first appears after every smaller one, so one per orbit
+    under colour permutations, in increasing order of their code, the sum
+    of ``(c_i - 1) * k**i``.
 
-    That is: each colour first appears after every smaller one.
+    Digits are chosen from the last, the most significant, to the first,
+    each in increasing order.  A suffix starting at position j is kept
+    only if a canonical prefix of length j completes it; such a prefix can
+    use any number of colours up to min(j, k), and using them all serves
+    the suffix best.
     """
-    top = 0
-    for c in codes:
-        if c > top + 1:
-            return False
-        top = max(top, c)
-    return True
+    codes = [0] * m
+
+    def completable(j):
+        top = min(j, k)
+        for c in codes[j:]:
+            if c > top + 1:
+                return False
+            if c > top:
+                top = c
+        return True
+
+    def fill(j):
+        if j == 0:
+            yield tuple(codes)
+            return
+        j -= 1
+        for c in range(1, k + 1):
+            codes[j] = c
+            if completable(j):
+                yield from fill(j)
+
+    return fill(m)
 
 
 def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
@@ -190,15 +275,7 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
         total = k ** len(pairs)
         if total > 10 ** 8:
             raise ValueError("exhaustive scan too large")
-        for code in range(total):
-            digits = []
-            x = code
-            for _ in pairs:
-                digits.append(x % k + 1)
-                x //= k
-            codes = tuple(digits)
-            if not _canonical_colour_tuple(codes):
-                continue
+        for codes in _canonical_colour_tuples(len(pairs), k):
             if limit is not None and report.instances_checked >= limit:
                 report.complete = False
                 break

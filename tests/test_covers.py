@@ -167,6 +167,17 @@ def test_verified_agrees_with_verify_cover():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def test_verified_rejects_vertices_beyond_n():
+    # a part whose lowest vertex lies beyond n has no adjacency row to read
+    col = EdgeColouring.build(HostGraph.complete(4), 3, lambda u, v: 1)
+    for mask in (1 << 4, 1 << 4 | 1 << 9, 1 << 4 | 1):
+        cover = Cover.of([(iter_bits(mask), 1), (range(4), 1)], 3)
+        with pytest.raises(ValueError, match="part vertex out of range"):
+            verify_cover(col, cover, bound=3)
+        with pytest.raises(ValueError, match="part vertex out of range"):
+            verified(col, [(mask, 1), (15, 1)], 3, "case")
+
+
 def test_cover_file_roundtrip():
     cover = Cover.of([([0, 1, 2], 1), ([2, 4], 3)], bound=160)
     text = format_cover(cover)

@@ -1,15 +1,153 @@
 """Brute-force oracle: minimal covers, scans, the worked example's impossibility."""
 
 import math
+import random
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
 from conftest import constant_colouring, random_colouring
-from monocover.covers import verify_cover
+from monocover.covers import Cover, CoverPart, verify_cover
 from monocover.generators import section5_example
-from monocover.oracle import (exhaustive_colouring_scan, min_cover_bruteforce,
+from monocover.graphs import (EdgeColouring, HostGraph, diameter_within,
+                              iter_bits, set_diameter)
+from monocover.oracle import (_canonical_colour_tuples,
+                              exhaustive_colouring_scan, min_cover_bruteforce,
                               minimal_bound)
+
+
+# -- reference search ------------------------------------------------------
+# The oracle's earlier search, kept as an independent reference: one
+# partition search per tuple of part colours, compatibility tested vertex
+# by vertex on the distance rows, and tables rebuilt on every call.
+
+
+def reference_min_cover_bruteforce(colouring, max_parts, bound=None):
+    n = colouring.n
+    max_diam = math.inf if bound is None else bound
+    k = colouring.k
+    metrics = colouring.metrics
+    adj = {c: colouring.adj_rows(c) for c in range(1, k + 1)}
+    comp_mask = {c: {} for c in range(1, k + 1)}
+    for c in range(1, k + 1):
+        for mask in metrics.component_masks(c):
+            for v in iter_bits(mask):
+                comp_mask[c][v] = mask
+    dist = {c: [metrics.distances_from(c, v) for v in range(n)]
+            for c in range(1, k + 1)}
+
+    def compatible(c, u, v):
+        d = dist[c][u][v]
+        if d < 0:
+            return False
+        return bound is None or d <= bound
+
+    def extend(mask, c):
+        if diameter_within(adj[c], mask, max_diam):
+            return mask
+        first = (mask & -mask).bit_length() - 1
+        pool = comp_mask[c][first]
+        if mask & ~pool:
+            return None
+        if bound is not None:
+            for v in iter_bits(mask):
+                pool &= metrics.ball_mask(c, v, bound)
+        if pool == mask:
+            return None
+        if diameter_within(adj[c], pool, max_diam):
+            return pool
+        extras = list(iter_bits(pool & ~mask))
+        for r in range(1, len(extras) + 1):
+            for combo in combinations(extras, r):
+                cand = mask
+                for v in combo:
+                    cand |= 1 << v
+                if diameter_within(adj[c], cand, max_diam):
+                    return cand
+        return None
+
+    def search(p, colours):
+        masks = [0] * p
+
+        def assign(v, used):
+            if v == n:
+                if used < p:
+                    return None
+                final = []
+                for b in range(p):
+                    grown = extend(masks[b], colours[b])
+                    if grown is None:
+                        return None
+                    final.append(CoverPart(frozenset(iter_bits(grown)),
+                                           colours[b]))
+                return Cover(tuple(final), max_diam)
+            for b in range(min(used + 1, p)):
+                c = colours[b]
+                if all(compatible(c, v, u) for u in iter_bits(masks[b])):
+                    masks[b] |= 1 << v
+                    got = assign(v + 1, max(used, b + 1))
+                    if got is not None:
+                        return got
+                    masks[b] &= ~(1 << v)
+            return None
+
+        return assign(0, 0)
+
+    for p in range(1, max_parts + 1):
+        for colours in product(range(1, k + 1), repeat=p):
+            got = search(p, colours)
+            if got is not None:
+                return got
+    return None
+
+
+def reference_minimal_bound(colouring, max_parts, start_bound):
+    cover = reference_min_cover_bruteforce(colouring, max_parts, start_bound)
+    if cover is None:
+        return None
+    while True:
+        worst = max(set_diameter(colouring, p.colour, p.vertices)
+                    for p in cover.parts)
+        if worst == 0:
+            return 0
+        lower = reference_min_cover_bruteforce(colouring, max_parts, worst - 1)
+        if lower is None:
+            return worst
+        cover = lower
+
+
+def reference_canonical_colour_tuple(codes):
+    """The scan's earlier filter: each colour first appears after every
+    smaller one."""
+    top = 0
+    for c in codes:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+def filtered_canonical_tuples(m, k):
+    """Canonical tuples in the scan's earlier order: every code of
+    range(k**m), digit i the colour of pair i, kept if canonical."""
+    for code in range(k ** m):
+        digits = []
+        for _ in range(m):
+            digits.append(code % k + 1)
+            code //= k
+        if reference_canonical_colour_tuple(digits):
+            yield tuple(digits)
+
+
+def k4_colourings():
+    pairs = list(combinations(range(4), 2))
+    host = HostGraph.complete(4)
+    for codes in filtered_canonical_tuples(len(pairs), 3):
+        yield EdgeColouring.from_pairs(host, 3, dict(zip(pairs, codes)))
+
+
+# -- minimal covers ----------------------------------------------------------
 
 
 def test_min_cover_monochromatic():
@@ -108,8 +246,9 @@ def test_scan_random_large_checks_bound_zero():
 
 
 def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
-    # Every min_cover_bruteforce call of a descent reads the colouring's one
-    # MonoMetrics, so each (colour, vertex) distance row is computed once.
+    # Every search of a descent reads the tables built once from the
+    # colouring's one MonoMetrics, so each (colour, vertex) distance row is
+    # computed once.
     from monocover import graphs, oracle
     rows = Counter()
     bfs_distances = graphs.bfs_distances
@@ -119,18 +258,84 @@ def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
         return bfs_distances(adj, n, source, within)
 
     searches = 0
-    bruteforce = oracle.min_cover_bruteforce
+    search = oracle._search
 
     def counted_search(*args, **kwargs):
         nonlocal searches
         searches += 1
-        return bruteforce(*args, **kwargs)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(graphs, "bfs_distances", counted)
-    monkeypatch.setattr(oracle, "min_cover_bruteforce", counted_search)
+    monkeypatch.setattr(oracle, "_search", counted_search)
     col = random_colouring(5, 3, seed=4)
     assert col.metrics is col.metrics
     assert minimal_bound(col, max_parts=2, start_bound=8) is not None
     assert searches > 1
     assert len(rows) == 3 * 5
     assert set(rows.values()) == {1}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("parts", [1, 3])
+def test_negative_bound_rejected(n, parts):
+    col = random_colouring(n, 2, seed=n)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        min_cover_bruteforce(col, max_parts=parts, bound=-1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        minimal_bound(col, max_parts=parts, start_bound=-1)
+
+
+def test_search_agrees_with_reference():
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(320):
+        n, k, parts = rng.randint(2, 8), rng.randint(2, 4), rng.randint(1, 3)
+        bound = rng.choice([None, 0, 1, 2, 3])
+        col = random_colouring(n, k, seed=rng.randrange(2 ** 31))
+        want = reference_min_cover_bruteforce(col, parts, bound)
+        got = min_cover_bruteforce(col, parts, bound)
+        assert (got is None) == (want is None), (n, k, parts, bound)
+        if got is not None:
+            found += 1
+            at = math.inf if bound is None else bound
+            assert got.claimed_bound == at
+            assert verify_cover(col, got, bound=at, max_parts=parts).valid
+    # both outcomes are well represented
+    assert 60 < found < 260
+
+
+def test_minimal_bound_agrees_with_reference_on_k4():
+    cols = list(k4_colourings())
+    assert len(cols) == 122
+    for col in cols:
+        for parts in (1, 2, 3):
+            assert (minimal_bound(col, parts, 4)
+                    == reference_minimal_bound(col, parts, 4))
+
+
+@pytest.mark.parametrize("n,k,orbits", [(3, 2, 4), (4, 2, 32), (4, 3, 122),
+                                        (5, 3, 9842)])
+def test_canonical_tuples_in_scan_order(n, k, orbits):
+    # Burnside: one tuple per set partition of the m pairs into at most k
+    # colour classes, sum of S(m, j) for j <= k.
+    m = n * (n - 1) // 2
+    got = list(_canonical_colour_tuples(m, k))
+    assert got == list(filtered_canonical_tuples(m, k))
+    assert len(got) == orbits
+
+
+def test_scan_limit_takes_the_first_tuples(monkeypatch):
+    from monocover import oracle
+    seen = []
+    bound_of = oracle.minimal_bound
+
+    def recorded(colouring, *args):
+        seen.append(tuple(colouring.colour_of(u, v)
+                          for u, v in combinations(range(colouring.n), 2)))
+        return bound_of(colouring, *args)
+
+    monkeypatch.setattr(oracle, "minimal_bound", recorded)
+    report = exhaustive_colouring_scan(5, 3, bound=8, max_parts=2, limit=5)
+    assert report.instances_checked == 5 and not report.complete
+    first = filtered_canonical_tuples(10, 3)
+    assert seen == [next(first) for _ in range(5)]
