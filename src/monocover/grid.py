@@ -7,6 +7,7 @@ a case split on the component structure; independent-set classifiers
 return re-checkable witnesses; the bounded-degree search enumerates
 canonical representatives only (coordinate values relabelled to first-use
 order, which is sound because adjacency depends only on equality).
+Signatures over any axis colours map to their fibres as vertex masks.
 """
 
 from __future__ import annotations
@@ -524,30 +525,33 @@ def colouring_from_points(point_set: GridPointSet) -> tuple[EdgeColouring, list[
     return EdgeColouring.build(host, l + 1, colour), order
 
 
-def points_from_colouring(colouring: EdgeColouring) -> tuple[GridPointSet, dict[GridPoint, frozenset[int]]]:
-    """Signature map: vertex -> tuple of its component ids in colours 1..k-1.
+def signature_fibres(colouring: EdgeColouring,
+                     axes: Sequence[int]) -> dict[GridPoint, int]:
+    """Signature -> fibre mask, where a vertex's signature is the tuple of
+    its component ids in the colours ``axes``, 1-based, ordinal by lowest
+    contained vertex.  The fibres partition the vertex set."""
+    sigs = [()] * colouring.n
+    for c in axes:
+        for cid, comp in enumerate(colouring.metrics.component_masks(c), start=1):
+            for v in iter_bits(comp):
+                sigs[v] += (cid,)
+    fibres: dict[GridPoint, int] = {}
+    for v, sig in enumerate(sigs):
+        fibres[sig] = fibres.get(sig, 0) | 1 << v
+    return fibres
 
-    Component ids are 1-based, ordinal by lowest contained vertex.  The
-    fibres partition the vertex set; signatures adjacent in G_{k-1} can
-    only see colour k between their fibres.
-    """
+
+def points_from_colouring(colouring: EdgeColouring) -> tuple[GridPointSet, dict[GridPoint, frozenset[int]]]:
+    """The signatures over colours 1..k-1 and their fibres as vertex sets:
+    signatures adjacent in G_{k-1} see only colour k between their fibres."""
     if not colouring.host.is_complete:
         raise ValueError("host must be complete")
     k = colouring.k
     if k < 2:
         raise ValueError("need at least two colours")
-    metrics = colouring.metrics
-    ids = [[0] * colouring.n for _ in range(k - 1)]
-    for c in range(1, k):
-        for cid, comp in enumerate(metrics.component_masks(c), start=1):
-            for v in iter_bits(comp):
-                ids[c - 1][v] = cid
-    fibres: dict[GridPoint, set[int]] = {}
-    for v in range(colouring.n):
-        sig = tuple(ids[c][v] for c in range(k - 1))
-        fibres.setdefault(sig, set()).add(v)
-    point_set = GridPointSet(k - 1, frozenset(fibres))
-    return point_set, {p: frozenset(vs) for p, vs in fibres.items()}
+    fibres = signature_fibres(colouring, range(1, k))
+    return (GridPointSet(k - 1, frozenset(fibres)),
+            {p: frozenset(iter_bits(m)) for p, m in fibres.items()})
 
 
 # -- point-set file format ---------------------------------------------------

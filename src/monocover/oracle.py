@@ -264,30 +264,36 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
     and computes the minimal achievable bound per instance; random mode
     samples ``count`` seeds and uses the oracle at tiny sizes or the
     4-colour solver plus the verifier at larger ones.  ``limit`` caps the
-    number of instances processed; exceeding it flags the report.
+    number of instances processed; exceeding it flags the report.  Both
+    samplers reject a bound, part budget, count or limit out of range.
     """
+    if bound is not None and (bound < 0 or int(bound) != bound):
+        raise ValueError("bound must be a nonnegative integer or None")
+    if max_parts < 1 or count < 0 or (limit is not None and limit < 0):
+        raise ValueError("need a positive part budget, count and limit >= 0")
     params = {"n": n, "k": k, "bound": bound, "max_parts": max_parts,
               "sampler": sampler}
     report = ScanReport(params=params)
     pairs = list(combinations(range(n), 2))
     host = HostGraph.complete(n)
+
+    def judge(colouring, witness):
+        need = minimal_bound(colouring, max_parts,
+                             n if bound is None else max(bound, n))
+        if need is None or (bound is not None and need > bound):
+            report.witnesses.append(witness)
+        if need is not None:
+            report.worst_bound_needed = max(report.worst_bound_needed, need)
+
     if sampler == "exhaustive":
-        total = k ** len(pairs)
-        if total > 10 ** 8:
+        if k ** len(pairs) > 10 ** 8:
             raise ValueError("exhaustive scan too large")
         for codes in _canonical_colour_tuples(len(pairs), k):
             if limit is not None and report.instances_checked >= limit:
                 report.complete = False
                 break
-            colouring = EdgeColouring.from_pairs(
-                host, k, dict(zip(pairs, codes)))
             report.instances_checked += 1
-            need = minimal_bound(colouring, max_parts,
-                                 n if bound is None else max(bound, n))
-            if need is None or (bound is not None and need > bound):
-                report.witnesses.append(codes)
-            if need is not None:
-                report.worst_bound_needed = max(report.worst_bound_needed, need)
+            judge(EdgeColouring.from_pairs(host, k, dict(zip(pairs, codes))), codes)
     elif sampler == "random":
         rng = random.Random(seed)
         for i in range(count):
@@ -298,15 +304,8 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
             report.instances_checked += 1
             if n <= 10:
                 sub = random.Random(sub_seed)
-                colouring = EdgeColouring.build(
-                    host, k, lambda u, v: sub.randint(1, k))
-                need = minimal_bound(colouring, max_parts,
-                                     n if bound is None else max(bound, n))
-                if need is None or (bound is not None and need > bound):
-                    report.witnesses.append(sub_seed)
-                if need is not None:
-                    report.worst_bound_needed = max(report.worst_bound_needed,
-                                                    need)
+                judge(EdgeColouring.build(host, k, lambda u, v: sub.randint(1, k)),
+                      sub_seed)
             else:
                 if k != 4:
                     raise ValueError("large random scans need k = 4")

@@ -2,9 +2,9 @@
 
 :func:`solve4` runs the paper's case cascade as one loop over the stage
 table ``_STAGES``: one spanning colour of small diameter; three small
-colours, reduced through the connectivity cover; distant sets in the
-layer mappings of all colour pairs; all colours connected; intersecting
-components; disjoint components.  The first stage to return a cover
+colours, as the axes of a connectivity cover of the colouring itself;
+distant sets in the layer mappings of all colour pairs; all colours
+connected; intersecting components; disjoint components.  The first stage to return a cover
 closes the instance, else the connectivity-only cover does, flagged.
 Constructions build their parts as ``(vertex mask, colour)`` pairs from
 the masks of ``colouring.metrics`` (balls, components) and return through
@@ -22,13 +22,11 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from . import graphs
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, iter_bits, mask_of
-from .grid import cover_G3, points_from_colouring
+from .graphs import EdgeColouring, iter_bits
+from .grid import GridPointSet, cover_G3, signature_fibres
 from .layers import (build_layer_mapping, cover_from_dist7_triple,
                      cover_from_dist3_quad, find_k_distant,
                      has_rich_coordinates, is_k_distant)
@@ -94,33 +92,38 @@ def _require_k4_complete(colouring: EdgeColouring) -> None:
 # -- connectivity-only cover ------------------------------------------------
 
 
-def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
-    """Three monochromatic connected parts covering the vertex set.
-
-    Works through the signature point set: hyperplane parts pull back to
-    whole components of the plane's colour, connected parts to fibre
-    unions in colour 4; a singleton connected part is promoted to the
-    full colour-1 component of its fibre, and a part equal to one already
-    taken is dropped.  Connectivity only, so the claimed bound is infinite.
-    """
-    _require_k4_complete(colouring)
-    point_set, fibres = points_from_colouring(colouring)
-    grid_parts = cover_G3(point_set)
+def _connectivity_parts(colouring: EdgeColouring,
+                        order: list[int]) -> list[tuple[int, int]]:
+    """Three connected ``(mask, colour)`` parts covering the vertex set, by
+    the grid cover of the signatures over the colours ``order[:3]``: a
+    plane pulls back to a component of its colour, a connected part to a
+    union of fibres in colour ``order[3]``, a single point to the
+    ``order[0]`` component of its fibre; repeated parts are dropped."""
+    fibres = signature_fibres(colouring, order[:3])
     metrics = colouring.metrics
     parts = []
-    for gp in grid_parts:
+    for gp in cover_G3(GridPointSet(3, frozenset(fibres))):
         if gp.kind == "hyperplane":
-            c = gp.axis + 1
+            c = order[gp.axis]
             part = (metrics.component_masks(c)[gp.value - 1], c)
         elif len(gp.members) == 1:
             sig = next(iter(gp.members))
-            part = (metrics.component_masks(1)[sig[0] - 1], 1)
+            part = (metrics.component_masks(order[0])[sig[0] - 1], order[0])
         else:
-            part = (mask_of(v for p in gp.members for v in fibres[p]), 4)
+            # the fibres are disjoint, so their sum is their union
+            part = (sum(fibres[p] for p in gp.members), order[3])
         # Two singleton grid parts can promote to the same component.
         if part not in parts:
             parts.append(part)
-    return verified(colouring, parts, math.inf, "connectivity cover")
+    return parts
+
+
+def gyarfas_connectivity_cover(colouring: EdgeColouring) -> Cover:
+    """Three connected parts covering the vertex set, colours 1-3 as axes;
+    connectivity only, so the claimed bound is infinite."""
+    _require_k4_complete(colouring)
+    return verified(colouring, _connectivity_parts(colouring, [1, 2, 3, 4]),
+                    math.inf, "connectivity cover")
 
 
 # -- stage 1: three colours of small diameter --------------------------------
@@ -131,61 +134,51 @@ def reduce_small_diameters(colouring: EdgeColouring,
     """Cover with bound max(n1, 30) when three colours have all components
     of diameter at most n1.
 
-    Edges of the remaining colour whose ends share a small-colour
-    component are recoloured to the smallest such colour (in one matrix
-    pass that also relabels the remaining colour as 4); that shrinks
-    the remaining colour's components enough that any of its geodesics
-    embeds as an induced path of signatures, and the connectivity cover
-    of the modified colouring pulls back with bounded diameters.
+    The paper recolours each leftover-colour edge inside a small-colour
+    component to that colour, and bounds the diameters of the recoloured
+    colouring's connectivity cover.  That changes no small colour's
+    components, so no signature, fibre or grid part: the parts built here,
+    small colours as axes, are that cover's.  A leftover-colour part has
+    every edge here that it had there, so its diameter is no larger: the
+    one check, in this colouring, passes every cover the copy's would.
     """
     _require_k4_complete(colouring)
     metrics = colouring.metrics
     small = [c for c in range(1, 5) if metrics.colour_within(c, n1)]
     if len(small) < 3:
         return None
-    smalls = small[:3]
-    big = next(c for c in range(1, 5) if c not in smalls)
-    mat = colouring.matrix()
-    todo = mat == big
-    comp = np.empty(colouring.n, dtype=np.intp)
-    for cs in smalls:
-        for cid, members in enumerate(metrics.component_masks(cs)):
-            comp[list(iter_bits(members))] = cid
-        same = todo & (comp[:, None] == comp[None, :])
-        mat[same] = cs
-        todo &= ~same
-    perm = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
-    relabel = np.zeros(256, dtype=np.uint8)
-    relabel[list(perm)] = list(perm.values())
-    relabeled = EdgeColouring.from_matrix(colouring.host, 4, relabel[mat])
-    conn = gyarfas_connectivity_cover(relabeled)
-    inverse = {new: old for old, new in perm.items()}
-    parts = [(mask_of(p.vertices), inverse[p.colour]) for p in conn.parts]
-    return verified(colouring, parts, max(n1, 30), "small-diameter reduction")
+    order = small[:3] + [c for c in range(1, 5) if c not in small[:3]]
+    return verified(colouring, _connectivity_parts(colouring, order),
+                    max(n1, 30), "small-diameter reduction")
 
 
 # -- recorded attempts and 7-distant triples -------------------------------------
 
 
-def _attempt(anomalies, note, errors, build, *args) -> Cover | None:
+def _attempt(anomalies, note, errors, build, *args, witness=None) -> Cover | None:
     """``build(*args)``, or None after recording a failure of type ``errors``
-    as an anomaly, with the exception's witness if it carries one."""
+    as an anomaly, with the exception's witness, else ``witness``."""
     try:
         return build(*args)
     except errors as exc:
         anomalies.append({"message": f"{note}: {exc}",
-                          "witness": getattr(exc, "witness", {})})
+                          "witness": getattr(exc, "witness", witness or {})})
         return None
 
 
 def _try_distant_triples(lm, a, b, thirds, anomalies, note) -> Cover | None:
     """The first cover from a 7-distant triple of index points ``a``, ``b``
-    and the point of a vertex in ``thirds``; failures are recorded."""
+    and the point of a vertex in ``thirds``; failures are recorded, a
+    ``ValueError`` with the pair, the triple and each coordinate's count
+    of values."""
+    values = [len(set(axis)) for axis in zip(*lm.points)]
     for z in thirds:
         triple = tuple(sorted({a, b, lm.coords[z]}))
         if len(triple) == 3 and is_k_distant(triple, 7):
+            witness = {"pair": [lm.c1, lm.c2], "triple": [list(p) for p in triple],
+                       "coordinate_values": values}
             cover = _attempt(anomalies, note, (ValueError, ImpossibleByLemmaError),
-                             cover_from_dist7_triple, lm, triple)
+                             cover_from_dist7_triple, lm, triple, witness=witness)
             if cover is not None:
                 return cover
     return None
@@ -465,9 +458,12 @@ def _single_colour(colouring: EdgeColouring):
 
 def _layer_mappings(colouring: EdgeColouring, anomalies: list):
     """Both value policies of every colour pair's layer mapping: a 3-distant
-    quadruple, else a 7-distant triple under rich coordinates, closes."""
+    quadruple, else a 7-distant triple under rich coordinates, closes.
+    When both colours are connected, "spread" equals "zero" and is skipped."""
+    components = colouring.metrics.component_masks
     for c1, c2 in combinations(range(1, 5), 2):
-        for policy in ("zero", "spread"):
+        connected = len(components(c1)) == len(components(c2)) == 1
+        for policy in ("zero",) if connected else ("zero", "spread"):
             lm = build_layer_mapping(colouring, c1, c2, value_policy=policy)
             branch, found = BRANCH_LAYER_QUAD, find_k_distant(lm.points, 3, 4)
             cover = None if found is None else _attempt(

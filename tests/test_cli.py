@@ -169,6 +169,20 @@ def test_oracle_scan_incomplete():
                "--parts", "1", "--limit", "3") == 3
 
 
+@pytest.mark.parametrize("flags", [
+    "--n 12 --k 4 --parts 0 --random 1",
+    "--n 12 --k 4 --parts 3 --bound -5 --random 1",
+    "--n 4 --k 3 --parts 2 --bound -1",
+    "--n 4 --k 3 --parts 2 --random -3",
+    "--n 4 --k 3 --parts 2 --limit -1",
+])
+def test_oracle_scan_rejects_unusable_input(flags, capsys):
+    # Checked before either sampler runs: no instance is scanned.
+    assert run("oracle", "scan", *flags.split()) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("monocover: error: ")
+
+
 def test_malformed_colouring_is_rejected_in_one_line(tmp_path, capsys):
     col_path = tmp_path / "bad.col"
     col_path.write_text("3 2\n0 1 1\n0 2 x\n1 2 1\n")

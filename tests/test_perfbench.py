@@ -34,4 +34,4 @@ def test_tracer_sees_the_cascade_stages():
         ("single colour", "n/a"), ("small-diameter reduction", "closed")]
     metrics = tracer.metrics()
     assert metrics["solver.reduce_small_diameters.calls"] == (1, "count")
-    assert metrics["solver.gyarfas_connectivity_cover.calls"] == (1, "count")
+    assert metrics["grid.cover_G3.calls"] == (1, "count")

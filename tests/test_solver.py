@@ -11,7 +11,7 @@ import pytest
 
 from conftest import constant_colouring, random_colouring
 from monocover import graphs
-from monocover.covers import format_cover, verify_cover
+from monocover.covers import Cover, format_cover, verify_cover
 from monocover.generators import (four_blocks, ladder, layered_adversarial,
                                   random_uniform, section5_example,
                                   sharpness_x, two_paths)
@@ -129,36 +129,83 @@ def test_recolouring_preserves_small_components():
             assert any(new_mask & old == new_mask for old in big_masks)
 
 
-def test_small_diameter_recolouring_matches_pair_loop(monkeypatch):
-    # reduce_small_diameters recolours and relabels in one matrix pass; the
-    # colouring it hands to the connectivity cover must equal this loop's:
-    # each leftover-colour pair whose ends share a component of the first,
-    # else second, else third small colour takes that colour, then the
-    # small colours become 1, 2, 3 and the leftover colour 4.
-    from monocover import solver
-    handed = []
-    monkeypatch.setattr(solver, "gyarfas_connectivity_cover",
-                        lambda c: handed.append(c) or gyarfas_connectivity_cover(c))
-    for seed in range(4):
+def _blocks_with_uniform_insides(seed, n=80):
+    # Four blocks with the cross-block colours of four_blocks and uniform
+    # random colours inside the blocks.
+    block = np.repeat(np.arange(4), n // 4)
+    table = np.zeros((4, 4), dtype=np.uint8)
+    for (a, b), c in {(0, 1): 3, (0, 2): 4, (1, 2): 1, (1, 3): 1,
+                      (0, 3): 2, (2, 3): 2}.items():
+        table[a, b] = table[b, a] = c
+    inside = block[:, None] == block[None, :]
+    within = np.random.default_rng(seed).integers(1, 5, size=(n, n), dtype=np.uint8)
+    mat = np.triu(np.where(inside, within, table[block[:, None], block[None, :]]), 1)
+    return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
+
+
+def _recoloured_reduction(col, n1=160):
+    # The reduction as the paper's proof states it: each leftover-colour pair
+    # whose ends share a component of the first, else second, else third
+    # small colour takes that colour; the small colours become 1, 2, 3 and
+    # the leftover colour 4; the connectivity cover of that copy is mapped
+    # back to the original colours.
+    metrics = col.metrics
+    smalls = [c for c in range(1, 5) if metrics.colour_diameter(c) <= n1][:3]
+    if len(smalls) < 3:
+        return None
+    big = next(c for c in range(1, 5) if c not in smalls)
+    ids = {c: {v: i for i, comp in enumerate(metrics.component_masks(c))
+               for v in iter_bits(comp)} for c in smalls}
+    relabel = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
+    pairs = {}
+    for u, v, c in col.edges():
+        if c == big:
+            c = next((cs for cs in smalls if ids[cs][u] == ids[cs][v]), c)
+        pairs[(u, v)] = relabel[c]
+    copy = EdgeColouring.from_pairs(col.host, 4, pairs)
+    inverse = {new: old for old, new in relabel.items()}
+    conn = gyarfas_connectivity_cover(copy)
+    return Cover.of(((p.vertices, inverse[p.colour]) for p in conn.parts),
+                    max(n1, 30))
+
+
+def test_small_diameter_reduction_matches_recoloured_copy():
+    # reduce_small_diameters builds its cover on the colouring it is given;
+    # the cover must be the one the recoloured copy's connectivity cover
+    # gives, under every colour order.  At n1 = 160 every colour is small;
+    # at n1 = 3 and 2 some instances have one larger colour, in each of the
+    # four colour positions.
+    cols = [_blocks_with_uniform_insides(seed) for seed in range(3)]
+    for seed in range(8):
         base = four_blocks(seed)
         for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)):
             table = np.zeros(256, dtype=np.uint8)
             table[1:5] = order
-            col = EdgeColouring.from_matrix(base.host, 4, table[base.matrix()])
-            metrics = col.metrics
-            smalls = [c for c in range(1, 5) if metrics.colour_diameter(c) <= 160][:3]
-            big = next(c for c in range(1, 5) if c not in smalls)
-            ids = {c: {v: i for i, comp in enumerate(metrics.component_masks(c))
-                       for v in iter_bits(comp)} for c in smalls}
-            relabel = {smalls[0]: 1, smalls[1]: 2, smalls[2]: 3, big: 4}
-            expect = []
-            for u, v, c in col.edges():
-                if c == big:
-                    c = next((cs for cs in smalls if ids[cs][u] == ids[cs][v]), c)
-                expect.append((u, v, relabel[c]))
-            handed.clear()
-            assert reduce_small_diameters(col, 160) is not None
-            assert list(handed[0].edges()) == expect, (seed, order)
+            cols.append(EdgeColouring.from_matrix(base.host, 4, table[base.matrix()]))
+    large = Counter()  # the larger colour, in instances that have one
+    for i, col in enumerate(cols):
+        for n1 in (160, 3, 2):
+            cover = reduce_small_diameters(col, n1)
+            expect = _recoloured_reduction(col, n1)
+            assert (cover is None) == (expect is None), (i, n1)
+            if cover is None:
+                assert n1 < 160, i
+                continue
+            assert format_cover(cover) == format_cover(expect), (i, n1)
+            small = [c for c in range(1, 5) if col.metrics.colour_diameter(c) <= n1]
+            if len(small) == 3:
+                large[next(c for c in range(1, 5) if c not in small)] += 1
+    assert sorted(large) == [1, 2, 3, 4], large
+
+
+def test_small_diameter_reduction_builds_no_colouring(monkeypatch):
+    col = four_blocks(seed=2)
+    built = []
+    from_matrix = EdgeColouring.from_matrix
+    monkeypatch.setattr(EdgeColouring, "from_matrix", classmethod(
+        lambda cls, *args: built.append(args) or from_matrix(*args)))
+    assert reduce_small_diameters(col, 160) is not None
+    assert built == []
 
 
 # -- stage 0 and the stage records ---------------------------------------------
@@ -209,6 +256,42 @@ def test_layer_stage_records_a_failed_quad_and_goes_on(monkeypatch):
     assert layer.anomalies == [{"message": "layer quad (1,2,zero): forced",
                                 "witness": {"quad": list(quads[0])}}]
     assert trace.anomalies == ("layer quad (1,2,zero): forced",)
+
+
+def test_layer_stage_skips_spread_for_connected_pairs(monkeypatch):
+    # Colour 4 is one edge, so it is disconnected; colours 1-3 are connected.
+    # A connected pair's "spread" mapping equals its "zero" one, and the
+    # stage builds only the latter.
+    from monocover import solver
+    from monocover.layers import build_layer_mapping
+    rng = random.Random(1)
+    pairs = {(u, v): rng.randint(1, 3) for u in range(12) for v in range(u + 1, 12)}
+    pairs[(0, 1)] = 4
+    col = EdgeColouring.from_pairs(HostGraph.complete(12), 4, pairs)
+    assert [len(col.metrics.component_masks(c)) for c in range(1, 5)] == [1, 1, 1, 11]
+    assert (build_layer_mapping(col, 1, 2, value_policy="zero").coords
+            == build_layer_mapping(col, 1, 2, value_policy="spread").coords)
+    built = []
+    monkeypatch.setattr(solver, "build_layer_mapping", lambda c, c1, c2, **kw:
+                        built.append((c1, c2)) or build_layer_mapping(c, c1, c2, **kw))
+    assert solver._layer_mappings(col, []) == (None, None, None)
+    assert Counter(built) == {(1, 2): 1, (1, 3): 1, (2, 3): 1,
+                              (1, 4): 2, (2, 4): 2, (3, 4): 2}
+
+
+def test_distant_triple_value_error_has_a_witness():
+    # Both coordinates take 3 values, fewer than the 28 that a 7-distant
+    # triple cover needs: the recorded ValueError names the pair, the
+    # triple and the value counts.
+    from monocover import solver
+    from monocover.layers import LayerMapping
+    lm = LayerMapping(constant_colouring(3, 1, k=4), 2, 3, [(0, 0), (7, 7), (14, 14)])
+    anomalies = []
+    assert solver._try_distant_triples(lm, (0, 0), (7, 7), [2], anomalies, "t") is None
+    assert anomalies == [{
+        "message": "t: layer index set must take >= 28 values per coordinate",
+        "witness": {"pair": [2, 3], "triple": [[0, 0], [7, 7], [14, 14]],
+                    "coordinate_values": [3, 3]}}]
 
 
 def test_stage_records_count_bfs_runs():
