@@ -26,7 +26,7 @@ from .grid import (GridPointSet, bounded_degree_search, classify_independent4,
                    format_points, parse_points, points_from_colouring)
 from .layers import build_layer_mapping
 from .oracle import exhaustive_colouring_scan
-from .solver import BRANCH_FALLBACK, solve4
+from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
 from .twocolour import (MonoSpanning, bipartite_two_colour, erdos_rado_cover,
                         multipartite_two_colour)
 
@@ -68,7 +68,7 @@ def _cmd_solve(args) -> int:
     if args.lemma:
         return _solve_lemma(args, colouring)
     cover, trace = solve4(colouring)
-    bound = math.inf if trace.branch == BRANCH_FALLBACK else 160
+    bound = math.inf if trace.branch == BRANCH_FALLBACK else COVER_BOUND
     report = verify_cover(colouring, cover, bound=bound, max_parts=3)
     _write(args.output, format_cover(cover))
     if args.trace:

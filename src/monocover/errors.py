@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 
@@ -18,7 +17,3 @@ class ImpossibleByLemmaError(RuntimeError):
     def __init__(self, message: str, witness: dict[str, Any] | None = None):
         super().__init__(message)
         self.witness = witness or {}
-
-    def dump(self) -> str:
-        return json.dumps({"error": str(self), "witness": self.witness},
-                          default=repr, indent=2, sort_keys=True)

@@ -15,8 +15,11 @@ One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 it has reached its whole mask, :func:`diameter_of_mask` is the only
 all-sources sweep, and :func:`diameter_within` answers "connected with
 diameter at most b" with a single BFS unless b lies between an
-eccentricity and twice it.  ``BFS_RUNS`` counts the calls of
-:func:`bfs_reach` since import; ``solver.solve4`` reads it per stage.
+eccentricity and twice it.  One rule holds across the package: a yes/no
+diameter question goes through :func:`diameter_within`, and
+:func:`diameter_of_mask` runs only where its number is reported.
+``BFS_RUNS`` counts the calls of :func:`bfs_reach` since import;
+``solver.solve4`` reads it per stage.
 
 A colouring has one constructor and one metrics cache:
 :meth:`EdgeColouring.from_matrix` alone checks a colouring and derives its
@@ -419,12 +422,12 @@ def diameter_within(adj: Sequence[int], mask: int, bound: float) -> bool:
 
 
 class MonoMetrics:
-    """Cached per-colour components, distances and diameters of a colouring.
+    """Cached per-colour components and distances of a colouring.
 
-    BFS rows, component masks and component diameters are memoised on
-    first request.  Each colouring holds one instance, ``colouring.metrics``,
-    which lives as long as the colouring does, and every caller shares its
-    rows and lists: read them, never change them.  The caches are plain
+    BFS rows and component masks are memoised on first request.  Each
+    colouring holds one instance, ``colouring.metrics``, which lives as
+    long as the colouring does, and every caller shares its rows and
+    lists: read them, never change them.  The caches are plain
     dicts with no locking, so an instance, and with it the colouring's
     metric queries, belongs to one thread.
     """
@@ -438,7 +441,6 @@ class MonoMetrics:
         self._adj = colouring._adj
         self._dist: dict[tuple[int, int], list[int]] = {}
         self._comps: dict[int, list[int]] = {}
-        self._comp_diams: dict[int, list[int]] = {}
 
     def _check(self, c: int, v: int | None = None) -> None:
         if not 1 <= c <= self.k:
@@ -482,18 +484,9 @@ class MonoMetrics:
                 m |= 1 << v
         return m
 
-    def component_diameters(self, c: int) -> list[int]:
-        self._check(c)
-        got = self._comp_diams.get(c)
-        if got is None:
-            got = [diameter_of_mask(self._adj[c], m) for m in self.component_masks(c)]
-            self._comp_diams[c] = got
-        return got
-
     def colour_diameter(self, c: int) -> int:
         """Largest distance between two vertices sharing a c-component."""
-        diams = self.component_diameters(c)
-        return max(diams) if diams else 0
+        return max(diameter_of_mask(self._adj[c], m) for m in self.component_masks(c))
 
     def colour_within(self, c: int, bound: int) -> bool:
         """Same as ``colour_diameter(c) <= bound``, without exact diameters."""

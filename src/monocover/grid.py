@@ -13,11 +13,13 @@ Signatures over any axis colours map to their fibres as vertex masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations, product
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, HostGraph, iter_bits, parse_decimal
+from .graphs import EdgeColouring, HostGraph, components_masks, iter_bits, parse_decimal
 
 GridPoint = tuple[int, ...]
 
@@ -182,21 +184,16 @@ class GridCoverPart:
 
 
 def _g3_components(pts: Iterable[GridPoint]) -> list[list[GridPoint]]:
-    left = set(pts)
-    comps = []
-    for p in sorted(left):
-        if p not in left:
-            continue
-        comp = {p}
-        frontier = {p}
-        left.discard(p)
-        while frontier:
-            nxt = {q for q in left if any(grid_adjacent(q, r) for r in frontier)}
-            left -= nxt
-            comp |= nxt
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
+    """The components, each sorted, in order of their least point.  A
+    point's neighbours are the points that share none of its coordinates."""
+    pts = sorted(set(pts))
+    same: dict[tuple[int, int], int] = {}  # (axis, value) -> mask of points
+    for j, p in enumerate(pts):
+        for key in enumerate(p):
+            same[key] = same.get(key, 0) | 1 << j
+    full = (1 << len(pts)) - 1
+    adj = [full & ~reduce(or_, (same[key] for key in enumerate(p)), 0) for p in pts]
+    return [[pts[i] for i in iter_bits(m)] for m in components_masks(adj, len(pts))]
 
 
 def _hyperplane_part(pts: Iterable[GridPoint], axis: int, value: int) -> GridCoverPart:

@@ -11,7 +11,8 @@ step builds the cover's frozensets or raises ImpossibleByLemmaError with
 a replayable witness when the output fails verification.  Coordinates
 come from the shared ``colouring.metrics`` rows and the core balls of the
 7-distant construction from ``graphs.bfs_reach(..., radius=r)``, both on
-the one BFS kernel of :mod:`graphs`.
+the one BFS kernel of :mod:`graphs`.  Diameters are decided by threshold;
+the one exact diameter here is the certificate H's, which sets a bound.
 """
 
 from __future__ import annotations
@@ -200,26 +201,19 @@ def _require_points(lm: LayerMapping, pts: Iterable[Point]) -> None:
             raise ValueError(f"{p} is not a layer index point")
 
 
-def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[int, int, int]:
+def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[int, int]:
     """Reserved colour connecting the three layers of a 3-distant triple.
 
-    Returns (colour, mask of the union of the three layers, measured
-    diameter <= 20); the measurement is on the full induced subgraph,
-    where within-layer edges can only help.
+    Returns (colour, mask of the union of the three layers).  The colour's
+    cross-layer graph spans the union within 20, and the colour's induced
+    graph on the union contains it, so that has diameter <= 20 too.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or not is_k_distant(triple, 3):
         raise ValueError("need a 3-distant triple of index points")
     _require_points(lm, triple)
-    c, _ = multipartite_colour(lm.colouring, [lm.layer_mask(p) for p in triple],
-                               lm.reserved_pair)
-    union = lm.union_mask(triple)
-    diam = diameter_of_mask(lm.colouring.adj_rows(c), union)
-    if not isinstance(diam, int) or diam > 20:
-        raise ImpossibleByLemmaError(
-            "triple cover exceeded its diameter bound",
-            witness={"triple": triple, "colour": c, "diameter": repr(diam)})
-    return c, union, diam
+    return (multipartite_colour(lm.colouring, [lm.layer_mask(p) for p in triple],
+                                lm.reserved_pair), lm.union_mask(triple))
 
 
 def _classify_against(anchors: Sequence[Point], point: Point,
@@ -240,7 +234,7 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
     max(40, diam(H) + 20).
     """
     triple = tuple(sorted(triple))
-    c, core, _ = cover_from_dist3_triple(lm, triple)
+    c, core = cover_from_dist3_triple(lm, triple)
     cprime = lm.c4 if c == lm.c3 else lm.c3
     col = lm.colouring
     n3 = diameter_of_mask(col.adj_rows(cprime), h_mask)
@@ -299,8 +293,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         raise ValueError("need a 3-distant quadruple of index points")
     _require_points(lm, quad)
     col = lm.colouring
-    cbase, _ = multipartite_colour(col, [lm.layer_mask(p) for p in quad],
-                                   lm.reserved_pair)
+    cbase = multipartite_colour(col, [lm.layer_mask(p) for p in quad],
+                                lm.reserved_pair)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
 
     base_points: list[Point] = []
@@ -314,7 +308,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
                 "layer point close to three of a 3-distant quadruple",
                 witness={"quad": quad, "point": point})
         pair = (anchors[0], anchors[1])
-        c_pt, _ = multipartite_colour(
+        c_pt = multipartite_colour(
             col, [lm.layer_mask(pair[0]), lm.layer_mask(pair[1]),
                   lm.layer_mask(point)], lm.reserved_pair)
         if c_pt == cbase:
@@ -366,9 +360,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         if len(_classify_against(triple, point, separation=3)) == 3:
             return cover_from_dist3_quad(lm, triple + (point,))
 
-    c, core, _ = cover_from_dist3_triple(lm, triple)
+    c, core_mask = cover_from_dist3_triple(lm, triple)
     cbar = lm.c4 if c == lm.c3 else lm.c3
-    core_mask = lm.union_mask(triple)
 
     def far_in_coord(point: Point, axis: int, sep: int = 3) -> bool:
         return all(abs(point[axis] - t[axis]) >= sep for t in triple)
@@ -383,7 +376,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         mates = sorted(
             (t for t in triple if abs(point[other] - t[other]) >= 3))[:2]
         sub = (point, mates[0], mates[1])
-        c_sub, union_sub, _ = cover_from_dist3_triple(lm, sub)
+        c_sub, union_sub = cover_from_dist3_triple(lm, sub)
         if c_sub == cbar:
             return cover_from_dist3_triple_ext(lm, triple, union_sub)
         attached[point] = 20
@@ -435,7 +428,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         if e1 == e2:
             others = tuple(t for t in triple if t != e1)
             sub = (point,) + others
-            c_sub, union_sub, _ = cover_from_dist3_triple(lm, sub)
+            c_sub, union_sub = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
                 return cover_from_dist3_triple_ext(lm, triple, union_sub)
             attached[point] = 20
@@ -447,7 +440,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                     "pillar triple not 3-distant",
                     witness={"triple": triple, "point": point,
                              "pillars": (x_pt, y_pt)})
-            c_sub, union_sub, _ = cover_from_dist3_triple(lm, sub)
+            c_sub, union_sub = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
                 _, h = bfs_reach(col.adj_rows(c), core_mask, radius=20)
                 return cover_from_dist3_triple_ext(lm, sub, h)

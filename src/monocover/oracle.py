@@ -28,7 +28,7 @@ from typing import Iterator
 from .covers import Cover, verify_cover
 from .graphs import (EdgeColouring, HostGraph, diameter_of_mask,
                      diameter_within, iter_bits)
-from .solver import BRANCH_FALLBACK, solve4
+from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
 
 MAX_ORACLE_VERTICES = 14
 
@@ -317,7 +317,7 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
                     report.witnesses.append(sub_seed)
                     continue
                 rep = verify_cover(colouring, cover,
-                                   bound=160 if bound is None else bound,
+                                   bound=COVER_BOUND if bound is None else bound,
                                    max_parts=max_parts)
                 if not rep.valid:
                     report.witnesses.append(sub_seed)

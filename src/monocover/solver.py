@@ -25,7 +25,7 @@ from itertools import combinations
 from . import graphs
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, iter_bits
+from .graphs import EdgeColouring, diameter_within, iter_bits
 from .grid import GridPointSet, cover_G3, signature_fibres
 from .layers import (build_layer_mapping, cover_from_dist7_triple,
                      cover_from_dist3_quad, find_k_distant,
@@ -301,9 +301,8 @@ def _disjoint_pairs(metrics, min_diameter):
     diameter at least ``min_diameter`` and every component ``mask2`` of
     another colour c2 disjoint from it, by c, then mask, c2 and mask2."""
     for c in range(1, 5):
-        for mask, diam in zip(metrics.component_masks(c),
-                              metrics.component_diameters(c)):
-            if diam < min_diameter:
+        for mask in metrics.component_masks(c):
+            if diameter_within(metrics._adj[c], mask, min_diameter - 1):
                 continue
             for c2 in range(1, 5):
                 if c2 == c:
@@ -333,7 +332,7 @@ def solve_intersecting_case(colouring: EdgeColouring,
         return None  # a disjoint pair: the next stage's case
 
     multi = [c for c in range(1, 5) if len(metrics.component_masks(c)) >= 2]
-    bigs = [c for c in range(1, 5) if metrics.colour_diameter(c) > big_diameter]
+    bigs = [c for c in range(1, 5) if not metrics.colour_within(c, big_diameter)]
     c_prime = c_big = None
     for cp in multi:
         cands = [c for c in bigs if c != cp]

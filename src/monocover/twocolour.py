@@ -10,7 +10,9 @@ the lemma's proof of why an outcome exists; each verifies candidates in a
 fixed order.  The bipartite engine takes, for its pair (ca, cb), the
 first colour within 6, else the second within 10, else the first within
 10, else the split.  The multipartite engine verifies the two colours of
-its pair in order and returns the first that spans.
+its pair in order and returns the first that spans.  Each check is the
+threshold test :func:`graphs.diameter_within`; only a reported diameter
+is exact.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, diameter_of_mask, diameter_within,
-                     iter_bits, mask_of)
+from .graphs import EdgeColouring, diameter_of_mask, diameter_within, iter_bits, mask_of
 
 SPANNING_DIAMETER_BOUND = 3      # complete host, 2 colours
 BIPARTITE_DIAMETER_BOUND = 10
@@ -103,16 +104,10 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
     ca, cb = pair
     adj, union = _cross_adj(colouring, (mask1, mask2), pair)
 
-    def mono(c: int, bound: int) -> MonoSpanning | None:
-        diam = diameter_of_mask(adj[c], union, stop_above=bound)
-        if diam is not DISCONNECTED and diam <= bound:
-            return MonoSpanning(c, diam)
-        return None
-
-    got = (mono(ca, 6) or mono(cb, BIPARTITE_DIAMETER_BOUND)
-           or mono(ca, BIPARTITE_DIAMETER_BOUND))
-    if got is not None:
-        return got
+    for c, bound in ((ca, 6), (cb, BIPARTITE_DIAMETER_BOUND),
+                     (ca, BIPARTITE_DIAMETER_BOUND)):
+        if diameter_within(adj[c], union, bound):
+            return MonoSpanning(c, diameter_of_mask(adj[c], union))
     # Neither colour spans: extract the block structure anchored at the
     # lowest vertex of side 1.
     u0 = (mask1 & -mask1).bit_length() - 1
@@ -134,15 +129,15 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
 
 
 def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
-                        pair: tuple[int, int]) -> tuple[int, int]:
+                        pair: tuple[int, int]) -> int:
     """Colour whose cross-group graph spans all groups with bounded diameter.
 
     ``masks`` are the group bitmasks.  The candidates are the colours of
     ``pair`` in the given order, each verified on the cross-group graph.
     The lemma's proof that one of them spans (pairwise bipartite outcomes,
-    an auxiliary colouring of the groups) is not replayed.  Returns
-    (colour, exact diameter) for the first colour that spans the union
-    within the bound: 20 for three groups, 60 otherwise.
+    an auxiliary colouring of the groups) is not replayed.  Returns the
+    first colour that spans the union within the bound: 20 for three
+    groups, 60 otherwise.
 
     Raises :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
     lists), the pair and the bound as witness, exactly when neither colour
@@ -157,9 +152,8 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
     adj, union = _cross_adj(colouring, masks, pair)
     bound = TRIPARTITE_DIAMETER_BOUND if r == 3 else MULTIPARTITE_DIAMETER_BOUND
     for c in pair:
-        diam = diameter_of_mask(adj[c], union, stop_above=bound)
-        if diam is not DISCONNECTED and diam <= bound:
-            return c, diam
+        if diameter_within(adj[c], union, bound):
+            return c
     raise ImpossibleByLemmaError(
         "no spanning colour within the multipartite bound",
         witness={"groups": [list(iter_bits(m)) for m in masks], "pair": pair,
@@ -223,6 +217,8 @@ def multipartite_two_colour(colouring: EdgeColouring) -> MultipartiteResult:
         raise ValueError("host must be complete multipartite with >= 3 classes")
     if colouring.k != 2:
         raise ValueError("exactly two colours expected")
-    c, diam = multipartite_colour(colouring, [mask_of(g) for g in classes], (1, 2))
+    c = multipartite_colour(colouring, [mask_of(g) for g in classes], (1, 2))
     bound = TRIPARTITE_DIAMETER_BOUND if len(classes) == 3 else MULTIPARTITE_DIAMETER_BOUND
-    return MultipartiteResult(c, bound, diam)
+    # with no within-class pairs, colour c's graph is its cross-class graph
+    full = (1 << colouring.n) - 1
+    return MultipartiteResult(c, bound, diameter_of_mask(colouring.adj_rows(c), full))

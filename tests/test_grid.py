@@ -15,7 +15,7 @@ from monocover.grid import (Coplanar5, GridCoverPart, GridPointSet, SearchResult
                             classify_independent5, colouring_from_points,
                             cover_G3, exists_two_part_cover, format_points,
                             grid_adjacent, parse_points, points_from_colouring,
-                            verify_grid_cover)
+                            verify_grid_cover, _g3_components)
 
 SHARPNESS_X = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -223,6 +223,32 @@ def test_cover_random_point_sets(rng):
         parts = cover_G3(ps)
         assert len(parts) <= 3
         assert verify_grid_cover(ps, parts)
+
+
+def _frontier_components(pts):
+    """Grid components by a frontier loop over point sets, sorted, in
+    order of their least point."""
+    left = set(pts)
+    comps = []
+    for p in sorted(left):
+        if p in left:
+            comp = frontier = {p}
+            left.discard(p)
+            while frontier:
+                frontier = {q for q in left if any(grid_adjacent(q, r) for r in frontier)}
+                left -= frontier
+                comp = comp | frontier
+            comps.append(sorted(comp))
+    return comps
+
+
+def test_g3_components_match_a_frontier_loop(rng):
+    assert _g3_components([]) == []
+    for _ in range(200):
+        arity = rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, 3) for _ in range(arity))
+               for _ in range(rng.randint(1, 20))]
+        assert _g3_components(pts) == _frontier_components(pts)
 
 
 def test_cover_many_singleton_components(rng):

@@ -281,8 +281,8 @@ def test_triple_cover_all_one_reserved_colour():
     col, lm = ladder_mapping(10, lambda u, v, gap: 3)
     triple = find_k_distant(lm.points, 3, 3)
     assert triple is not None
-    c, union, diam = cover_from_dist3_triple(lm, triple)
-    assert c == 3 and diam <= 2
+    c, union = cover_from_dist3_triple(lm, triple)
+    assert c == 3 and set_diameter(col, c, iter_bits(union)) <= 2
     assert union == lm.union_mask(triple)
 
 
@@ -290,9 +290,9 @@ def test_triple_cover_random_instances(rng):
     for _ in range(20):
         col, lm = ladder_mapping(10, seeded_cross(rng.randint(0, 10**9)))
         triple = find_k_distant(lm.points, 3, 3)
-        c, union, diam = cover_from_dist3_triple(lm, triple)
-        assert c in (3, 4) and diam <= 20
-        assert set_diameter(col, c, iter_bits(union)) == diam
+        c, union = cover_from_dist3_triple(lm, triple)
+        assert c in (3, 4) and set_diameter(col, c, iter_bits(union)) <= 20
+        assert union == lm.union_mask(triple)
 
 
 def test_triple_cover_rejects_close_points():
@@ -310,7 +310,7 @@ def test_extended_triple_cover_with_self_certificate(rng):
         cross = seeded_cross(seed)
         col, lm = ladder_mapping(12, cross)
         triple = find_k_distant(lm.points, 3, 3)
-        c, union, diam = cover_from_dist3_triple(lm, triple)
+        c, union = cover_from_dist3_triple(lm, triple)
         cprime = 7 - c  # other of {3,4}
         pair = [p for p in triple]
         for a, b in combinations(pair, 2):
@@ -330,7 +330,7 @@ def test_extended_triple_cover_degenerate_point_set():
     assert len(lm.points) == 3
     triple = find_k_distant(lm.points, 3, 3)
     assert triple == lm.points
-    c, union, _ = cover_from_dist3_triple(lm, triple)
+    c, union = cover_from_dist3_triple(lm, triple)
     assert c == 3 and union == 0b111
     cover = cover_from_dist3_triple_ext(lm, triple, 0b110)
     assert len(cover.parts) == 1

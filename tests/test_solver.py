@@ -12,14 +12,15 @@ import pytest
 from conftest import constant_colouring, random_colouring
 from monocover import graphs
 from monocover.covers import Cover, format_cover, verify_cover
-from monocover.generators import (four_blocks, ladder, layered_adversarial,
-                                  random_uniform, section5_example,
-                                  sharpness_x, two_paths)
+from monocover.generators import (four_blocks, hub_tails, ladder,
+                                  layered_adversarial, random_uniform,
+                                  section5_example, sharpness_x, two_paths)
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
-                              iter_bits, set_diameter)
-from monocover.solver import (BRANCH_FALLBACK, BRANCH_LAYER_QUAD,
-                              BRANCH_LAYER_TRIPLE7, BRANCH_SINGLE_COLOUR,
-                              BRANCH_SMALL_DIAM,
+                              diameter_of_mask, iter_bits, set_diameter)
+from monocover.solver import (BRANCH_FALLBACK, BRANCH_INTERSECTING,
+                              BRANCH_LAYER_QUAD, BRANCH_LAYER_TRIPLE7,
+                              BRANCH_SINGLE_COLOUR, BRANCH_SMALL_DIAM,
+                              SMALL_DIAMETER, _disjoint_pairs,
                               disjoint_corollary, gyarfas_connectivity_cover,
                               reduce_small_diameters, solve4,
                               solve_connected_case, solve_intersecting_case)
@@ -424,6 +425,57 @@ def test_intersecting_case_gate():
     # disjoint large component pairs make the stage inapplicable
     col = disjoint_components_colouring()
     assert solve_intersecting_case(col, big_diameter=20) is None
+
+
+def test_hub_tails_closes_in_intersecting():
+    # The hub family passes stages 0-2 by construction and reaches
+    # solve_intersecting_case past its gate: the straddling pair is found,
+    # no 7-distant triple closes, and the three-ball cover does.
+    digest = hashlib.sha256()
+    for seed in range(3):
+        col = hub_tails(170, seed)
+        cover, trace = solve4(col)
+        assert trace.branch == BRANCH_INTERSECTING
+        assert verify_cover(col, cover, bound=160, max_parts=3).valid
+        assert [(len(p.vertices), p.colour) for p in cover.parts] == [
+            (221, 1), (1, 3), (340, 3)]
+        digest.update(json.dumps([format_cover(cover),
+                                  list(trace.anomalies)]).encode())
+    assert digest.hexdigest() == (
+        "6abb0ad95d8aa11b21a73940cc89584a4ec08be17c2dbfdad943be39a82f1fbb")
+
+
+def _exact_disjoint_pairs(col, min_diameter):
+    """_disjoint_pairs with its gate on exact component diameters."""
+    metrics = col.metrics
+    for c in range(1, 5):
+        for mask in metrics.component_masks(c):
+            if diameter_of_mask(col.adj_rows(c), mask) < min_diameter:
+                continue
+            for c2 in range(1, 5):
+                if c2 != c:
+                    for mask2 in metrics.component_masks(c2):
+                        if not mask & mask2:
+                            yield c, mask, c2, mask2
+
+
+def test_component_gates_match_exact_diameters():
+    # The disjoint-pair gate and the intersecting case's big colours decide
+    # by threshold; both must keep what exact diameters kept.  two_paths(n)
+    # has colour-1 and colour-2 diameter n - 1, around the bound 30.
+    cols = [random_colouring(n, 4, seed) for n in (5, 8, 12) for seed in range(4)]
+    cols += [four_blocks(seed) for seed in range(8)]
+    cols += [two_paths(n, 7) for n in (30, 31, 32)]
+    for col in cols:
+        metrics = col.metrics
+        for m in (0, 1, 3, 30):
+            assert (list(_disjoint_pairs(metrics, m))
+                    == list(_exact_disjoint_pairs(col, m))), m
+        for big in (0, 1, 3, 30, SMALL_DIAMETER):
+            assert ([c for c in range(1, 5) if not metrics.colour_within(c, big)]
+                    == [c for c in range(1, 5)
+                        if max(diameter_of_mask(col.adj_rows(c), mask)
+                               for mask in metrics.component_masks(c)) > big])
 
 
 # -- solve4 end-to-end ----------------------------------------------------------
