@@ -161,16 +161,18 @@ def ladder(length: int, seed: int) -> EdgeColouring:
     return EdgeColouring.build(HostGraph.complete(n), 4, colour)
 
 
-def hub_tails(L: int, seed: int) -> EdgeColouring:
+def hub_tails(L: int, seed: int, extra: bool = False) -> EdgeColouring:
     """Hub 0 and tails A = 1..L, B = L+1..2L.  Colour 1 is the path
     0-1-...-L, the hub to B but L+1 and the non-consecutive B-B pairs;
     colour 2 mirrors it on 0-(L+1)-...-2L and A.  A x B takes colours 3
     and 4 from ``default_rng(seed).integers(3, 5, size=(L, L))``,
-    row-major.  ``solve4`` closes L = 170 in Intersecting."""
+    row-major.  ``solve4`` closes L = 170 in Intersecting.  With
+    ``extra``, a vertex w = 2L+1 joins the hub in colour 2 and every
+    other vertex in colour 4; the draws are the same."""
     if L < 1:
         raise ValueError("hub_tails needs tails of at least one vertex")
-    n = 2 * L + 1
-    a, b = slice(1, L + 1), slice(L + 1, n)
+    n = 2 * L + 1 + extra
+    a, b = slice(1, L + 1), slice(L + 1, 2 * L + 1)
     mat = np.zeros((n, n), dtype=np.uint8)  # the upper triangle, mirrored below
     mat[a, a] = mat[0, a] = 2
     mat[b, b] = mat[0, b] = 1
@@ -179,6 +181,9 @@ def hub_tails(L: int, seed: int) -> EdgeColouring:
         i = np.arange(start, start + L - 1)
         mat[i, i + 1] = c
     mat[a, b] = np.random.default_rng(seed).integers(3, 5, size=(L, L))
+    if extra:
+        mat[:, -1] = 4
+        mat[0, -1] = 2
     mat = np.triu(mat, 1)
     return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
 

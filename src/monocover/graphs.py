@@ -366,9 +366,9 @@ def bfs_distances(adj: Sequence[int], n: int, source: int,
     return dist
 
 
-def components_masks(adj: Sequence[int], n: int, within: int | None = None) -> list[int]:
+def components_masks(adj: Sequence[int], n: int) -> list[int]:
     """Connected-component bitmasks in increasing order of lowest vertex."""
-    universe = (1 << n) - 1 if within is None else within
+    universe = (1 << n) - 1
     comps = []
     left = universe
     while left:

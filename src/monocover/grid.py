@@ -320,7 +320,7 @@ def cover_G3(point_set: GridPointSet) -> list[GridCoverPart]:
         for value in sorted(shared):
             reps = [next(p for p in c if p[axis] == value) for c in comps]
             parts = _coplanar_rep_cover(pts, reps, axis, value)
-            if parts is not None and verify_grid_cover(point_set, parts):
+            if verify_grid_cover(point_set, parts):
                 return parts
 
     # No coplanar complete representative set: a collinear representative
@@ -356,7 +356,7 @@ def cover_G3(point_set: GridPointSet) -> list[GridCoverPart]:
 
 
 def _coplanar_rep_cover(pts: Sequence[GridPoint], reps: Sequence[GridPoint],
-                        axis: int, value: int) -> list[GridCoverPart] | None:
+                        axis: int, value: int) -> list[GridCoverPart]:
     """Three-plane cover from a coplanar complete representative set."""
     others = [i for i in range(3) if i != axis]
     seqs = {i: [r[i] for r in reps] for i in others}

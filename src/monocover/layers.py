@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, bfs_reach, diameter_of_mask, iter_bits
-from .twocolour import MonoSpanning, Split, bipartite_outcome, multipartite_colour
+from .twocolour import Split, bipartite_outcome, multipartite_colour
 
 Point = tuple[int, int]
 
@@ -256,15 +256,12 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
     for point in lm.points:
         if point in triple:
             continue
-        anchors = _classify_against(triple, point)
-        if not anchors:
-            raise ImpossibleByLemmaError(
-                "layer point close to all three of a 3-distant triple",
-                witness={"triple": triple, "point": point})
-        e = anchors[0]
+        # Anchor values are >= 3 apart, so at most one per coordinate lies
+        # within 1 of the point: some anchor is 2-distant from it.
+        e = _classify_against(triple, point)[0]
         out = bipartite_outcome(col, lm.layer_mask(point), lm.layer_mask(e),
                                 lm.reserved_pair)
-        if isinstance(out, Split) or out.colour == c:
+        if out != cprime:  # c or a split
             p_core.append(point)
         elif e in anchor_pair:
             p_h.append(point)
@@ -302,12 +299,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     for point in lm.points:
         if point in quad:
             continue
-        anchors = _classify_against(quad, point)
-        if len(anchors) < 2:
-            raise ImpossibleByLemmaError(
-                "layer point close to three of a 3-distant quadruple",
-                witness={"quad": quad, "point": point})
-        pair = (anchors[0], anchors[1])
+        # As in the extended triple cover, at most two anchors are close.
+        pair = tuple(_classify_against(quad, point)[:2])
         c_pt = multipartite_colour(
             col, [lm.layer_mask(pair[0]), lm.layer_mask(pair[1]),
                   lm.layer_mask(point)], lm.reserved_pair)
@@ -326,11 +319,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
             for pair in pairs:
                 merged |= lm.union_mask(pair) | lm.union_mask(pair_groups[pair])
             parts.append((merged, cbar))
-        else:
-            if len(pairs) > 2:
-                raise ImpossibleByLemmaError(
-                    "more than two pairwise-disjoint anchor pairs",
-                    witness={"quad": quad, "pairs": pairs})
+        else:  # four anchors hold at most two disjoint pairs
             for pair in pairs:
                 parts.append((lm.union_mask(pair) | lm.union_mask(pair_groups[pair]), cbar))
     return verified(col, parts, QUAD_COVER_BOUND, "quadruple cover",
@@ -390,13 +379,10 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
                     return done
 
     # Two-sided pillars: X is first-coordinate far (and second-close to
-    # exactly one anchor), Y is second-coordinate far.
+    # exactly one anchor), Y is second-coordinate far.  Both exist: within
+    # 4 of the three anchors lie at most 27 of the >= 28 values.
     x_cands = [p for p in points if far_in_coord(p, 0, sep=5)]
     y_cands = [p for p in points if far_in_coord(p, 1, sep=5)]
-    if not x_cands or not y_cands:
-        raise ImpossibleByLemmaError(
-            "rich coordinates but no far point in some coordinate",
-            witness={"triple": triple})
     x_pt = x_cands[0]
     a_anchor = next(t for t in triple if abs(x_pt[1] - t[1]) <= 2)
     y_pt = next((p for p in y_cands
@@ -416,15 +402,14 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     group1: list[Point] = []  # first-close to B, second-close to A
     group2: list[Point] = []  # first-close to C, second-close to A
     group3: list[Point] = []  # first-close to B, second-close to C
+    groups = {(b_anchor, a_anchor): group1, (c_anchor, a_anchor): group2,
+              (b_anchor, c_anchor): group3}
     for point in points:
         if point in attached or point in (x_pt, y_pt):
             continue
-        e1 = next((t for t in triple if close(point[0], t[0])), None)
-        e2 = next((t for t in triple if close(point[1], t[1])), None)
-        if e1 is None or e2 is None:
-            raise ImpossibleByLemmaError(
-                "unclassified layer point in 7-distant analysis",
-                witness={"triple": triple, "point": point})
+        # Not attached, so close to some anchor in each coordinate.
+        e1 = next(t for t in triple if close(point[0], t[0]))
+        e2 = next(t for t in triple if close(point[1], t[1]))
         if e1 == e2:
             others = tuple(t for t in triple if t != e1)
             sub = (point,) + others
@@ -434,27 +419,16 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
             attached[point] = 20
         elif (e1, e2) in ((a_anchor, b_anchor), (c_anchor, b_anchor),
                           (a_anchor, c_anchor)):
-            sub = tuple(sorted((point, x_pt, y_pt)))
-            if not is_k_distant(sub, 3):
-                raise ImpossibleByLemmaError(
-                    "pillar triple not 3-distant",
-                    witness={"triple": triple, "point": point,
-                             "pillars": (x_pt, y_pt)})
+            # 3-distant: e1 != B and e2 != A, and X, Y are 5-far from the
+            # anchors in one coordinate and 2-close to A, B in the other.
+            sub = (point, x_pt, y_pt)
             c_sub, union_sub = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
                 _, h = bfs_reach(col.adj_rows(c), core_mask, radius=20)
                 return cover_from_dist3_triple_ext(lm, sub, h)
             attached[point] = 40
-        elif (e1, e2) == (b_anchor, a_anchor):
-            group1.append(point)
-        elif (e1, e2) == (c_anchor, a_anchor):
-            group2.append(point)
-        elif (e1, e2) == (b_anchor, c_anchor):
-            group3.append(point)
-        else:
-            raise ImpossibleByLemmaError(
-                "impossible closeness pattern",
-                witness={"triple": triple, "point": point, "pattern": (e1, e2)})
+        else:  # the other three of the nine patterns
+            groups[e1, e2].append(point)
 
     _, v_mask = bfs_reach(col.adj_rows(c), core_mask, radius=40)
     parts = [(v_mask, c)]
@@ -467,9 +441,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         union_mask = lm.union_mask(group)
         if union_mask & ~v_mask == 0:
             return None
-        out = bipartite_outcome(col, union_mask, lm.layer_mask(pillar),
-                                lm.reserved_pair)
-        if isinstance(out, MonoSpanning) and out.colour == cbar:
+        if bipartite_outcome(col, union_mask, lm.layer_mask(pillar),
+                             lm.reserved_pair) == cbar:
             return union_mask | lm.layer_mask(pillar)
         raise ImpossibleByLemmaError(
             f"far group {name} neither absorbed nor pillar-connected", witness)
@@ -477,9 +450,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     part2 = pillar_part(group2, y_pt, "2") if group2 else None
     part3 = pillar_part(group3, x_pt, "3") if group3 else None
     if part2 is not None and part3 is not None:
-        out = bipartite_outcome(col, lm.union_mask(group2), lm.union_mask(group3),
-                                lm.reserved_pair)
-        if isinstance(out, MonoSpanning) and out.colour != cbar:
+        if bipartite_outcome(col, lm.union_mask(group2), lm.union_mask(group3),
+                             lm.reserved_pair) == c:
             parts.append((lm.union_mask(group2) | lm.union_mask(group3), c))
         else:
             parts.append((part2 | part3, cbar))
@@ -493,11 +465,10 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         if union1 & ~v_mask:
             out = bipartite_outcome(col, union1, lm.layer_mask(c_anchor),
                                     lm.reserved_pair)
-            if isinstance(out, MonoSpanning):
-                parts.append((union1 | lm.layer_mask(c_anchor), out.colour))
-            else:
+            if isinstance(out, Split):
                 raise ImpossibleByLemmaError(
                     "near group neither absorbed nor anchor-connected", witness)
+            parts.append((union1 | lm.layer_mask(c_anchor), out))
 
     return verified(col, parts, TRIPLE7_COVER_BOUND, "7-distant triple cover",
                     witness)

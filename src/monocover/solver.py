@@ -260,9 +260,8 @@ def solve_connected_case(colouring: EdgeColouring,
 
 
 def _geodesic(colouring, metrics, c, x, y) -> list[int]:
+    """A shortest c-path from x to y, which the caller knows to be reachable."""
     dist = metrics.distances_from(c, x)
-    if dist[y] < 0:
-        raise ValueError("no path between the endpoints")
     path = [y]
     adj = colouring.adj_rows(c)
     cur = y
@@ -313,7 +312,6 @@ def _disjoint_pairs(metrics, min_diameter):
 
 
 def solve_intersecting_case(colouring: EdgeColouring,
-                            big_diameter: int = SMALL_DIAMETER,
                             anomalies: list | None = None) -> Cover | None:
     """Cover when every pair of different-colour components, one of them of
     diameter at least 30, intersects.
@@ -332,7 +330,7 @@ def solve_intersecting_case(colouring: EdgeColouring,
         return None  # a disjoint pair: the next stage's case
 
     multi = [c for c in range(1, 5) if len(metrics.component_masks(c)) >= 2]
-    bigs = [c for c in range(1, 5) if not metrics.colour_within(c, big_diameter)]
+    bigs = [c for c in range(1, 5) if not metrics.colour_within(c, SMALL_DIAMETER)]
     c_prime = c_big = None
     for cp in multi:
         cands = [c for c in bigs if c != cp]
@@ -347,6 +345,8 @@ def solve_intersecting_case(colouring: EdgeColouring,
         for w in iter_bits(mask):
             prime_id[w] = cid
 
+    # Only pairs at distance 10..40 are searched: a straddling pair closer
+    # than 10 and a vertex at distance 25 from one end would give one.
     pair = None
     for x in range(n):
         row = metrics.distances_from(c_big, x)
@@ -357,31 +357,10 @@ def solve_intersecting_case(colouring: EdgeColouring,
         if pair:
             break
     if pair is None:
-        # a close straddling pair plus a deep vertex of the big colour
-        for x1 in range(n):
-            row = metrics.distances_from(c_big, x1)
-            for x2 in range(n):
-                if 0 <= row[x2] < 10 and prime_id[x1] != prime_id[x2]:
-                    for y in range(n):
-                        if row[y] == 25:
-                            if prime_id[y] != prime_id[x1]:
-                                pair = (x1, y)
-                            elif prime_id[y] != prime_id[x2]:
-                                pair = (x2, y)
-                            if pair:
-                                break
-                if pair:
-                    break
-            if pair:
-                break
-    if pair is None:
         return None
 
     x, y = pair
-    ball50 = metrics.ball_mask(c_big, x, 50)
-    if ball50 == (1 << n) - 1:
-        return verified(colouring, [(ball50, c_big)], COVER_BOUND,
-                        "intersecting case, one ball")
+    ball50 = metrics.ball_mask(c_big, x, 50)  # != V: c_big's diameter is > 100
     z = next(w for w in range(n) if not ball50 >> w & 1)
     lm = build_layer_mapping(colouring, c_big, c_prime, seeds=[x, y, z],
                              value_policy="spread")
@@ -421,25 +400,25 @@ def disjoint_corollary(colouring: EdgeColouring,
                     near = False
                 if row_c[v] >= 7 and not 0 <= row_2[v] <= 6:
                     far_pair = far_pair or (u, v)
-        cover = None
         if near:
+            # A c-edge from v0 stays in the component, so within 12 in c2;
+            # the three balls cover V with diameters <= 24, 2 and 2.
             v0 = verts[0]
             others = [d for d in range(1, 5) if d not in (c, c2)]
             parts = [(metrics.ball_mask(c2, v0, 12), c2),
                      (metrics.ball_mask(others[0], v0, 1), others[0]),
                      (metrics.ball_mask(others[1], v0, 1), others[1])]
-            cover = _attempt(anomalies, "disjoint corollary", ImpossibleByLemmaError,
-                             verified, colouring, parts, COVER_BOUND,
-                             "disjoint corollary, three balls")
-        elif far_pair is not None:
+            return verified(colouring, parts, COVER_BOUND,
+                            "disjoint corollary, three balls")
+        if far_pair is not None:
             x, y = far_pair
             z = next(iter_bits(mask2))
             lm = build_layer_mapping(colouring, c, c2, seeds=[x, y, z],
                                      value_policy="spread")
             cover = _try_distant_triples(lm, lm.coords[x], lm.coords[y], [z],
                                          anomalies, "disjoint corollary")
-        if cover is not None:
-            return cover
+            if cover is not None:
+                return cover
     return None
 
 

@@ -11,8 +11,9 @@ fixed order.  The bipartite engine takes, for its pair (ca, cb), the
 first colour within 6, else the second within 10, else the first within
 10, else the split.  The multipartite engine verifies the two colours of
 its pair in order and returns the first that spans.  Each check is the
-threshold test :func:`graphs.diameter_within`; only a reported diameter
-is exact.
+threshold test :func:`graphs.diameter_within`, and both engines return
+the colour alone; only the host-level wrappers, which report a diameter,
+pay the exact sweep.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class Split:
     a2: frozenset[int]
     b2: frozenset[int]
     colour_aa: int
-
-
-BipartiteOutcome = MonoSpanning | Split
 
 
 def _cross_adj(colouring: EdgeColouring, masks: Sequence[int],
@@ -81,14 +79,14 @@ def _cross_adj(colouring: EdgeColouring, masks: Sequence[int],
 
 
 def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
-                      pair: tuple[int, int]) -> BipartiteOutcome:
+                      pair: tuple[int, int]) -> int | Split:
     """Two-colour analysis of the complete bipartite graph between two groups.
 
     The groups are the vertex bitmasks ``mask1`` and ``mask2``.  Returns a
-    verified outcome whenever one exists: either one colour spans both
-    sides with diameter at most 10, or both sides split into two blocks
-    with the colouring constant on the four block products.  With
-    ``pair = (ca, cb)`` the rule is: ``ca`` if it spans within 6, else
+    verified outcome whenever one exists: either the colour that spans
+    both sides with diameter at most 10, or a split of both sides into
+    two blocks with the colouring constant on the four block products.
+    With ``pair = (ca, cb)`` the rule is: ``ca`` if it spans within 6, else
     ``cb`` if it spans within 10, else ``ca`` if it spans within 10, else
     the split.  The lemma's proof of why one of these exists is not
     replayed.
@@ -107,7 +105,7 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
     for c, bound in ((ca, 6), (cb, BIPARTITE_DIAMETER_BOUND),
                      (ca, BIPARTITE_DIAMETER_BOUND)):
         if diameter_within(adj[c], union, bound):
-            return MonoSpanning(c, diameter_of_mask(adj[c], union))
+            return c
     # Neither colour spans: extract the block structure anchored at the
     # lowest vertex of side 1.
     u0 = (mask1 & -mask1).bit_length() - 1
@@ -178,22 +176,27 @@ def erdos_rado_cover(colouring: EdgeColouring) -> int:
                                  witness={"n": n})
 
 
-def bipartite_two_colour(colouring: EdgeColouring) -> BipartiteOutcome:
+def bipartite_two_colour(colouring: EdgeColouring) -> MonoSpanning | Split:
     """Host-level wrapper of :func:`bipartite_outcome` for K_{n1,n2}.
 
-    Returns a verified spanning colour (diameter <= 10) or split whenever
-    one exists, and raises :class:`ImpossibleByLemmaError` with a witness
-    exactly when none does: for example when one class holds an
-    all-colour-1 vertex and an all-colour-2 vertex and the rows match no
-    block pattern.
+    Returns a verified spanning colour with its exact diameter (<= 10) or
+    split whenever one exists, and raises :class:`ImpossibleByLemmaError`
+    with a witness exactly when none does: for example when one class
+    holds an all-colour-1 vertex and an all-colour-2 vertex and the rows
+    match no block pattern.
     """
     classes = colouring.host.classes
     if classes is None or len(classes) != 2:
         raise ValueError("host must be complete bipartite with recorded classes")
     if colouring.k != 2:
         raise ValueError("exactly two colours expected")
-    return bipartite_outcome(colouring, mask_of(classes[0]), mask_of(classes[1]),
-                             (1, 2))
+    out = bipartite_outcome(colouring, mask_of(classes[0]), mask_of(classes[1]),
+                            (1, 2))
+    if isinstance(out, Split):
+        return out
+    # with no within-class pairs, colour out's graph is its cross-class graph
+    full = (1 << colouring.n) - 1
+    return MonoSpanning(out, diameter_of_mask(colouring.adj_rows(out), full))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_colouring
+from monocover import layers
 from monocover.covers import verify_cover
 from monocover.graphs import (EdgeColouring, HostGraph, MonoMetrics, iter_bits,
                               set_diameter)
@@ -39,16 +40,15 @@ def ladder_colouring(length, cross_colour, within_colour=2, n_per=2):
     return EdgeColouring.build(HostGraph.complete(length * n_per), 4, colour), rung
 
 
-def strips_colouring(cross_colour, extras=()):
+def strips_colouring(cross_colour):
     """Two orthogonal strips and a lone vertex.
 
     Vertices 0..27 form a colour-1 path with a colour-2 hub 28; vertices
     29..56 form a colour-2 path with a colour-1 hub 57; vertex 58 is alone
-    in both generating colours.  ``extras`` lists (vertex, colour-1 mate,
-    colour-2 mate) triples appended after 58.  Every other pair takes
+    in both generating colours.  Every other pair takes
     ``cross_colour(u, v)`` in {3, 4}.
     """
-    n = 59 + len(extras)
+    n = 59
     special = {}
     for i in range(27):
         special[(i, i + 1)] = 1
@@ -58,12 +58,6 @@ def strips_colouring(cross_colour, extras=()):
         special[(j, j + 1)] = 2
     for j in range(29, 57):
         special[(j, 57)] = 1
-    for idx, (v, mate1, mate2) in enumerate(extras):
-        assert v == 59 + idx
-        if mate1 is not None:
-            special[tuple(sorted((v, mate1)))] = 1
-        if mate2 is not None:
-            special[tuple(sorted((v, mate2)))] = 2
 
     def colour(u, v):
         got = special.get((u, v))
@@ -392,25 +386,82 @@ def test_dist7_strips_basic(rng):
         assert rep.valid
 
 
-def test_dist7_with_pillar_groups():
-    # extra vertices that are metrically close to both strips force the
-    # grouped sub-cases; their reserved edges all avoid the core colour.
-    cross = seeded_cross(5)
-    extras = [(59, 57, 28), (60, 58, 28)]
+PILLAR_TRIPLE = ((0, 0), (10, 10), (20, 20))
 
-    def cross_fn(u, v):
-        if u >= 59 or v >= 59:
-            return 4
-        return cross(u, v)
 
-    col = strips_colouring(cross_fn, extras=extras)
-    lm = build_layer_mapping(col, 1, 2, value_policy="spread")
-    check_layer_invariants(lm)
-    triple = find_k_distant(lm.points, 7, 3)
-    assert triple is not None
-    cover = cover_from_dist7_triple(lm, triple)
-    rep = verify_cover(col, cover, bound=160, max_parts=3)
-    assert rep.valid
+def pillar_mapping(second_far_x, colour=lambda u, v: 3):
+    """A hand-built mapping on K_70, all colour 3 by default, that takes
+    cover_from_dist7_triple past its attach loop: the anchors
+    PILLAR_TRIPLE (vertices 0-2), 31 first-far points (30 + i, 0) (3-33),
+    31 second-far points (second_far_x, 30 + i) (34-64), and five points
+    close to anchors in both coordinates: one per group (65-67), one
+    pillar pattern (68) and one equal pair (69)."""
+    coords = list(PILLAR_TRIPLE)
+    coords += [(30 + i, 0) for i in range(31)]
+    coords += [(second_far_x, 30 + i) for i in range(31)]
+    coords += [(10, 0), (20, 0), (10, 20), (0, 10), (1, 1)]
+    col = EdgeColouring.build(HostGraph.complete(len(coords)), 4, colour)
+    lm = LayerMapping(col, 1, 2, coords)
+    assert has_rich_coordinates(lm.points)
+    return col, lm
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``layers.<name>`` and return the list of its call arguments."""
+    real, calls = getattr(layers, name), []
+
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(layers, name, wrapped)
+    return calls
+
+
+def test_dist7_with_pillar_groups(monkeypatch):
+    # Pillars X = (30, 0) and Y = (10, 30) are far in one coordinate each;
+    # (10, 0), (20, 0) and (10, 20) fall in the three groups.  The core
+    # colour 3 takes all of K_70 within radius 40, so one part covers.
+    col, lm = pillar_mapping(10)
+    balls = record_calls(monkeypatch, "bfs_reach")
+    cover = cover_from_dist7_triple(lm, PILLAR_TRIPLE)
+    assert [kw.get("radius") for _, kw in balls] == [40]
+    assert [(len(p.vertices), p.colour) for p in cover.parts] == [(70, 3)]
+    assert verify_cover(col, cover, bound=160, max_parts=3).valid
+
+
+@pytest.mark.parametrize("join, groups23", [(3, {66, 67}), (4, {3, 34, 66, 67})])
+def test_dist7_pillar_groups_outside_the_core_ball(join, groups23):
+    # The group vertices 65-67 take colour 4 to everything but the pair
+    # 66-67, so the core ball misses them.  Groups 2 and 3 join in colour
+    # 3 when their own bipartite colour is the core's (join 3), else with
+    # their pillars X (vertex 3) and Y (vertex 34) in colour 4; group 1
+    # joins anchor (20, 20) in colour 4.
+    def colour(u, v):
+        if (u, v) == (66, 67):
+            return join
+        return 4 if v in (65, 66, 67) or u in (65, 66, 67) else 3
+
+    col, lm = pillar_mapping(10, colour)
+    cover = cover_from_dist7_triple(lm, PILLAR_TRIPLE)
+    core, part23, part1 = cover.parts
+    assert (len(core.vertices), core.colour) == (67, 3)
+    assert (part23.vertices, part23.colour) == (groups23, join)
+    assert (part1.vertices, part1.colour) == ({2, 65}, 4)
+    assert verify_cover(col, cover, bound=160, max_parts=3).valid
+
+
+def test_dist7_pillar_quad_when_second_far_points_share_an_anchor(monkeypatch):
+    # Every second-far point (0, 30 + i) is first-close to the anchor
+    # (0, 0) that X = (30, 0) is second-close to: X, Y = (0, 30) and the
+    # other two anchors are a 3-distant quadruple, before any core ball.
+    col, lm = pillar_mapping(0)
+    balls = record_calls(monkeypatch, "bfs_reach")
+    quads = record_calls(monkeypatch, "cover_from_dist3_quad")
+    cover = cover_from_dist7_triple(lm, PILLAR_TRIPLE)
+    assert balls == []
+    assert [args[1] for args, _ in quads] == [((30, 0), (0, 30), (10, 10), (20, 20))]
+    assert verify_cover(col, cover, bound=160, max_parts=3).valid
 
 
 def test_dist7_requires_rich_coordinates():

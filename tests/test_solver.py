@@ -351,19 +351,15 @@ def connected_paths_colouring(n):
     return EdgeColouring.build(HostGraph.complete(n), 4, colour)
 
 
-def test_connected_case_engages_below_gate():
-    col = connected_paths_colouring(60)
-    from monocover.graphs import MonoMetrics
-    m = MonoMetrics(col)
-    assert all(len(m.component_masks(c)) == 1 for c in range(1, 5))
-    cover = solve_connected_case(col, min_diameter=20)
-    if cover is not None:
-        assert verify_cover(col, cover, bound=160, max_parts=3).valid
-
-
 def test_connected_case_gate_rejects_small_diameters():
     col = random_uniform(30, 4, 5)
     assert solve_connected_case(col) is None
+    # All four colours connected, but colours 3 and 4 have diameters 3
+    # and 2, within even a gate of 20.
+    col = connected_paths_colouring(60)
+    assert all(len(col.metrics.component_masks(c)) == 1 for c in range(1, 5))
+    assert [col.metrics.colour_diameter(c) for c in (3, 4)] == [3, 2]
+    assert solve_connected_case(col, min_diameter=20) is None
 
 
 def hub_colouring(n, seed):
@@ -424,7 +420,7 @@ def test_disjoint_corollary_direct():
 def test_intersecting_case_gate():
     # disjoint large component pairs make the stage inapplicable
     col = disjoint_components_colouring()
-    assert solve_intersecting_case(col, big_diameter=20) is None
+    assert solve_intersecting_case(col) is None
 
 
 def test_hub_tails_closes_in_intersecting():
@@ -443,6 +439,26 @@ def test_hub_tails_closes_in_intersecting():
                                   list(trace.anomalies)]).encode())
     assert digest.hexdigest() == (
         "6abb0ad95d8aa11b21a73940cc89584a4ec08be17c2dbfdad943be39a82f1fbb")
+
+
+def test_hub_tails_extra_has_a_two_ball_cover():
+    # The hub's radius-2 balls in colours 1 and 2 cover hub_tails_w: the
+    # cover of diameter 4 that solve4 misses (see the xfail below).
+    col = hub_tails(161, 0, extra=True)
+    assert col.n == 324
+    cover = Cover.of([(iter_bits(col.metrics.ball_mask(c, 0, 2)), c)
+                      for c in (1, 2)], 4)
+    assert [len(p.vertices) for p in cover.parts] == [164, 165]
+    assert verify_cover(col, cover, bound=4, max_parts=3).valid
+
+
+@pytest.mark.xfail(strict=True, reason="hub hole: solve4 falls back to the "
+                   "connectivity cover on hub_tails with the extra vertex")
+def test_hub_tails_extra_closes_before_the_fallback():
+    col = hub_tails(161, 0, extra=True)
+    cover, trace = solve4(col)
+    assert trace.branch != BRANCH_FALLBACK
+    assert verify_cover(col, cover, bound=160, max_parts=3).valid
 
 
 def _exact_disjoint_pairs(col, min_diameter):
