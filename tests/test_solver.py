@@ -351,15 +351,18 @@ def connected_paths_colouring(n):
     return EdgeColouring.build(HostGraph.complete(n), 4, colour)
 
 
-def test_connected_case_gate_rejects_small_diameters():
-    col = random_uniform(30, 4, 5)
-    assert solve_connected_case(col) is None
+def test_connected_case_engages_below_gate():
     # All four colours connected, but colours 3 and 4 have diameters 3
-    # and 2, within even a gate of 20.
+    # and 2, within even a gate of 20: the stage must decline.
     col = connected_paths_colouring(60)
     assert all(len(col.metrics.component_masks(c)) == 1 for c in range(1, 5))
     assert [col.metrics.colour_diameter(c) for c in (3, 4)] == [3, 2]
     assert solve_connected_case(col, min_diameter=20) is None
+
+
+def test_connected_case_gate_rejects_small_diameters():
+    col = random_uniform(30, 4, 5)
+    assert solve_connected_case(col) is None
 
 
 def hub_colouring(n, seed):
