@@ -1,7 +1,11 @@
 """Cover data model and the verifier every solver output must pass.
 
 :func:`verify_cover` judges a cover and reports exact part diameters,
-which the CLI's ``verify`` lines and the oracle read.
+which the CLI's ``verify`` lines and the oracle read.  It takes each
+part's vertex mask once, settles its range with one shift and coverage
+with one OR, and reads its diameter from :func:`graphs.diameter_of_mask`,
+which uses eccentricity bounds and runs a BFS only where they leave a
+gap: a part with a vertex that sees all the rest needs none.
 :func:`verified` is the verify-or-raise step that every construction in
 ``solver`` and ``layers`` returns through.  The constructions hold
 vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, diameter_within, iter_bits,
-                     parse_decimal, set_diameter)
+from .graphs import (DISCONNECTED, EdgeColouring, diameter_of_mask,
+                     diameter_within, iter_bits, mask_of, parse_decimal)
 
 
 @dataclass(frozen=True)
@@ -95,19 +99,21 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     if max_parts is None:
         max_parts = colouring.k - 1
     n = colouring.n
-    covered = set()
+    covered = 0
     reports = []
     all_ok = True
     for part in cover.parts:
-        _check_part(colouring, part.colour,
-                    min(part.vertices) >= 0 and max(part.vertices) < n)
-        diam = set_diameter(colouring, part.colour, part.vertices)
+        # a negative vertex is out of range, and mask_of cannot shift by it
+        in_range = min(part.vertices) >= 0
+        mask = mask_of(part.vertices) if in_range else 0
+        _check_part(colouring, part.colour, in_range and not mask >> n)
+        diam = diameter_of_mask(colouring.adj_rows(part.colour), mask)
         connected = diam is not DISCONNECTED
         reports.append(PartReport(connected, diam))
         if not connected or diam > bound:
             all_ok = False
-        covered.update(part.vertices)
-    uncovered = frozenset(range(n)) - covered
+        covered |= mask
+    uncovered = frozenset(iter_bits(~covered & ((1 << n) - 1)))
     part_count_ok = len(cover.parts) <= max_parts
     valid = all_ok and not uncovered and part_count_ok
     return CoverReport(valid, tuple(reports), uncovered, part_count_ok)

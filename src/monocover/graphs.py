@@ -12,14 +12,14 @@ masks into the frozensets of a cover.
 
 One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 (distances, balls and components are calls to it) and stops as soon as
-it has reached its whole mask, :func:`diameter_of_mask` is the only
-all-sources sweep, and :func:`diameter_within` answers "connected with
-diameter at most b" with a single BFS unless b lies between an
-eccentricity and twice it.  One rule holds across the package: a yes/no
-diameter question goes through :func:`diameter_within`, and
-:func:`diameter_of_mask` runs only where its number is reported.
-``BFS_RUNS`` counts the calls of :func:`bfs_reach` since import;
-``solver.solve4`` reads it per stage.
+it has reached its whole mask, :func:`diameter_of_mask` is the one exact
+diameter: eccentricity bounds, then BFS only where they leave a gap, and
+:func:`diameter_within` answers "connected with diameter at most b" with
+a single BFS unless b lies between an eccentricity and twice it.  One
+rule holds across the package: a yes/no diameter question goes through
+:func:`diameter_within`, and :func:`diameter_of_mask` runs only where
+its number is reported.  ``BFS_RUNS`` counts the calls of
+:func:`bfs_reach` since import; ``solver.solve4`` reads it per stage.
 
 A colouring has one constructor and one metrics cache:
 :meth:`EdgeColouring.from_matrix` alone checks a colouring and derives its
@@ -313,8 +313,8 @@ BFS_RUNS = 0  # calls of bfs_reach so far; read it, never reset it
 
 
 def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
-              radius: int | None = None,
-              dist: list[int] | None = None) -> tuple[int, int]:
+              radius: int | None = None, dist: list[int] | None = None,
+              fringes: list[int] | None = None) -> tuple[int, int]:
     """Level BFS from every vertex of ``start_mask`` at once.
 
     This is the package's one frontier loop.  Only vertices of ``within``
@@ -322,8 +322,10 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
     expanded (no limit when None).  The loop stops as soon as it has
     reached all of ``within``, since one more level could only come back
     empty.  When ``dist`` is given, each vertex reached beyond the start
-    set has its level written into it.  Returns (levels, reached_mask)
-    where levels is the distance to the farthest reached vertex.
+    set has its level written into it, and when ``fringes`` is given,
+    each level's mask is appended to it, level 1 first.  Returns
+    (levels, reached_mask) where levels is the distance to the farthest
+    reached vertex.
     """
     global BFS_RUNS
     BFS_RUNS += 1
@@ -350,6 +352,8 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
                 lsb = m & -m
                 dist[lsb.bit_length() - 1] = levels
                 m ^= lsb
+        if fringes is not None:
+            fringes.append(nxt)
         frontier = nxt
     return levels, seen
 
@@ -380,26 +384,52 @@ def components_masks(adj: Sequence[int], n: int) -> list[int]:
 
 
 def diameter_of_mask(adj: Sequence[int], mask: int, stop_above: float | None = None):
-    """Diameter of the subgraph that ``mask`` induces; the one all-sources sweep.
+    """Diameter of the subgraph that ``mask`` induces; the one exact
+    diameter: eccentricity bounds, then BFS only where they leave a gap.
 
     Returns DISCONNECTED when some vertex of the mask cannot reach the
-    rest inside it.  With ``stop_above``, the sweep stops at the first
-    eccentricity above it and returns that eccentricity, which is then a
-    lower bound on the diameter that already exceeds ``stop_above``.
+    rest inside it.  One pass takes each vertex's degree inside the mask
+    (``adj`` is loopless, as every colour graph is).  If a vertex u of
+    highest degree, the lowest on ties, sees the rest of the mask, every
+    pair meets within 2 through u: the diameter is 1 when every vertex
+    sees the rest and 2 otherwise, and no BFS runs.  Else one BFS from u
+    gives its levels F_1..F_e, and the iFUB method (Crescenzi et al.,
+    TCS 2013) runs a BFS from each vertex of F_e, then F_(e-1), and so
+    on.  While it is in F_i, every pair with neither eccentricity known
+    lies in F_1..F_i and meets within i + i through u, so the largest
+    eccentricity found is the diameter once it reaches 2i.  With
+    ``stop_above``, the sweep stops at the first eccentricity above it
+    and returns that eccentricity, which is then a lower bound on the
+    diameter that already exceeds ``stop_above``.
     """
-    best = 0
+    if not mask & (mask - 1):
+        return 0
+    size = mask.bit_count()
+    hub, hub_deg, low_deg = 0, -1, size
     m = mask
     while m:
         lsb = m & -m
-        levels, reach = bfs_reach(adj, lsb, within=mask)
-        if reach != mask:
-            return DISCONNECTED
-        if levels > best:
-            best = levels
-            if stop_above is not None and best > stop_above:
-                return best
+        deg = (adj[lsb.bit_length() - 1] & mask).bit_count()
+        if deg > hub_deg:
+            hub, hub_deg = lsb, deg
+        if deg < low_deg:
+            low_deg = deg
         m ^= lsb
-    return best
+    if hub_deg == size - 1:
+        return 1 if low_deg == hub_deg else 2
+    fringes: list[int] = []
+    diam, reach = bfs_reach(adj, hub, within=mask, fringes=fringes)
+    if reach != mask:
+        return DISCONNECTED
+    for i in range(diam, 0, -1):
+        m = fringes[i - 1]
+        while m:
+            if diam >= 2 * i or (stop_above is not None and diam > stop_above):
+                return diam
+            lsb = m & -m
+            diam = max(diam, bfs_reach(adj, lsb, within=mask)[0])
+            m ^= lsb
+    return diam
 
 
 def diameter_within(adj: Sequence[int], mask: int, bound: float) -> bool:
@@ -407,8 +437,9 @@ def diameter_within(adj: Sequence[int], mask: int, bound: float) -> bool:
 
     One BFS from the lowest vertex decides when its eccentricity e has
     2*e <= bound (every pair meets within e + e) or e > bound; only a
-    bound between the two pays for the all-sources sweep, which stops at
-    the first eccentricity above the bound.
+    bound between the two pays for the one exact diameter (eccentricity
+    bounds, then BFS only where they leave a gap), which stops at the
+    first eccentricity above the bound.
     """
     ecc, reach = bfs_reach(adj, mask & -mask, within=mask)
     if reach != mask:

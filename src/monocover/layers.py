@@ -358,7 +358,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     # Points far from the whole triple in one coordinate attach through a
     # fresh 3-distant triple; if that triple connects in the other reserved
     # colour, its union is a certificate for the extended-triple cover.
-    attached: dict[Point, int] = {}  # point -> attachment radius to the core
+    attached: set[Point] = set()
 
     def attach_far(point: Point, axis: int) -> Cover | None:
         other = 1 - axis
@@ -368,7 +368,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
         c_sub, union_sub = cover_from_dist3_triple(lm, sub)
         if c_sub == cbar:
             return cover_from_dist3_triple_ext(lm, triple, union_sub)
-        attached[point] = 20
+        attached.add(point)
         return None
 
     for point in points:
@@ -416,7 +416,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
             c_sub, union_sub = cover_from_dist3_triple(lm, sub)
             if c_sub == cbar:
                 return cover_from_dist3_triple_ext(lm, triple, union_sub)
-            attached[point] = 20
+            attached.add(point)
         elif (e1, e2) in ((a_anchor, b_anchor), (c_anchor, b_anchor),
                           (a_anchor, c_anchor)):
             # 3-distant: e1 != B and e2 != A, and X, Y are 5-far from the
@@ -426,7 +426,7 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
             if c_sub == cbar:
                 _, h = bfs_reach(col.adj_rows(c), core_mask, radius=20)
                 return cover_from_dist3_triple_ext(lm, sub, h)
-            attached[point] = 40
+            attached.add(point)
         else:  # the other three of the nine patterns
             groups[e1, e2].append(point)
 

@@ -13,7 +13,7 @@ first colour within 6, else the second within 10, else the first within
 its pair in order and returns the first that spans.  Each check is the
 threshold test :func:`graphs.diameter_within`, and both engines return
 the colour alone; only the host-level wrappers, which report a diameter,
-pay the exact sweep.
+pay for the exact one of :func:`graphs.diameter_of_mask`.
 """
 
 from __future__ import annotations

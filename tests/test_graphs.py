@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 from collections.abc import Sequence
 from itertools import combinations, permutations
 
@@ -12,12 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_colouring, random_colouring
+from monocover import graphs
+from monocover.covers import verify_cover
 from monocover.generators import two_paths
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
                               MonoMetrics, bfs_distances, bfs_reach,
                               diameter_of_mask, diameter_within,
                               format_colouring, iter_bits, mask_of,
                               parse_colouring, set_diameter)
+from monocover.solver import BRANCH_LAYER_QUAD, solve4
 
 
 # -- independent oracles --------------------------------------------------
@@ -293,6 +297,90 @@ def test_set_diameter_matches_floyd_warshall_oracle(rng):
         adj, mask = col.adj_rows(c), mask_of(verts)
         for b in range(col.n + 2):
             assert diameter_within(adj, mask, b) == (fw is not DISCONNECTED and fw <= b)
+
+
+def reference_diameter(adj, mask):
+    """All-sources sweep by a queue BFS over vertex lists, independent of
+    the bitmask kernel: the largest distance inside ``mask``, or
+    DISCONNECTED."""
+    verts = list(iter_bits(mask))
+    worst = 0
+    for source in verts:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in verts:
+                if adj[u] >> v & 1 and v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if len(dist) < len(verts):
+            return DISCONNECTED
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+@st.composite
+def shaped_graphs(draw):
+    """(adjacency rows, mask) of a loopless graph of a drawn shape, its
+    vertices relabelled; the mask holds every vertex or a drawn subset.
+    A "tree" is a random tree with a few more edges, the shape on which
+    levels of the first BFS hold pairs far apart."""
+    shape = draw(st.sampled_from(["random", "tree", "path", "cycle", "hub",
+                                  "clique", "disconnected"]))
+    n = draw(st.integers(1, 12))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    every = list(combinations(range(n), 2))
+    if shape == "clique":
+        pairs = set(every)
+    elif shape in ("path", "cycle"):
+        pairs = {(u, u + 1) for u in range(n - 1)}
+        if shape == "cycle" and n > 2:
+            pairs.add((0, n - 1))
+    elif shape == "tree":
+        pairs = {(rnd.randrange(v), v) for v in range(1, n)}
+        pairs |= {pair for pair in every if rnd.random() < p / 10}
+    else:
+        cut = n // 2 if shape == "disconnected" else n
+        pairs = {(u, v) for u, v in every
+                 if (v < cut or u >= cut) and rnd.random() < p}
+        if shape == "hub":
+            pairs |= {(0, v) for v in range(1, n)}
+    label = draw(st.permutations(range(n)))
+    adj = [0] * n
+    for u, v in pairs:
+        adj[label[u]] |= 1 << label[v]
+        adj[label[v]] |= 1 << label[u]
+    full = (1 << n) - 1
+    mask = draw(st.sampled_from([full, draw(st.integers(1, full))]))
+    return adj, mask
+
+
+@settings(max_examples=600, deadline=None)
+@given(shaped_graphs(), st.none() | st.integers(0, 12))
+def test_diameter_of_mask_matches_reference_sweep(graph, stop_above):
+    # Exact within stop_above; beyond it, a lower bound that exceeds it.
+    adj, mask = graph
+    expect = reference_diameter(adj, mask)
+    got = diameter_of_mask(adj, mask, stop_above=stop_above)
+    if expect is DISCONNECTED or stop_above is None or expect <= stop_above:
+        assert got == expect
+    else:
+        assert stop_above < got <= expect
+
+
+def test_verify_layer_quad_cover_in_few_bfs_runs():
+    # Each part of this cover has a vertex that sees the rest of the part,
+    # so eccentricity bounds settle its diameter without the BFS from every
+    # vertex (302 runs) that an all-sources sweep makes.
+    col = two_paths(300, seed=1)
+    cover, trace = solve4(col)
+    assert trace.branch == BRANCH_LAYER_QUAD
+    before = graphs.BFS_RUNS
+    report = verify_cover(col, cover)
+    assert report.valid and [r.diameter for r in report.parts] == [2, 2]
+    assert graphs.BFS_RUNS - before <= 4
 
 
 def test_bfs_reach_radius_is_ball(rng):
