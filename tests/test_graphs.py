@@ -353,8 +353,7 @@ def shaped_graphs(draw):
         adj[label[u]] |= 1 << label[v]
         adj[label[v]] |= 1 << label[u]
     full = (1 << n) - 1
-    mask = draw(st.sampled_from([full, draw(st.integers(1, full))]))
-    return adj, mask
+    return adj, draw(st.just(full) | st.integers(1, full))
 
 
 @settings(max_examples=600, deadline=None)
