@@ -1,11 +1,13 @@
 """Cover data model and the verifier every solver output must pass.
 
 :func:`verify_cover` judges a cover and reports exact part diameters,
-which the CLI's ``verify`` lines and the oracle read.  It takes each
-part's vertex mask once, settles its range with one shift and coverage
-with one OR, and reads its diameter from :func:`graphs.diameter_of_mask`,
-which uses eccentricity bounds and runs a BFS only where they leave a
-gap: a part with a vertex that sees all the rest needs none.
+which the CLI's ``verify`` lines and the oracle read.  It checks
+each part's lowest and highest vertex against the range before it builds
+the part's vertex mask, which a vertex from a cover file could make
+huge.  It then takes that mask once, settles coverage with one OR, and
+reads the diameter from :func:`graphs.diameter_of_mask`, which uses
+eccentricity bounds and runs a BFS only where they leave a gap: a part
+with a vertex that sees all the rest needs none.
 :func:`verified` is the verify-or-raise step that every construction in
 ``solver`` and ``layers`` returns through.  The constructions hold
 vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``
@@ -103,10 +105,9 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     reports = []
     all_ok = True
     for part in cover.parts:
-        # a negative vertex is out of range, and mask_of cannot shift by it
-        in_range = min(part.vertices) >= 0
-        mask = mask_of(part.vertices) if in_range else 0
-        _check_part(colouring, part.colour, in_range and not mask >> n)
+        _check_part(colouring, part.colour,
+                    min(part.vertices) >= 0 and max(part.vertices) < n)
+        mask = mask_of(part.vertices)
         diam = diameter_of_mask(colouring.adj_rows(part.colour), mask)
         connected = diam is not DISCONNECTED
         reports.append(PartReport(connected, diam))

@@ -202,6 +202,10 @@ def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):
     assert run("verify", str(col_path), str(cov_path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("monocover: error: ") and err.count("\n") == 1
+    cov_path.write_text("parts=1 bound=1\n1: 0 999999999999999999\n")
+    assert run("verify", str(col_path), str(cov_path)) == 4
+    err = capsys.readouterr().err
+    assert err == "monocover: error: part vertex out of range\n"
 
 
 def test_gen_rejects_unusable_values_in_one_line(capsys):

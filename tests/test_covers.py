@@ -178,6 +178,15 @@ def test_verified_rejects_vertices_beyond_n():
             verified(col, [(mask, 1), (15, 1)], 3, "case")
 
 
+def test_verify_cover_rejects_a_huge_vertex_before_building_a_mask():
+    # a cover file may name any vertex of up to 18 digits; the range check
+    # must come before the part's mask, whose top bit would be that vertex
+    col = constant_colouring(3, 1, k=2)
+    cover = Cover.of([([0, 10**18 - 1], 1), ([0, 1, 2], 1)], 1)
+    with pytest.raises(ValueError, match="part vertex out of range"):
+        verify_cover(col, cover, bound=1)
+
+
 def test_cover_file_roundtrip():
     cover = Cover.of([([0, 1, 2], 1), ([2, 4], 3)], bound=160)
     text = format_cover(cover)

@@ -286,11 +286,22 @@ def test_set_diameter_matches_floyd_warshall_oracle(rng):
     # Colour 1 of two_paths is the path 0..39: from its end, the first BFS
     # exits early for bounds below 39 and straddles (39 <= b < 78) above.
     # Colour 2 on these vertices is the path 30..38, 1..9, whose lowest
-    # vertex 1 sits in the middle (eccentricity 5, diameter 9): bounds
-    # 5..8 stop the all-sources sweep at its first eccentricity above b.
+    # vertex 1 sits in the middle (eccentricity 5, diameter 9), so bounds
+    # 5..9 straddle.  The iFUB sweep starts from 1 too (degree 2, lowest
+    # on ties), whose last level is {30}; the BFS from 30 finds 9, which
+    # ends the sweep at level 4 by the iFUB rule (9 >= 2*4).
     path = two_paths(40, rng.randint(0, 10**6))
     cases.append((path, 1, range(40)))
     cases.append((path, 2, [30, 32, 34, 36, 38, 1, 3, 5, 7, 9]))
+    # Colour 1 here is the path 1..7, 0, 8..10 with leaves 11 and 12 on the
+    # hub 0 (eccentricity 7, diameter 10), so bounds 7..13 straddle.  The
+    # BFS from 1, alone in the hub's last level, finds 10 < 2*6: bounds
+    # 7..9 end the sweep by stop_above alone, before any BFS from level 6.
+    edges = {(i, i + 1) for i in range(1, 7)} | {
+        (0, 7), (0, 8), (8, 9), (9, 10), (0, 11), (0, 12)}
+    tailed = EdgeColouring.build(HostGraph.complete(13), 2,
+                                 lambda u, v: 1 if (min(u, v), max(u, v)) in edges else 2)
+    cases.append((tailed, 1, range(13)))
     for col, c, verts in cases:
         fw = floyd_warshall_induced(col, c, verts)
         assert set_diameter(col, c, verts) == fw
