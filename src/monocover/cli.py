@@ -20,7 +20,8 @@ from .covers import format_cover, parse_cover, verify_cover
 from .errors import ImpossibleByLemmaError
 from .generators import (layered_adversarial, random_uniform, section5_example,
                          sharpness_x)
-from .graphs import DISCONNECTED, format_colouring, parse_colouring, set_diameter
+from .graphs import (DISCONNECTED, format_colouring, parse_colouring,
+                     parse_decimal, set_diameter)
 from .grid import (GridPointSet, bounded_degree_search, classify_independent4,
                    classify_independent5, colouring_from_points, cover_G3,
                    format_points, parse_points, points_from_colouring)
@@ -125,7 +126,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_layers(args) -> int:
     colouring = parse_colouring(_read(args.colouring))
-    seeds = [int(tok) for tok in args.seed.split(",")] if args.seed else []
+    seeds = [parse_decimal(tok) for tok in args.seed.split(",")] if args.seed else []
     lm = build_layer_mapping(colouring, args.c1, args.c2, seeds=seeds,
                              value_policy=args.policy)
     print("D1 D2 size")

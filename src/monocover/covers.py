@@ -29,6 +29,11 @@ from .graphs import (DISCONNECTED, EdgeColouring, diameter_of_mask,
                      diameter_within, iter_bits, mask_of, parse_decimal)
 
 
+def _check_bound(bound: float, name: str) -> None:
+    if bound != math.inf and (bound < 0 or int(bound) != bound):
+        raise ValueError(f"{name} must be a nonnegative integer or inf")
+
+
 @dataclass(frozen=True)
 class CoverPart:
     vertices: frozenset[int]
@@ -55,9 +60,7 @@ class Cover:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a cover needs at least one part")
-        if self.claimed_bound != math.inf and (
-                self.claimed_bound < 0 or int(self.claimed_bound) != self.claimed_bound):
-            raise ValueError("claimed_bound must be a nonnegative integer or inf")
+        _check_bound(self.claimed_bound, "claimed_bound")
 
     @classmethod
     def of(cls, parts: Iterable[tuple[Iterable[int], int]], bound: float) -> "Cover":
@@ -95,11 +98,16 @@ def verify_cover(colouring: EdgeColouring, cover: Cover,
     Valid iff the parts cover every vertex, each part induces a connected
     monochromatic subgraph of diameter <= bound, and there are at most
     ``max_parts`` parts (default k-1).  Each part's diameter is exact.
+    A bound that is negative or not an integer (``math.inf`` is allowed)
+    or a ``max_parts`` below 1 raises ValueError.
     """
     if bound is None:
         bound = cover.claimed_bound
+    _check_bound(bound, "bound")
     if max_parts is None:
         max_parts = colouring.k - 1
+    elif max_parts < 1:
+        raise ValueError("max_parts must be at least 1")
     n = colouring.n
     covered = 0
     reports = []

@@ -2,11 +2,12 @@
 
 G_l has vertex set N_0^l with an edge between tuples that differ in every
 coordinate.  Lines and planes are always axis-aligned: a plane fixes one
-coordinate, a line fixes two.  The constructive cover for arity 3 follows
-a case split on the component structure; independent-set classifiers
-return re-checkable witnesses; the bounded-degree search enumerates
-canonical representatives only (coordinate values relabelled to first-use
-order, which is sound because adjacency depends only on equality).
+coordinate, a line fixes two.  The cover for arity 3 is a search for the
+fewest whole components and plane slices, at most three by the lemma;
+independent-set classifiers return re-checkable witnesses; the
+bounded-degree search enumerates canonical representatives only
+(coordinate values relabelled to first-use order, which is sound because
+adjacency depends only on equality).
 Signatures over any axis colours map to their fibres as vertex masks.
 """
 
@@ -53,13 +54,6 @@ def grid_adjacent(x: GridPoint, y: GridPoint) -> bool:
 
 def shared_axes(x: GridPoint, y: GridPoint) -> tuple[int, ...]:
     return tuple(i for i, (a, b) in enumerate(zip(x, y)) if a == b)
-
-
-def common_plane(x: GridPoint, y: GridPoint) -> tuple[int, int] | None:
-    """(axis, value) of a plane containing both, if any (first axis wins)."""
-    for i in shared_axes(x, y):
-        return (i, x[i])
-    return None
 
 
 # -- structure of independent sets in G_3 ----------------------------------
@@ -196,11 +190,6 @@ def _g3_components(pts: Iterable[GridPoint]) -> list[list[GridPoint]]:
     return [[pts[i] for i in iter_bits(m)] for m in components_masks(adj, len(pts))]
 
 
-def _hyperplane_part(pts: Iterable[GridPoint], axis: int, value: int) -> GridCoverPart:
-    members = frozenset(p for p in pts if p[axis] == value)
-    return GridCoverPart("hyperplane", members, axis, value)
-
-
 def verify_grid_cover(point_set: GridPointSet,
                       parts: Sequence[GridCoverPart]) -> bool:
     covered = set()
@@ -212,167 +201,47 @@ def verify_grid_cover(point_set: GridPointSet,
 
 
 def cover_G3(point_set: GridPointSet) -> list[GridCoverPart]:
-    """Cover a finite subset of G_3 by at most three parts, each either a
-    hyperplane slice or a connected piece.
+    """Cover a finite subset of G_3 by the fewest parts, at most three, each
+    a whole component of two or more points or a whole hyperplane slice of
+    the set.
 
-    Branches: up to three components are taken as-is; three collinear
-    points in distinct components force a two-plane cover; if every
-    representative triple is coplanar, two components plus one plane
-    suffice; otherwise the structure of independent sets pins the
-    remaining points to three concurrent lines (two planes), a coplanar
-    representative set (three planes), or a collinear representative pair
-    (two components plus a plane).
+    Any cover can be widened so that each connected piece is a whole
+    component and each slice takes every point of its plane, and a lone
+    point's component can give way to a plane through it.  So the lowest
+    uncovered point lies in one of its own candidates: its component,
+    unless that is the point alone, then its planes on axes 0, 1 and 2.
+    A search over these, with budgets of 1, 2 and 3 parts in turn, is
+    therefore complete and visits at most 4 + 16 + 64 leaves.  Finding no
+    cover of three parts would refute the lemma: that raises with the
+    points as witness.
     """
     if point_set.l != 3:
         raise ValueError("cover construction is specific to arity 3")
     pts = sorted(point_set.points)
-    comps = _g3_components(pts)
-    if len(comps) <= 3:
-        return [GridCoverPart("connected", frozenset(c)) for c in comps]
-    comp_idx = {p: i for i, c in enumerate(comps) for p in c}
+    component = {p: frozenset(c) for c in _g3_components(pts) for p in c}
 
-    def done(parts: list[GridCoverPart], what: str) -> list[GridCoverPart]:
-        if not verify_grid_cover(point_set, parts) or len(parts) > 3:
-            raise ImpossibleByLemmaError(
-                f"grid cover self-verification failed in {what}",
-                witness={"points": pts, "parts": [
-                    (p.kind, p.axis, p.value, sorted(p.members)) for p in parts]})
-        # drop parts that add nothing
-        kept = list(parts)
-        i = 0
-        while i < len(kept):
-            rest = kept[:i] + kept[i + 1:]
-            if rest and kept[i].members <= set().union(*(p.members for p in rest)):
-                kept = rest
-            else:
-                i += 1
-        return kept
-
-    # Three collinear points in three different components: two planes.
-    buckets: dict[tuple[int, int, int, int], list[GridPoint]] = {}
-    for p in pts:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            buckets.setdefault((i, j, p[i], p[j]), []).append(p)
-    for (i, j, u, v), line in sorted(buckets.items()):
-        if len({comp_idx[p] for p in line}) >= 3:
-            parts = [_hyperplane_part(pts, i, u), _hyperplane_part(pts, j, v)]
-            return done(parts, "collinear-representatives observation")
-
-    def noncoplanar_rep_triple() -> tuple[GridPoint, GridPoint, GridPoint] | None:
-        for x, y in combinations(pts, 2):
-            if comp_idx[x] == comp_idx[y]:
-                continue
-            for z in pts:
-                if comp_idx[z] in (comp_idx[x], comp_idx[y]):
-                    continue
-                if all(len({p[i] for p in (x, y, z)}) > 1 for i in range(3)):
-                    return (x, y, z)
+    def search(left: frozenset[GridPoint], budget: int) -> list[GridCoverPart] | None:
+        if not left:
+            return []
+        if budget == 0:
+            return None
+        p = min(left)
+        candidates = [GridCoverPart("hyperplane", frozenset(q for q in pts if q[i] == p[i]),
+                                    i, p[i]) for i in range(3)]
+        if len(component[p]) > 1:
+            candidates.insert(0, GridCoverPart("connected", component[p]))
+        for part in candidates:
+            rest = search(left - part.members, budget - 1)
+            if rest is not None:
+                return [part] + rest
         return None
 
-    triple = noncoplanar_rep_triple()
-    if triple is None:
-        # Every representative triple is coplanar: a noncollinear pair in
-        # distinct components fixes the plane that holds all other components.
-        for x, y in combinations(pts, 2):
-            if comp_idx[x] == comp_idx[y] or len(shared_axes(x, y)) != 1:
-                continue
-            axis = shared_axes(x, y)[0]
-            parts = [
-                GridCoverPart("connected", frozenset(comps[comp_idx[x]])),
-                GridCoverPart("connected", frozenset(comps[comp_idx[y]])),
-                _hyperplane_part(pts, axis, x[axis]),
-            ]
-            return done(parts, "all-representatives-coplanar case")
-        raise ImpossibleByLemmaError(
-            "four components but no noncollinear representative pair",
-            witness={"points": pts})
-
-    if len(comps) > 4:
-        # The triple pins everything to three concurrent axis lines; two of
-        # the three planes through their apex cover the whole set.
-        x1, x2, x3 = triple
-        apex = []
-        for i in range(3):
-            vals = [x1[i], x2[i], x3[i]]
-            doubled = [v for v in set(vals) if vals.count(v) == 2]
-            if len(doubled) != 1:
-                raise ImpossibleByLemmaError(
-                    "representative triple without a doubled coordinate",
-                    witness={"triple": triple})
-            apex.append(doubled[0])
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            parts = [_hyperplane_part(pts, i, apex[i]),
-                     _hyperplane_part(pts, j, apex[j])]
-            if verify_grid_cover(point_set, parts):
-                return parts
-        raise ImpossibleByLemmaError(
-            "concurrent-lines case produced no two-plane cover",
-            witness={"triple": triple, "apex": apex})
-
-    # Exactly four components.
-    # A coplanar complete representative set exists iff some axis value is
-    # available in all four components.
-    for axis in range(3):
-        per_comp = [sorted({p[axis] for p in c}) for c in comps]
-        shared = set(per_comp[0])
-        for vals in per_comp[1:]:
-            shared &= set(vals)
-        for value in sorted(shared):
-            reps = [next(p for p in c if p[axis] == value) for c in comps]
-            parts = _coplanar_rep_cover(pts, reps, axis, value)
-            if verify_grid_cover(point_set, parts):
-                return parts
-
-    # No coplanar complete representative set: a collinear representative
-    # pair forces the other two components into one plane.
-    for q1, q2 in combinations(pts, 2):
-        if comp_idx[q1] == comp_idx[q2] or len(shared_axes(q1, q2)) != 2:
-            continue
-        d = next(i for i in range(3) if q1[i] != q2[i])
-        rest = [c for k, c in enumerate(comps)
-                if k not in (comp_idx[q1], comp_idx[q2])]
-        vals = {p[d] for c in rest for p in c}
-        if len(vals) == 1:
-            parts = [
-                GridCoverPart("connected", frozenset(comps[comp_idx[q1]])),
-                GridCoverPart("connected", frozenset(comps[comp_idx[q2]])),
-                _hyperplane_part(pts, d, vals.pop()),
-            ]
-            return done(parts, "collinear-representative-pair case")
-
-    if all(len(c) == 1 for c in comps):
-        # Four isolated points: two as singleton parts, two on a plane.
-        p3, p4 = comps[2][0], comps[3][0]
-        plane = common_plane(p3, p4)
-        if plane is not None:
-            parts = [
-                GridCoverPart("connected", frozenset(comps[0])),
-                GridCoverPart("connected", frozenset(comps[1])),
-                _hyperplane_part(pts, plane[0], plane[1]),
-            ]
-            return done(parts, "four-singletons case")
-    raise ImpossibleByLemmaError("no cover branch applied",
+    for budget in (1, 2, 3):
+        parts = search(point_set.points, budget)
+        if parts is not None:
+            return parts
+    raise ImpossibleByLemmaError("no cover of at most three parts",
                                  witness={"points": pts})
-
-
-def _coplanar_rep_cover(pts: Sequence[GridPoint], reps: Sequence[GridPoint],
-                        axis: int, value: int) -> list[GridCoverPart]:
-    """Three-plane cover from a coplanar complete representative set."""
-    others = [i for i in range(3) if i != axis]
-    seqs = {i: [r[i] for r in reps] for i in others}
-    parts = [_hyperplane_part(pts, axis, value)]
-    for i in others:
-        doubled = sorted(v for v in set(seqs[i]) if seqs[i].count(v) == 2)
-        if len(doubled) == 2:
-            # one coordinate carries two doubled values: its two planes
-            return [parts[0],
-                    _hyperplane_part(pts, i, doubled[0]),
-                    _hyperplane_part(pts, i, doubled[1])]
-    for i in others:
-        doubled = sorted(v for v in set(seqs[i]) if seqs[i].count(v) == 2)
-        if doubled:
-            parts.append(_hyperplane_part(pts, i, doubled[0]))
-    return parts
 
 
 def exists_two_part_cover(point_set: GridPointSet) -> bool:

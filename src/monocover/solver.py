@@ -94,27 +94,22 @@ def _require_k4_complete(colouring: EdgeColouring) -> None:
 
 def _connectivity_parts(colouring: EdgeColouring,
                         order: list[int]) -> list[tuple[int, int]]:
-    """Three connected ``(mask, colour)`` parts covering the vertex set, by
-    the grid cover of the signatures over the colours ``order[:3]``: a
-    plane pulls back to a component of its colour, a connected part to a
-    union of fibres in colour ``order[3]``, a single point to the
-    ``order[0]`` component of its fibre; repeated parts are dropped."""
+    """At most three connected ``(mask, colour)`` parts covering the vertex
+    set, by the grid cover of the signatures over the colours ``order[:3]``:
+    a plane pulls back to a component of its colour, a connected part (two
+    or more points) to a union of fibres in colour ``order[3]``.  Distinct
+    grid parts pull back to distinct parts: planes differ in axis or value,
+    and the connected parts are distinct components, with disjoint fibres."""
     fibres = signature_fibres(colouring, order[:3])
     metrics = colouring.metrics
     parts = []
     for gp in cover_G3(GridPointSet(3, frozenset(fibres))):
         if gp.kind == "hyperplane":
             c = order[gp.axis]
-            part = (metrics.component_masks(c)[gp.value - 1], c)
-        elif len(gp.members) == 1:
-            sig = next(iter(gp.members))
-            part = (metrics.component_masks(order[0])[sig[0] - 1], order[0])
+            parts.append((metrics.component_masks(c)[gp.value - 1], c))
         else:
             # the fibres are disjoint, so their sum is their union
-            part = (sum(fibres[p] for p in gp.members), order[3])
-        # Two singleton grid parts can promote to the same component.
-        if part not in parts:
-            parts.append(part)
+            parts.append((sum(fibres[p] for p in gp.members), order[3]))
     return parts
 
 

@@ -130,6 +130,13 @@ def test_layers_table(tmp_path, capsys):
     assert [(d1, d2) for d1, d2, _ in rows] == list(lm.points)
     for d1, d2, size in rows:
         assert size == sum(lm.coords[v] == (d1, d2) for v in range(8))
+    # seed tokens are read as the file parsers read numbers
+    for seeds in ("1_0", "+2", "0,,3"):
+        assert run("layers", "build", str(col_path), "--c1", "1", "--c2", "2",
+                   "--seed", seeds) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("monocover: error: ")
+        assert out.err.count("\n") == 1
 
 
 def test_grid_commands(tmp_path, capsys):
@@ -181,6 +188,21 @@ def test_oracle_scan_rejects_unusable_input(flags, capsys):
     assert run("oracle", "scan", *flags.split()) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("monocover: error: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--bound", "-1"), "bound must be a nonnegative integer or inf"),
+    (("--max-parts", "0"), "max_parts must be at least 1"),
+], ids=["bound", "max-parts"])
+def test_verify_rejects_unusable_flags(tmp_path, capsys, flags, message):
+    col_path = tmp_path / "g.col"
+    cov_path = tmp_path / "g.cov"
+    run("gen", "random-uniform", "--n", "6", "--k", "2", "--seed", "1",
+        "-o", str(col_path))
+    cov_path.write_text("parts=1 bound=5\n1: 0 1 2 3 4 5\n")
+    assert run("verify", str(col_path), str(cov_path), *flags) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"monocover: error: {message}\n"
 
 
 def test_malformed_colouring_is_rejected_in_one_line(tmp_path, capsys):

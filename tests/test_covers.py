@@ -63,6 +63,14 @@ def test_out_of_range_inputs_raise():
         Cover.of([], bound=1)
     with pytest.raises(ValueError):
         CoverPart(frozenset(), 1)
+    cover = Cover.of([(range(3), 1)], 1)
+    for bound in (-1, 1.5, -math.inf):
+        with pytest.raises(ValueError, match="bound must be"):
+            verify_cover(col, cover, bound=bound)
+    for max_parts in (0, -2):
+        with pytest.raises(ValueError, match="max_parts must be"):
+            verify_cover(col, cover, max_parts=max_parts)
+    assert verify_cover(col, cover, bound=math.inf, max_parts=1).valid
 
 
 def test_monotone_in_bound_and_deterministic(rng):

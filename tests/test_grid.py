@@ -262,13 +262,37 @@ def test_cover_many_singleton_components(rng):
 
 
 def test_cover_four_singletons():
-    # The even-weight corners of the unit cube: four isolated points with no
-    # coplanar complete representative set and no collinear pair.
+    # The even-weight corners of the unit cube: four isolated points, no
+    # three on one plane, but two parallel planes hold them all.
     ps = GridPointSet.of([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
     assert cover_G3(ps) == [
-        GridCoverPart("connected", frozenset({(0, 0, 0)})),
-        GridCoverPart("connected", frozenset({(0, 1, 1)})),
+        GridCoverPart("hyperplane", frozenset({(0, 0, 0), (0, 1, 1)}), 0, 0),
         GridCoverPart("hyperplane", frozenset({(1, 1, 0), (1, 0, 1)}), 0, 1)]
+
+
+def _fewest_parts(pts):
+    """The least number of whole components and whole plane slices whose
+    union is ``pts``; any cover widens to one of these with as many parts."""
+    pts = set(pts)
+    candidates = [set(c) for c in _g3_components(pts)]
+    candidates += [{p for p in pts if p[i] == v}
+                   for i in range(3) for v in {p[i] for p in pts}]
+    for r in range(1, len(candidates) + 1):
+        if any(set().union(*combo) == pts for combo in combinations(candidates, r)):
+            return r
+
+
+def test_cover_uses_the_fewest_parts(rng):
+    cube2 = list(product(range(2), repeat=3))
+    cube3 = list(product(range(3), repeat=3))
+    sets = [[p for j, p in enumerate(cube2) if mask >> j & 1]
+            for mask in range(1, 1 << len(cube2))]
+    sets += [rng.sample(cube3, rng.randint(1, len(cube3))) for _ in range(300)]
+    for pts in sets:
+        ps = GridPointSet.of(pts)
+        parts = cover_G3(ps)
+        assert verify_grid_cover(ps, parts)
+        assert len(parts) == _fewest_parts(pts) <= 3, pts
 
 
 def test_cover_rejects_other_arity():

@@ -571,7 +571,7 @@ def test_solve4_outputs_pinned():
     assert branches == {BRANCH_SINGLE_COLOUR: 83, BRANCH_SMALL_DIAM: 52,
                         BRANCH_LAYER_QUAD: 85}
     assert digest.hexdigest() == (
-        "d8a1cd90b4aef325958c03f6291d68f32455bdbcf76b514680c8d2247ec15db6")
+        "7d2c45449691fa6b5e49728a4e96f648590551d415c7c80a6467b402282a888f")
 
 
 def test_sharpness_colouring_three_parts():
