@@ -7,7 +7,9 @@ the part's vertex mask, which a vertex from a cover file could make
 huge.  It then takes that mask once, settles coverage with one OR, and
 reads the diameter from :func:`graphs.diameter_of_mask`, which uses
 eccentricity bounds and runs a BFS only where they leave a gap: a part
-with a vertex that sees all the rest needs none.
+with a vertex that sees all the rest needs none, and in a dense part
+each BFS ends its level after the few adjacency rows that hold the rest
+of the part.
 :func:`verified` is the verify-or-raise step that every construction in
 ``solver`` and ``layers`` returns through.  The constructions hold
 vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``

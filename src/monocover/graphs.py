@@ -12,8 +12,11 @@ masks into the frozensets of a cover.
 
 One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 (distances, balls and components are calls to it) and stops as soon as
-it has reached its whole mask, :func:`diameter_of_mask` is the one exact
-diameter: eccentricity bounds, then BFS only where they leave a gap, and
+it has reached its whole mask; inside a level it stops reading adjacency
+rows once they hold every unseen vertex of the mask, so a BFS in a dense
+part reads a few rows instead of a whole frontier.
+:func:`diameter_of_mask` is the one exact diameter: eccentricity bounds,
+then BFS only where they leave a gap, and
 :func:`diameter_within` answers "connected with diameter at most b" with
 a single BFS unless b lies between an eccentricity and twice it.  One
 rule holds across the package: a yes/no diameter question goes through
@@ -321,9 +324,13 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
     are entered (all when None), and at most ``radius`` levels are
     expanded (no limit when None).  The loop stops as soon as it has
     reached all of ``within``, since one more level could only come back
-    empty.  When ``dist`` is given, each vertex reached beyond the start
-    set has its level written into it, and when ``fringes`` is given,
-    each level's mask is appended to it, level 1 first.  Returns
+    empty.  A level stops early too: when ``within`` is given, it stops
+    reading adjacency rows once the rows read so far cover every unseen
+    vertex of ``within``, since the rest of the frontier could add
+    nothing new.  When ``dist``
+    is given, each vertex reached beyond the start set has its level
+    written into it, and when ``fringes`` is given, each level's mask is
+    appended to it, level 1 first.  Returns
     (levels, reached_mask) where levels is the distance to the farthest
     reached vertex.
     """
@@ -334,10 +341,13 @@ def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
     levels = 0
     while frontier and levels != radius and seen != within:
         nxt = 0
+        todo = -1 if within is None else within & ~seen  # -1: never met
         m = frontier
         while m:
             lsb = m & -m
             nxt |= adj[lsb.bit_length() - 1]
+            if nxt & todo == todo:
+                break
             m ^= lsb
         if within is not None:
             nxt &= within

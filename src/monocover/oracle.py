@@ -33,19 +33,26 @@ from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
 MAX_ORACLE_VERTICES = 14
 
 
+def _search_bound(bound: float | None) -> int | None:
+    """The bound as a search reads it: None for connectivity only, which
+    ``None`` and ``math.inf`` both ask for; raises ValueError on a
+    negative or fractional bound."""
+    if bound is None or bound == math.inf:
+        return None
+    if bound < 0 or int(bound) != bound:
+        raise ValueError("bound must be a nonnegative integer, inf or None")
+    return int(bound)
+
+
 def _checked_bound(colouring: EdgeColouring, max_parts: int,
                    bound: float | None) -> int | None:
-    """The bound as a search reads it, None for connectivity only;
-    raises ValueError on an instance or budget the oracle refuses."""
+    """:func:`_search_bound` of ``bound``; raises ValueError on an
+    instance or budget the oracle refuses."""
     if colouring.n > MAX_ORACLE_VERTICES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_VERTICES} vertices")
     if max_parts < 1:
         raise ValueError("need a positive part budget")
-    if bound is None or bound == math.inf:
-        return None
-    if bound < 0 or int(bound) != bound:
-        raise ValueError("bound must be a nonnegative integer or None")
-    return int(bound)
+    return _search_bound(bound)
 
 
 def _tables(colouring: EdgeColouring) -> tuple[list, list]:
@@ -254,7 +261,7 @@ def _canonical_colour_tuples(m: int, k: int) -> Iterator[tuple[int, ...]]:
     return fill(m)
 
 
-def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
+def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
                               max_parts: int, sampler: str = "exhaustive",
                               seed: int = 0, count: int = 0,
                               limit: int | None = None) -> ScanReport:
@@ -264,23 +271,25 @@ def exhaustive_colouring_scan(n: int, k: int, bound: int | None,
     and computes the minimal achievable bound per instance; random mode
     samples ``count`` seeds and uses the oracle at tiny sizes or the
     4-colour solver plus the verifier at larger ones.  ``limit`` caps the
-    number of instances processed; exceeding it flags the report.  Both
-    samplers reject a bound, part budget, count or limit out of range.
+    number of instances processed; exceeding it flags the report.
+    The oracle reads ``bound=None`` and ``math.inf`` alike, as
+    connectivity only; the solver-checked scans hand ``math.inf`` to the
+    verifier as it is and read None as the cover bound of 160.  Both samplers reject a bound, part budget, count or
+    limit out of range.
     """
-    if bound is not None and (bound < 0 or int(bound) != bound):
-        raise ValueError("bound must be a nonnegative integer or None")
-    if max_parts < 1 or count < 0 or (limit is not None and limit < 0):
-        raise ValueError("need a positive part budget, count and limit >= 0")
     params = {"n": n, "k": k, "bound": bound, "max_parts": max_parts,
               "sampler": sampler}
+    search_bound = _search_bound(bound)
+    if max_parts < 1 or count < 0 or (limit is not None and limit < 0):
+        raise ValueError("need a positive part budget, count and limit >= 0")
     report = ScanReport(params=params)
     pairs = list(combinations(range(n), 2))
     host = HostGraph.complete(n)
 
     def judge(colouring, witness):
-        need = minimal_bound(colouring, max_parts,
-                             n if bound is None else max(bound, n))
-        if need is None or (bound is not None and need > bound):
+        cap = n if search_bound is None else max(search_bound, n)
+        need = minimal_bound(colouring, max_parts, cap)
+        if need is None or (search_bound is not None and need > search_bound):
             report.witnesses.append(witness)
         if need is not None:
             report.worst_bound_needed = max(report.worst_bound_needed, need)

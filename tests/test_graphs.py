@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from conftest import constant_colouring, random_colouring
 from monocover import graphs
 from monocover.covers import verify_cover
-from monocover.generators import two_paths
+from monocover.generators import random_uniform, two_paths
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
                               MonoMetrics, bfs_distances, bfs_reach,
                               diameter_of_mask, diameter_within,
                               format_colouring, iter_bits, mask_of,
                               parse_colouring, set_diameter)
-from monocover.solver import BRANCH_LAYER_QUAD, solve4
+from monocover.solver import BRANCH_LAYER_QUAD, BRANCH_SINGLE_COLOUR, solve4
 
 
 # -- independent oracles --------------------------------------------------
@@ -488,6 +488,70 @@ def test_bfs_stops_once_mask_is_reached():
     adj.reads = 0
     assert bfs_distances(adj, n, 0) == [0] + [1] * (n - 1)
     assert adj.reads == 1
+
+
+def test_dense_part_diameter_reads_few_rows():
+    # A BFS in this diameter-2 part reaches the rest of the part in its
+    # second level, which without the in-level stop reads the rows of the
+    # whole first level: at least 1 + (least degree) rows per BFS.  The
+    # stop leaves the runs as they are and the reads under a third.
+    col = random_uniform(400, 4, seed=5)
+    cover, trace = solve4(col)
+    assert trace.branch == BRANCH_SINGLE_COLOUR
+    (part,) = cover.parts
+    rows, full = col.adj_rows(part.colour), (1 << col.n) - 1
+    least = min((row & full).bit_count() for row in rows)
+    adj = CountingRows(rows)
+    before = graphs.BFS_RUNS
+    assert diameter_of_mask(adj, full) == 2
+    runs = graphs.BFS_RUNS - before
+    assert runs == 276
+    assert 3 * adj.reads < runs * (1 + least)
+
+
+def reference_bfs(adj, n, start_mask, within, radius):
+    """Queue BFS over vertex lists, independent of the bitmask kernel:
+    ``((levels, reached), dist, fringes)`` as :func:`bfs_reach` reports
+    them, ``dist`` -1 outside the vertices reached beyond the start."""
+    allowed = set(range(n)) if within is None else set(iter_bits(within))
+    level = {v: 0 for v in iter_bits(start_mask)}
+    queue = deque(level)
+    while queue:
+        u = queue.popleft()
+        if level[u] == radius:
+            continue
+        for v in range(n):
+            if adj[u] >> v & 1 and v in allowed and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    levels = max(level.values(), default=0)
+    dist = [-1] * n
+    fringes = [0] * levels
+    for v, d in level.items():
+        if d:
+            dist[v] = d
+            fringes[d - 1] |= 1 << v
+    return (levels, mask_of(level)), dist, fringes
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 0.9), st.integers(0, 2**32),
+       st.data())
+def test_bfs_reach_matches_reference_bfs(n, density, seed, data):
+    rnd = random.Random(seed)
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rnd.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    full = (1 << n) - 1
+    start = data.draw(st.integers(0, full))
+    within = data.draw(st.none() | st.just(full) | st.integers(0, full))
+    radius = data.draw(st.none() | st.integers(0, n))
+    dist, fringes = [-1] * n, []
+    got = bfs_reach(adj, start, within=within, radius=radius, dist=dist,
+                    fringes=fringes)
+    assert (got, dist, fringes) == reference_bfs(adj, n, start, within, radius)
 
 
 def test_bfs_distances_restricted_mask():

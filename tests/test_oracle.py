@@ -215,6 +215,22 @@ def test_scan_k2_n4_spanning_colour():
     assert three.instances_checked == 122
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_scan_reads_inf_bound_as_none(k):
+    # inf asks for connectivity only, as in min_cover_bruteforce; with
+    # three colours and one part, 27 colourings of K_4 have no spanning
+    # colour and are witnesses under either spelling.
+    inf = exhaustive_colouring_scan(4, k, math.inf, 1)
+    none = exhaustive_colouring_scan(4, k, None, 1)
+    assert (inf.instances_checked, inf.worst_bound_needed, inf.witnesses,
+            inf.complete) == (none.instances_checked, none.worst_bound_needed,
+                              none.witnesses, none.complete)
+    assert len(inf.witnesses) == (0 if k == 2 else 27)
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            exhaustive_colouring_scan(4, k, bad, 1)
+
+
 def test_scan_limit_flags_incomplete():
     report = exhaustive_colouring_scan(4, 2, bound=3, max_parts=1, limit=5)
     assert not report.complete
@@ -234,6 +250,25 @@ def test_scan_random_large_uses_solver():
     assert report.fallbacks == 0
     assert not report.witnesses
     assert report.worst_bound_needed <= 160
+
+
+@pytest.mark.parametrize("bound, checked", [(math.inf, math.inf),
+                                             (None, 160)])
+def test_scan_random_large_hands_bound_to_verifier(monkeypatch, bound,
+                                                   checked):
+    # the verifier takes inf as connectivity only; only None means 160
+    from monocover import oracle
+    seen = []
+
+    def spy(colouring, cover, bound, max_parts):
+        seen.append(bound)
+        return verify_cover(colouring, cover, bound=bound, max_parts=max_parts)
+
+    monkeypatch.setattr(oracle, "verify_cover", spy)
+    report = exhaustive_colouring_scan(12, 4, bound, 3, sampler="random",
+                                       seed=1, count=2)
+    assert seen == [checked, checked]
+    assert not report.witnesses
 
 
 def test_scan_random_large_checks_bound_zero():
