@@ -1,19 +1,23 @@
 """Brute-force ground truth: minimal covers at tiny sizes, exhaustive scans.
 
 Everything here is independent of the constructive solvers.  A search
-reads tables built once per colouring (:func:`_tables`): for each colour
-c and vertex v, the adjacency rows and the c-balls around v at every
-radius, cumulative shells of the cached ``metrics.distances_from`` rows;
-the ball of radius n-1 is v's c-component.  A search at bound r reads
-the balls of radius r, or the components when the bound is None, so
-:func:`minimal_bound` runs its whole descent on one set of tables.  The search (:func:`_search`) assigns vertices to at most
-``max_parts`` blocks in canonical order (blocks indexed by first
-contained vertex).  Each block carries the set of colours in which its
-vertices are pairwise near, and a block left with no colour prunes the
-branch.  When every vertex is placed, each block is finished in the
-first of its colours that admits an exact extension inside its pool.
-Scans walk the colourings of K_n up to colour permutation, one canonical
-colour tuple each.
+reads tables gathered once per colouring (:func:`_tables`): for each
+colour c, the c-adjacency rows and, for each vertex v, the c-balls
+around v at every radius; the ball of radius n-1 is v's c-component.
+A colour graph's balls are a function of its adjacency rows alone, so
+:func:`_balls` builds them once per distinct colour graph and keeps the
+:data:`BALL_CACHE_SIZE` most recently used: the colourings of a scan
+share few colour graphs between many instances.  A search at bound r
+reads the balls of radius r, or the components when the bound is None,
+so :func:`minimal_bound` runs its whole descent on one set of tables.
+The search (:func:`_search`) assigns vertices to at most ``max_parts``
+blocks in canonical order (blocks indexed by first contained vertex).
+Each block carries the set of colours in which its vertices are
+pairwise near, and a block left with no colour prunes the branch.
+When every vertex is placed, each block is finished in the first of its
+colours that admits an exact extension inside its pool.  Scans walk the
+colourings of K_n up to colour permutation, one canonical colour tuple
+each.
 """
 
 from __future__ import annotations
@@ -21,16 +25,28 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterator
 
+import numpy as np
+
 from .covers import Cover, verify_cover
-from .graphs import (EdgeColouring, HostGraph, diameter_of_mask,
+from .graphs import (EdgeColouring, HostGraph, bfs_reach, diameter_of_mask,
                      diameter_within, iter_bits)
 from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
 
 MAX_ORACLE_VERTICES = 14
+
+BALL_CACHE_SIZE = 1024
+"""Ball tables :func:`_balls` keeps, one per colour graph: 2**10, every
+colour graph on K_5.  An entry holds n * n masks in n + 1 tuples.  The
+worst case is n = 14 with every mask a distinct int, as on a path: 14 *
+(168 + 14 * 28) + 168 bytes, about 8 KB, so a full cache holds about
+8 MB (1024 paths on 14 vertices measured 8.4 MB, the cache's links
+included, its keys not).  Masks below 257 are ints that Python shares,
+so at n = 5 a full cache holds about 1.3 MB, keys and links included."""
 
 
 def _search_bound(bound: float | None) -> int | None:
@@ -55,25 +71,33 @@ def _checked_bound(colouring: EdgeColouring, max_parts: int,
     return _search_bound(bound)
 
 
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def _balls(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``balls[v][r]``, the mask of vertices at distance at most r from v
+    in the graph of adjacency rows ``rows``, for every r < n: the BFS
+    levels of v ORed up and padded with the last, v's component."""
+    n = len(rows)
+    balls = []
+    for v in range(n):
+        levels: list[int] = []
+        bfs_reach(rows, 1 << v, fringes=levels)
+        ball = tuple(accumulate(levels, or_, initial=1 << v))
+        balls.append(ball + ball[-1:] * (n - len(ball)))
+    return tuple(balls)
+
+
 def _tables(colouring: EdgeColouring) -> tuple[list, list]:
     """``(adj, balls)``: ``adj[c]`` the c-adjacency rows and ``balls[c][v][r]``
     the mask of vertices at c-distance at most r from v, for r < n, so
-    ``balls[c][v][n - 1]`` is v's c-component (index 0 unused)."""
-    n = colouring.n
-    metrics = colouring.metrics
-    bits = [1 << u for u in range(n)]
+    ``balls[c][v][n - 1]`` is v's c-component (index 0 unused).  The balls
+    are :func:`_balls` of each colour's rows, shared by every colouring
+    with that colour graph."""
     adj = [None]
     balls = [None]
     for c in range(1, colouring.k + 1):
-        adj.append(colouring.adj_rows(c))
-        rows = []
-        for v in range(n):
-            shells = [0] * n
-            for d, bit in zip(metrics.distances_from(c, v), bits):
-                if d >= 0:
-                    shells[d] |= bit
-            rows.append(list(accumulate(shells, or_)))
-        balls.append(rows)
+        rows = colouring.adj_rows(c)
+        adj.append(rows)
+        balls.append(_balls(tuple(rows)))
     return adj, balls
 
 
@@ -274,12 +298,15 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     number of instances processed; exceeding it flags the report.
     The oracle reads ``bound=None`` and ``math.inf`` alike, as
     connectivity only; the solver-checked scans hand ``math.inf`` to the
-    verifier as it is and read None as the cover bound of 160.  Both samplers reject a bound, part budget, count or
-    limit out of range.
+    verifier as it is and read None as the cover bound of 160.  Both
+    samplers reject a bound, part budget, count or limit out of range, and
+    fewer than one colour.
     """
     params = {"n": n, "k": k, "bound": bound, "max_parts": max_parts,
               "sampler": sampler}
     search_bound = _search_bound(bound)
+    if k < 1:
+        raise ValueError("need at least one colour")
     if max_parts < 1 or count < 0 or (limit is not None and limit < 0):
         raise ValueError("need a positive part budget, count and limit >= 0")
     report = ScanReport(params=params)
@@ -297,12 +324,18 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     if sampler == "exhaustive":
         if k ** len(pairs) > 10 ** 8:
             raise ValueError("exhaustive scan too large")
+        # Flat matrix positions of (u, v) and (v, u) for each pair, in the
+        # order of a tuple's codes; intp, since an empty list would be float.
+        cells = np.array([[u * n + v for u, v in pairs],
+                          [v * n + u for u, v in pairs]], dtype=np.intp)
         for codes in _canonical_colour_tuples(len(pairs), k):
             if limit is not None and report.instances_checked >= limit:
                 report.complete = False
                 break
             report.instances_checked += 1
-            judge(EdgeColouring.from_pairs(host, k, dict(zip(pairs, codes))), codes)
+            mat = np.zeros(n * n, dtype=np.uint8)
+            mat[cells] = codes
+            judge(EdgeColouring.from_matrix(host, k, mat.reshape(n, n)), codes)
     elif sampler == "random":
         rng = random.Random(seed)
         for i in range(count):

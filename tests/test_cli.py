@@ -182,6 +182,9 @@ def test_oracle_scan_incomplete():
     "--n 4 --k 3 --parts 2 --bound -1",
     "--n 4 --k 3 --parts 2 --random -3",
     "--n 4 --k 3 --parts 2 --limit -1",
+    "--n 3 --k 0 --bound 3 --parts 1",
+    "--n 3 --k -1 --bound 3 --parts 1",
+    "--n 4 --k 0 --parts 2 --random 1",
 ])
 def test_oracle_scan_rejects_unusable_input(flags, capsys):
     # Checked before either sampler runs: no instance is scanned.

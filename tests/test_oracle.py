@@ -2,17 +2,19 @@
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_colouring, random_colouring
 from monocover.covers import Cover, CoverPart, verify_cover
 from monocover.generators import section5_example
 from monocover.graphs import (EdgeColouring, HostGraph, diameter_within,
                               iter_bits, set_diameter)
-from monocover.oracle import (_canonical_colour_tuples,
+from monocover.oracle import (_balls, _canonical_colour_tuples,
                               exhaustive_colouring_scan, min_cover_bruteforce,
                               minimal_bound)
 
@@ -115,6 +117,24 @@ def reference_minimal_bound(colouring, max_parts, start_bound):
         if lower is None:
             return worst
         cover = lower
+
+
+def reference_balls(rows):
+    """``balls[v][r]`` for r < n from a queue BFS over adjacency bitmasks."""
+    n = len(rows)
+    balls = []
+    for v in range(n):
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in range(n):
+                if rows[u] >> w & 1 and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        balls.append(tuple(sum(1 << w for w, d in dist.items() if d <= r)
+                           for r in range(n)))
+    return tuple(balls)
 
 
 def reference_canonical_colour_tuple(codes):
@@ -231,6 +251,25 @@ def test_scan_reads_inf_bound_as_none(k):
             exhaustive_colouring_scan(4, k, bad, 1)
 
 
+@pytest.mark.parametrize("n, k, worst", [(1, 2, 0), (1, 3, 0), (2, 2, 1),
+                                          (2, 3, 1)])
+def test_scan_of_one_or_two_vertices(n, k, worst):
+    # One colouring each: K_1 has no pair, K_2 one pair in colour 1.
+    for bound in (3, None):
+        report = exhaustive_colouring_scan(n, k, bound, 1)
+        assert (report.instances_checked, report.worst_bound_needed,
+                report.witnesses, report.complete) == (1, worst, [], True)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("sampler, n", [("exhaustive", 1), ("exhaustive", 3),
+                                        ("random", 4), ("random", 12)])
+def test_scan_needs_a_colour(sampler, n, k):
+    # Without a colour there is no colouring to scan, not zero of them.
+    with pytest.raises(ValueError, match="need at least one colour"):
+        exhaustive_colouring_scan(n, k, 3, 1, sampler=sampler, count=1)
+
+
 def test_scan_limit_flags_incomplete():
     report = exhaustive_colouring_scan(4, 2, bound=3, max_parts=1, limit=5)
     assert not report.complete
@@ -280,17 +319,17 @@ def test_scan_random_large_checks_bound_zero():
     assert len(report.witnesses) == 3
 
 
-def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
-    # Every search of a descent reads the tables built once from the
-    # colouring's one MonoMetrics, so each (colour, vertex) distance row is
-    # computed once.
-    from monocover import graphs, oracle
+def test_minimal_bound_descent_builds_each_ball_row_once(monkeypatch):
+    # Every search of a descent reads the tables built once per colour
+    # graph, so from a cleared cache each (colour graph, vertex) ball row
+    # is built once, and a second descent on the colouring builds none.
+    from monocover import oracle
     rows = Counter()
-    bfs_distances = graphs.bfs_distances
+    bfs_reach = oracle.bfs_reach
 
-    def counted(adj, n, source, within=None):
-        rows[id(adj), source] += 1
-        return bfs_distances(adj, n, source, within)
+    def counted(adj, start_mask, **kwargs):
+        rows[tuple(adj), start_mask] += 1
+        return bfs_reach(adj, start_mask, **kwargs)
 
     searches = 0
     search = oracle._search
@@ -300,14 +339,57 @@ def test_minimal_bound_descent_shares_one_metrics_cache(monkeypatch):
         searches += 1
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    monkeypatch.setattr(oracle, "bfs_reach", counted)
     monkeypatch.setattr(oracle, "_search", counted_search)
+    oracle._balls.cache_clear()
     col = random_colouring(5, 3, seed=4)
-    assert col.metrics is col.metrics
     assert minimal_bound(col, max_parts=2, start_bound=8) is not None
     assert searches > 1
-    assert len(rows) == 3 * 5
+    edge_sets = {tuple(col.adj_rows(c)) for c in range(1, 4)}
+    assert set(rows) == {(g, 1 << v) for g in edge_sets for v in range(5)}
     assert set(rows.values()) == {1}
+    built = sum(rows.values())
+    assert minimal_bound(col, max_parts=2, start_bound=8) is not None
+    assert sum(rows.values()) == built
+
+
+@st.composite
+def colour_graphs(draw):
+    """Adjacency rows of a random, a two-part disconnected or an edgeless
+    graph on 1 to 14 vertices."""
+    n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(["random", "disconnected", "edgeless"]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    side = [rnd.random() < 0.5 for _ in range(n)]
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if shape == "edgeless" or rnd.random() >= p:
+            continue
+        if shape == "disconnected" and side[u] != side[v]:
+            continue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colour_graphs())
+def test_ball_tables_match_queue_bfs(rows):
+    assert _balls(rows) == reference_balls(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_searches_agree_cold_and_warm(n, k, parts, seed):
+    col = random_colouring(n, k, seed=seed)
+    for search in (lambda: minimal_bound(col, parts, n),
+                   lambda: min_cover_bruteforce(col, parts, 1),
+                   lambda: min_cover_bruteforce(col, parts, None)):
+        _balls.cache_clear()
+        cold = search()
+        assert search() == cold
 
 
 @pytest.mark.parametrize("n", [1, 3])
