@@ -9,7 +9,8 @@ A colour graph's balls are a function of its adjacency rows alone, so
 :data:`BALL_CACHE_SIZE` most recently used: the colourings of a scan
 share few colour graphs between many instances.  A search at bound r
 reads the balls of radius r, or the components when the bound is None,
-so :func:`minimal_bound` runs its whole descent on one set of tables.
+so :func:`minimal_bound` runs its whole climb from the lower bound on
+one set of tables.
 The search (:func:`_search`) assigns vertices to at most ``max_parts``
 blocks in canonical order (blocks indexed by first contained vertex).
 Each block carries the set of colours in which its vertices are
@@ -17,7 +18,7 @@ pairwise near, and a block left with no colour prunes the branch.
 When every vertex is placed, each block is finished in the first of its
 colours that admits an exact extension inside its pool.  Scans walk the
 colourings of K_n up to colour permutation, one canonical colour tuple
-each.
+each, and build them :data:`SCAN_STACK` at a time.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from operator import or_
 from typing import Iterator
 
 import numpy as np
 
 from .covers import Cover, verify_cover
-from .graphs import (EdgeColouring, HostGraph, bfs_reach, diameter_of_mask,
-                     diameter_within, iter_bits)
+from .graphs import (EdgeColouring, HostGraph, bfs_reach, diameter_within,
+                     iter_bits)
 from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
 
 MAX_ORACLE_VERTICES = 14
@@ -47,6 +48,12 @@ worst case is n = 14 with every mask a distinct int, as on a path: 14 *
 8 MB (1024 paths on 14 vertices measured 8.4 MB, the cache's links
 included, its keys not).  Masks below 257 are ints that Python shares,
 so at n = 5 a full cache holds about 1.3 MB, keys and links included."""
+
+SCAN_STACK = 256
+"""Colourings an exhaustive scan builds at once, in one
+:meth:`EdgeColouring.from_matrices` call.  Against one colouring at a
+time, stacks of 256 raised the peak memory of a fresh K_5 scan by
+0.46 MB, and stacks of 1024 by 2.5 MB."""
 
 
 def _search_bound(bound: float | None) -> int | None:
@@ -206,26 +213,24 @@ def min_cover_bruteforce(colouring: EdgeColouring, max_parts: int,
 
 
 def minimal_bound(colouring: EdgeColouring, max_parts: int,
-                  start_bound: int) -> int | None:
-    """Smallest bound at which a cover exists, descending from start_bound.
+                  start_bound: int | None) -> int | None:
+    """Smallest bound at most start_bound at which a cover exists, or None.
 
-    Every search of the descent reads the same tables; each step asks for
-    a cover whose parts all have diameter below the worst part of the
-    last one found.
+    The bounds are searched in a climb from the lower bound, every search
+    on the same tables, and the first that admits a cover is returned.
+    The climb starts at 1 when n > max_parts, since parts of diameter 0
+    are single vertices, and ends at n - 1: a connected set of n vertices
+    has diameter at most n - 1, so any larger bound, or None (no cap),
+    admits a cover exactly when n - 1 does.
     """
     bound = _checked_bound(colouring, max_parts, start_bound)
-    adj, balls = _tables(colouring)
-    found = _search(adj, balls, max_parts, bound)
-    if found is None:
-        return None
-    while True:
-        worst = max(diameter_of_mask(adj[c], mask) for mask, c in found)
-        if worst == 0:
-            return 0
-        lower = _search(adj, balls, max_parts, worst - 1)
-        if lower is None:
-            return worst
-        found = lower
+    n = colouring.n
+    top = n - 1 if bound is None else min(bound, n - 1)
+    tables = _tables(colouring)
+    for r in range(0 if n <= max_parts else 1, top + 1):
+        if _search(*tables, max_parts, r) is not None:
+            return r
+    return None
 
 
 @dataclass
@@ -314,8 +319,7 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     host = HostGraph.complete(n)
 
     def judge(colouring, witness):
-        cap = n if search_bound is None else max(search_bound, n)
-        need = minimal_bound(colouring, max_parts, cap)
+        need = minimal_bound(colouring, max_parts, None)
         if need is None or (search_bound is not None and need > search_bound):
             report.witnesses.append(witness)
         if need is not None:
@@ -328,14 +332,17 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
         # order of a tuple's codes; intp, since an empty list would be float.
         cells = np.array([[u * n + v for u, v in pairs],
                           [v * n + u for u, v in pairs]], dtype=np.intp)
-        for codes in _canonical_colour_tuples(len(pairs), k):
-            if limit is not None and report.instances_checked >= limit:
-                report.complete = False
-                break
-            report.instances_checked += 1
-            mat = np.zeros(n * n, dtype=np.uint8)
-            mat[cells] = codes
-            judge(EdgeColouring.from_matrix(host, k, mat.reshape(n, n)), codes)
+        tuples = _canonical_colour_tuples(len(pairs), k)
+        todo = tuples if limit is None else islice(tuples, limit)
+        while stack := list(islice(todo, SCAN_STACK)):
+            mats = np.zeros((len(stack), n * n), dtype=np.uint8)
+            mats[:, cells] = np.array(stack, dtype=np.uint8)[:, None]
+            colourings = EdgeColouring.from_matrices(host, k,
+                                                     mats.reshape(-1, n, n))
+            for codes, colouring in zip(stack, colourings):
+                report.instances_checked += 1
+                judge(colouring, codes)
+        report.complete = next(tuples, None) is None
     elif sampler == "random":
         rng = random.Random(seed)
         for i in range(count):

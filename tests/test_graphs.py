@@ -742,10 +742,14 @@ MATRIX_FLAWS = [None, "asymmetric", "diagonal", "colour-0", "colour-k+1",
 
 
 @settings(max_examples=200, deadline=None)
-@given(coloured_hosts(), st.sampled_from(MATRIX_FLAWS), st.data())
-def test_from_matrix_matches_reference_build(drawn, flaw, data):
+@given(coloured_hosts(), st.sampled_from(MATRIX_FLAWS),
+       st.sampled_from(["first", "last"]), st.integers(0, 3), st.data())
+def test_from_matrix_matches_reference_build(drawn, flaw, at, others, data):
     # from_matrix against the pair-by-pair checks and adjacency build: equal
     # rows and adjacency on valid matrices, and both reject a flawed one.
+    # from_matrices on a stack of the matrix, first or last, and ``others``
+    # valid colourings of the same host: equal states per matrix, or a
+    # rejection of the whole stack when the matrix is flawed.
     host, k, colour = drawn
     n = host.n
     mat = [[0] * n for _ in range(n)]
@@ -774,6 +778,46 @@ def test_from_matrix_matches_reference_build(drawn, flaw, data):
     except ValueError:
         got = None
     assert got == expect
+
+    stack = []
+    for _ in range(others):
+        other = [[0] * n for _ in range(n)]
+        for u, v in colour:
+            other[u][v] = other[v][u] = data.draw(st.integers(1, k))
+        stack.append(other)
+    stack.insert(0 if at == "first" else len(stack), mat)
+    try:
+        expect = [reference_colouring_state(host, k, m) for m in stack]
+    except ValueError:
+        expect = None
+    try:
+        got = [parsed_state(col) for col in
+               EdgeColouring.from_matrices(host, k, np.array(stack, dtype=np.uint8))]
+    except ValueError:
+        got = None
+    assert got == expect
+
+
+@pytest.mark.parametrize("host", [HostGraph.complete(1), HostGraph.complete(4),
+                                  HostGraph.multipartite([2, 1, 2]),
+                                  HostGraph(4, [(0, 1), (1, 2)])])
+def test_from_matrices_of_empty_and_one_vertex_stacks(host):
+    n = host.n
+    assert EdgeColouring.from_matrices(host, 3, np.zeros((0, n, n), np.uint8)) == []
+    for bad in (np.zeros((n, n), np.uint8), np.zeros((0, n, n + 1), np.uint8),
+                np.zeros((0, n, n), np.int64)):
+        with pytest.raises(ValueError, match="uint8"):
+            EdgeColouring.from_matrices(host, 3, bad)
+    with pytest.raises(ValueError, match="need at least one colour"):
+        EdgeColouring.from_matrices(host, 0, np.zeros((0, n, n), np.uint8))
+    if n == 1:
+        cols = EdgeColouring.from_matrices(host, 2, np.zeros((3, 1, 1), np.uint8))
+        assert [parsed_state(col) for col in cols] == [
+            parsed_state(EdgeColouring.from_pairs(host, 2, {}))] * 3
+        flawed = np.zeros((3, 1, 1), np.uint8)
+        flawed[-1, 0, 0] = 1
+        with pytest.raises(ValueError, match="diagonal"):
+            EdgeColouring.from_matrices(host, 2, flawed)
 
 
 @settings(max_examples=150, deadline=None)

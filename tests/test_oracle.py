@@ -319,10 +319,10 @@ def test_scan_random_large_checks_bound_zero():
     assert len(report.witnesses) == 3
 
 
-def test_minimal_bound_descent_builds_each_ball_row_once(monkeypatch):
-    # Every search of a descent reads the tables built once per colour
+def test_minimal_bound_climb_builds_each_ball_row_once(monkeypatch):
+    # Every search of a climb reads the tables built once per colour
     # graph, so from a cleared cache each (colour graph, vertex) ball row
-    # is built once, and a second descent on the colouring builds none.
+    # is built once, and a second climb on the colouring builds none.
     from monocover import oracle
     rows = Counter()
     bfs_reach = oracle.bfs_reach
@@ -342,7 +342,7 @@ def test_minimal_bound_descent_builds_each_ball_row_once(monkeypatch):
     monkeypatch.setattr(oracle, "bfs_reach", counted)
     monkeypatch.setattr(oracle, "_search", counted_search)
     oracle._balls.cache_clear()
-    col = random_colouring(5, 3, seed=4)
+    col = random_colouring(5, 3, seed=12)  # least bound 2: searches at 1 and 2
     assert minimal_bound(col, max_parts=2, start_bound=8) is not None
     assert searches > 1
     edge_sets = {tuple(col.adj_rows(c)) for c in range(1, 4)}
@@ -351,6 +351,52 @@ def test_minimal_bound_descent_builds_each_ball_row_once(monkeypatch):
     built = sum(rows.values())
     assert minimal_bound(col, max_parts=2, start_bound=8) is not None
     assert sum(rows.values()) == built
+
+
+def test_minimal_bound_climbs_from_the_lower_bound(monkeypatch):
+    # The climb searches lower, lower + 1, ... and stops at the least
+    # bound, where lower is 1 unless single vertices can be the parts.
+    from monocover import oracle
+    searched = []
+    search = oracle._search
+
+    def recorded(adj, balls, max_parts, bound):
+        searched.append(bound)
+        return search(adj, balls, max_parts, bound)
+
+    monkeypatch.setattr(oracle, "_search", recorded)
+    # colour 1 a path 0-1-2-3-4, colours 2 and 3 each leave a vertex
+    # isolated, so one part needs the whole path: least bound 4
+    path = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (0, 2): 2, (0, 3): 2,
+            (0, 4): 2, (1, 3): 3, (1, 4): 3, (2, 4): 3}
+    cases = [(EdgeColouring.from_pairs(HostGraph.complete(5), 3, path), 1),
+             (section5_example(1, seed=1), 2)]  # no cover at any bound
+    rng = random.Random(2026101919)
+    for _ in range(40):
+        n, k, parts = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
+        cases.append((random_colouring(n, k, seed=rng.randrange(2 ** 31)), parts))
+    leasts = Counter()
+    for col, parts in cases:
+        n = col.n
+        lower = 0 if n <= parts else 1
+        searched.clear()
+        least = minimal_bound(col, parts, None)
+        leasts[least] += 1
+        assert searched == list(range(lower, n if least is None else least + 1))
+        if n > parts:
+            assert 0 not in searched
+        for start in range(lower):
+            searched.clear()
+            assert minimal_bound(col, parts, start) is None
+            assert searched == []
+        for start in range(lower, n + 3):
+            got = minimal_bound(col, parts, start)
+            if start >= n - 1:
+                assert got == least
+            else:
+                assert got == (least if least is not None and least <= start
+                               else None)
+    assert leasts[4] == 1 and leasts[0] and leasts[1] and leasts[2] and leasts[None]
 
 
 @st.composite
@@ -426,8 +472,9 @@ def test_minimal_bound_agrees_with_reference_on_k4():
     assert len(cols) == 122
     for col in cols:
         for parts in (1, 2, 3):
-            assert (minimal_bound(col, parts, 4)
-                    == reference_minimal_bound(col, parts, 4))
+            for start in range(5):
+                assert (minimal_bound(col, parts, start)
+                        == reference_minimal_bound(col, parts, start))
 
 
 @pytest.mark.parametrize("n,k,orbits", [(3, 2, 4), (4, 2, 32), (4, 3, 122),
@@ -441,7 +488,9 @@ def test_canonical_tuples_in_scan_order(n, k, orbits):
     assert len(got) == orbits
 
 
-def test_scan_limit_takes_the_first_tuples(monkeypatch):
+@pytest.mark.parametrize("limit", [5, 257])
+def test_scan_limit_takes_the_first_tuples(monkeypatch, limit):
+    # 257 crosses the boundary of the scan's first stack of colourings
     from monocover import oracle
     seen = []
     bound_of = oracle.minimal_bound
@@ -452,7 +501,7 @@ def test_scan_limit_takes_the_first_tuples(monkeypatch):
         return bound_of(colouring, *args)
 
     monkeypatch.setattr(oracle, "minimal_bound", recorded)
-    report = exhaustive_colouring_scan(5, 3, bound=8, max_parts=2, limit=5)
-    assert report.instances_checked == 5 and not report.complete
+    report = exhaustive_colouring_scan(5, 3, bound=8, max_parts=2, limit=limit)
+    assert report.instances_checked == limit and not report.complete
     first = filtered_canonical_tuples(10, 3)
-    assert seen == [next(first) for _ in range(5)]
+    assert seen == [next(first) for _ in range(limit)]
