@@ -18,7 +18,9 @@ part reads a few rows instead of a whole frontier.
 :func:`diameter_of_mask` is the one exact diameter: eccentricity bounds,
 then BFS only where they leave a gap, and
 :func:`diameter_within` answers "connected with diameter at most b" with
-a single BFS unless b lies between an eccentricity and twice it.  One
+a single BFS unless b lies between an eccentricity and twice it; that
+BFS expands at most b levels, since a vertex that has not reached the
+whole mask within b levels already makes the answer no.  One
 rule holds across the package: a yes/no diameter question goes through
 :func:`diameter_within`, and :func:`diameter_of_mask` runs only where
 its number is reported.  ``BFS_RUNS`` counts the calls of
@@ -42,6 +44,7 @@ and ends in :meth:`EdgeColouring.from_matrix`, and
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -308,9 +311,6 @@ class EdgeColouring:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and self._rows[u][v] != 0
 
-    def adj_row(self, c: int, v: int) -> int:
-        return self._adj[c][v]
-
     def adj_rows(self, c: int) -> list[int]:
         self._check_colour(c)
         return self._adj[c]
@@ -340,25 +340,29 @@ class EdgeColouring:
 
 BFS_RUNS = 0  # calls of bfs_reach so far; read it, never reset it
 
+# Adjacency rows by vertex: a colour's full list, or a dict holding the
+# rows of the vertices a search may enter (``twocolour``'s cross rows).
+Rows = Sequence[int] | Mapping[int, int]
 
-def bfs_reach(adj: Sequence[int], start_mask: int, within: int | None = None,
+
+def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
               radius: int | None = None, dist: list[int] | None = None,
               fringes: list[int] | None = None) -> tuple[int, int]:
     """Level BFS from every vertex of ``start_mask`` at once.
 
     This is the package's one frontier loop.  Only vertices of ``within``
     are entered (all when None), and at most ``radius`` levels are
-    expanded (no limit when None).  The loop stops as soon as it has
-    reached all of ``within``, since one more level could only come back
-    empty.  A level stops early too: when ``within`` is given, it stops
-    reading adjacency rows once the rows read so far cover every unseen
-    vertex of ``within``, since the rest of the frontier could add
-    nothing new.  When ``dist``
-    is given, each vertex reached beyond the start set has its level
-    written into it, and when ``fringes`` is given, each level's mask is
-    appended to it, level 1 first.  Returns
-    (levels, reached_mask) where levels is the distance to the farthest
-    reached vertex.
+    expanded (no limit when None).  ``adj`` may be any int-indexed rows,
+    a list or a dict, since only the rows of reached vertices are read.
+    The loop stops as soon as it has reached all of ``within``, since one
+    more level could only come back empty.  A level stops early too: when
+    ``within`` is given, it stops reading adjacency rows once the rows
+    read so far cover every unseen vertex of ``within``, since the rest
+    of the frontier could add nothing new.  When ``dist`` is given, each
+    vertex reached beyond the start set has its level written into it,
+    and when ``fringes`` is given, each level's mask is appended to it,
+    level 1 first.  Returns (levels, reached_mask) where levels is the
+    distance to the farthest reached vertex.
     """
     global BFS_RUNS
     BFS_RUNS += 1
@@ -419,7 +423,7 @@ def components_masks(adj: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def diameter_of_mask(adj: Sequence[int], mask: int, stop_above: float | None = None):
+def diameter_of_mask(adj: Rows, mask: int, stop_above: float | None = None):
     """Diameter of the subgraph that ``mask`` induces; the one exact
     diameter: eccentricity bounds, then BFS only where they leave a gap.
 
@@ -468,16 +472,20 @@ def diameter_of_mask(adj: Sequence[int], mask: int, stop_above: float | None = N
     return diam
 
 
-def diameter_within(adj: Sequence[int], mask: int, bound: float) -> bool:
+def diameter_within(adj: Rows, mask: int, bound: float) -> bool:
     """True iff ``mask`` induces a connected subgraph of diameter <= bound.
 
-    One BFS from the lowest vertex decides when its eccentricity e has
-    2*e <= bound (every pair meets within e + e) or e > bound; only a
-    bound between the two pays for the one exact diameter (eccentricity
-    bounds, then BFS only where they leave a gap), which stops at the
-    first eccentricity above the bound.
+    One BFS from the lowest vertex, capped at floor(bound) levels (no cap
+    for an infinite bound), comes first.  If it has not reached the whole
+    mask, the mask is disconnected or that vertex's eccentricity exceeds
+    the bound, and the answer is no either way.  Otherwise it gives the
+    exact eccentricity e <= bound, and 2*e <= bound decides yes (every
+    pair meets within e + e); only a bound between e and 2*e pays for the
+    one exact diameter (eccentricity bounds, then BFS only where they
+    leave a gap), which stops at the first eccentricity above the bound.
     """
-    ecc, reach = bfs_reach(adj, mask & -mask, within=mask)
+    radius = None if bound == math.inf else math.floor(bound)
+    ecc, reach = bfs_reach(adj, mask & -mask, within=mask, radius=radius)
     if reach != mask:
         return False
     if 2 * ecc <= bound or ecc > bound:

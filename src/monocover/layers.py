@@ -290,8 +290,8 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         raise ValueError("need a 3-distant quadruple of index points")
     _require_points(lm, quad)
     col = lm.colouring
-    cbase = multipartite_colour(col, [lm.layer_mask(p) for p in quad],
-                                lm.reserved_pair)
+    layers, reserved = lm._layers, lm.reserved_pair
+    cbase = multipartite_colour(col, [layers[p] for p in quad], reserved)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
 
     base_points: list[Point] = []
@@ -302,8 +302,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
         # As in the extended triple cover, at most two anchors are close.
         pair = tuple(_classify_against(quad, point)[:2])
         c_pt = multipartite_colour(
-            col, [lm.layer_mask(pair[0]), lm.layer_mask(pair[1]),
-                  lm.layer_mask(point)], lm.reserved_pair)
+            col, [layers[pair[0]], layers[pair[1]], layers[point]], reserved)
         if c_pt == cbase:
             base_points.append(point)
         else:

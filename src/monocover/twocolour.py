@@ -14,6 +14,14 @@ its pair in order and returns the first that spans.  Each check is the
 threshold test :func:`graphs.diameter_within`, and both engines return
 the colour alone; only the host-level wrappers, which report a diameter,
 pay for the exact one of :func:`graphs.diameter_of_mask`.
+
+The cross-group rows are sparse: one dict per colour, holding a row for
+each vertex of the groups' union only, built from one read of each
+colour's rows, so a call over three single-vertex layers costs three
+rows per colour rather than two n-long lists.  A colour in which some
+vertex of the union has no cross edge is disconnected, since the union
+holds at least two vertices, and the engines skip its check without a
+BFS.
 """
 
 from __future__ import annotations
@@ -48,34 +56,44 @@ class Split:
 
 
 def _cross_adj(colouring: EdgeColouring, masks: Sequence[int],
-               pair: tuple[int, int]) -> tuple[dict[int, list[int]], int]:
+               pair: tuple[int, int]) -> tuple[dict[int, dict[int, int]], int]:
     """Adjacency restricted to cross-group edges of the two given colours.
 
-    ``masks`` are the group bitmasks.  Returns (adj-by-colour, union
-    mask).  Raises if some present cross-group edge uses a colour outside
-    the pair.
+    ``masks`` are the group bitmasks.  Returns (rows-by-colour, union
+    mask), where each colour's rows are a dict holding a row for each
+    vertex of the union only.  Raises if some present cross-group edge
+    uses a colour outside the pair.
     """
     union = 0
     for m in masks:
         if union & m:
             raise ValueError("groups must be disjoint")
         union |= m
-    adj: dict[int, list[int]] = {c: [0] * colouring.n for c in pair}
+    ca, cb = pair
+    full_a, full_b = colouring.adj_rows(ca), colouring.adj_rows(cb)
+    rows_a: dict[int, int] = {}
+    rows_b: dict[int, int] = {}
     host = colouring.host
     for gmask in masks:
         other = union & ~gmask
         for v in iter_bits(gmask):
-            seen = 0
-            for c in pair:
-                row = colouring.adj_row(c, v) & other
-                adj[c][v] = row
-                seen |= row
-            bad = other & ~seen
-            for w in iter_bits(bad):
+            ra = rows_a[v] = full_a[v] & other
+            rb = rows_b[v] = full_b[v] & other
+            for w in iter_bits(other & ~(ra | rb)):
                 if host.has_edge(v, w):
                     raise ValueError(
                         f"cross edge ({v},{w}) coloured outside the pair {pair}")
-    return adj, union
+    return {ca: rows_a, cb: rows_b}, union
+
+
+def _spans_within(rows: dict[int, int], union: int, bound: int) -> bool:
+    """Whether the cross rows of one colour span ``union`` within ``bound``.
+
+    The callers' unions hold at least two vertices, so a vertex with no
+    cross edge is isolated and the colour disconnected: that exit needs
+    no BFS.
+    """
+    return all(rows.values()) and diameter_within(rows, union, bound)
 
 
 def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
@@ -104,7 +122,7 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
 
     for c, bound in ((ca, 6), (cb, BIPARTITE_DIAMETER_BOUND),
                      (ca, BIPARTITE_DIAMETER_BOUND)):
-        if diameter_within(adj[c], union, bound):
+        if _spans_within(adj[c], union, bound):
             return c
     # Neither colour spans: extract the block structure anchored at the
     # lowest vertex of side 1.
@@ -137,7 +155,8 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
     first colour that spans the union within the bound: 20 for three
     groups, 60 otherwise.
 
-    Raises :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
+    Raises ValueError when a group is empty, and
+    :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
     lists), the pair and the bound as witness, exactly when neither colour
     spans within the bound.  The degenerate pattern: one group holds a
     vertex whose cross edges all take one colour and another whose cross
@@ -147,10 +166,12 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
     r = len(masks)
     if r < 3:
         raise ValueError("need at least three groups")
+    if not all(masks):
+        raise ValueError("every group must be nonempty")
     adj, union = _cross_adj(colouring, masks, pair)
     bound = TRIPARTITE_DIAMETER_BOUND if r == 3 else MULTIPARTITE_DIAMETER_BOUND
     for c in pair:
-        if diameter_within(adj[c], union, bound):
+        if _spans_within(adj[c], union, bound):
             return c
     raise ImpossibleByLemmaError(
         "no spanning colour within the multipartite bound",

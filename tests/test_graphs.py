@@ -283,8 +283,9 @@ def test_set_diameter_matches_floyd_warshall_oracle(rng):
         n = rng.randint(2, 8)
         col = random_colouring(n, rng.randint(1, 3), seed=rng.randint(0, 10**6))
         cases.append((col, rng.randint(1, col.k), rng.sample(range(n), rng.randint(1, n))))
-    # Colour 1 of two_paths is the path 0..39: from its end, the first BFS
-    # exits early for bounds below 39 and straddles (39 <= b < 78) above.
+    # Colour 1 of two_paths is the path 0..39: from its end, the first BFS,
+    # capped at floor(b) levels, misses vertex 39 for bounds below 39 and
+    # straddles (39 <= b < 78) above.
     # Colour 2 on these vertices is the path 30..38, 1..9, whose lowest
     # vertex 1 sits in the middle (eccentricity 5, diameter 9), so bounds
     # 5..9 straddle.  The iFUB sweep starts from 1 too (degree 2, lowest
@@ -306,7 +307,8 @@ def test_set_diameter_matches_floyd_warshall_oracle(rng):
         fw = floyd_warshall_induced(col, c, verts)
         assert set_diameter(col, c, verts) == fw
         adj, mask = col.adj_rows(c), mask_of(verts)
-        for b in range(col.n + 2):
+        bounds = [b + half for b in range(col.n + 2) for half in (0, 0.5)]
+        for b in bounds + [math.inf]:
             assert diameter_within(adj, mask, b) == (fw is not DISCONNECTED and fw <= b)
 
 
@@ -488,6 +490,19 @@ def test_bfs_stops_once_mask_is_reached():
     adj.reads = 0
     assert bfs_distances(adj, n, 0) == [0] + [1] * (n - 1)
     assert adj.reads == 1
+
+
+def test_diameter_within_stops_its_first_bfs_at_the_bound():
+    # Colour 1 of two_paths is the path 0..599.  The first BFS, from its
+    # end, expands one vertex a level and is capped at 160 levels, where
+    # without the cap it would walk all 599 before answering.
+    col = two_paths(600, seed=1)
+    full = (1 << col.n) - 1
+    adj = CountingRows(col.adj_rows(1))
+    before = graphs.BFS_RUNS
+    assert not diameter_within(adj, full, 160)
+    assert graphs.BFS_RUNS - before == 1
+    assert adj.reads <= 160
 
 
 def test_dense_part_diameter_reads_few_rows():

@@ -24,6 +24,7 @@ from monocover.solver import (BRANCH_FALLBACK, BRANCH_INTERSECTING,
                               disjoint_corollary, gyarfas_connectivity_cover,
                               reduce_small_diameters, solve4,
                               solve_connected_case, solve_intersecting_case)
+from monocover.twocolour import multipartite_colour
 
 
 def check_solved(colouring, cover, trace, bound=160):
@@ -306,6 +307,29 @@ def test_stage_records_count_bfs_runs():
     # the count depends on the colouring only, given a cold metrics cache
     _, again = solve4(two_paths(200, seed=3))
     assert [s.bfs_runs for s in again.stages] == runs
+
+
+def test_layer_stage_bfs_runs_pinned():
+    # The quad cover places each of the other 296 layers with one
+    # multipartite_colour call over three single-vertex layers.  In all
+    # but two of them the first colour of the pair leaves a vertex without
+    # a cross edge, and the engine skips its BFS (596 runs without that
+    # exit).
+    _, trace = solve4(two_paths(300, seed=1))
+    assert trace.branch == BRANCH_LAYER_QUAD
+    (stage,) = [s for s in trace.stages if s.name == "layer mappings"]
+    assert stage.bfs_runs == 301
+
+
+def test_multipartite_colour_skips_a_colour_with_an_isolated_vertex():
+    # In K_{2,2,2}, vertex 0 sees only colour 2, so colour 1 is
+    # disconnected and only colour 2 (vertex 0 adjacent to every other
+    # class, and 1-2) takes a BFS.
+    col = EdgeColouring.build(HostGraph.multipartite([2, 2, 2]), 2,
+                              lambda u, v: 2 if u == 0 or (u, v) == (1, 2) else 1)
+    before = graphs.BFS_RUNS
+    assert multipartite_colour(col, [0b11, 0b1100, 0b110000], (1, 2)) == 2
+    assert graphs.BFS_RUNS - before == 1
 
 
 # -- stage 2 through the cascade ----------------------------------------------

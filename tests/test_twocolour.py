@@ -4,8 +4,11 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_colouring
+from test_graphs import reference_diameter
 from monocover.errors import ImpossibleByLemmaError
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, mask_of,
                               set_diameter)
@@ -351,3 +354,135 @@ def test_multipartite_rejects_bipartite():
     col = multipartite_colouring([2, 2], lambda u, v: 1)
     with pytest.raises(ValueError):
         multipartite_two_colour(col)
+
+
+def test_multipartite_rejects_an_empty_group():
+    col = multipartite_colouring([2, 2, 2], lambda u, v: 1)
+    for masks in ([0b11, 0b1100, 0], [0, 0b11, 0b1100, 0b110000]):
+        with pytest.raises(ValueError, match="every group must be nonempty"):
+            multipartite_colour(col, masks, (1, 2))
+
+
+# -- engines against a dense reference --------------------------------------
+
+
+@st.composite
+def grouped_colourings(draw):
+    """(colouring, groups, pair) on K_n minus a few pairs, n <= 12: two or
+    more disjoint groups (rarely one of them empty) that leave at least
+    one vertex outside their union.  Cross-group edges take the pair's
+    colours, the first with a drawn share, and rarely one takes another
+    colour; every edge at a vertex outside the union takes a colour
+    outside the pair, so the engines must never read those rows."""
+    r = draw(st.sampled_from([2, 2, 3, 3, 4, 5]))
+    n = draw(st.integers(r + 1, 12))
+    size = draw(st.integers(r, n - 1))
+    verts = draw(st.permutations(range(n)))[:size]
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1),
+                               min_size=r - 1, max_size=r - 1)))
+    groups = [sorted(verts[a:b]) for a, b in zip([0] + cuts, cuts + [size])]
+    pair = tuple(draw(st.permutations([1, 2, 3, 4]))[:2])
+    others = [c for c in (1, 2, 3, 4) if c not in pair]
+    share = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    if rnd.random() < 1 / 16:
+        groups[rnd.randrange(r)] = []
+    gap = draw(st.sampled_from([0.0, 0.0, 0.15]))
+    host = HostGraph(n, [q for q in combinations(range(n), 2) if rnd.random() < gap])
+    group_of = {v: i for i, g in enumerate(groups) for v in g}
+    cross = [(u, v) for u, v in combinations(range(n), 2)
+             if u in group_of and v in group_of and group_of[u] != group_of[v]]
+    stray = rnd.choice(cross) if cross and rnd.random() < 1 / 8 else None
+
+    def colour(u, v):
+        if u not in group_of or v not in group_of or (u, v) == stray:
+            return rnd.choice(others)
+        if group_of[u] == group_of[v]:
+            return rnd.randint(1, 4)
+        return pair[0] if rnd.random() < share else pair[1]
+
+    return EdgeColouring.build(host, 4, colour), groups, pair
+
+
+def reference_cross_rows(col, groups, pair):
+    """Full-length rows of each pair colour over the cross-group edges, read
+    pair by pair; raises as the engines do on a cross edge outside the
+    pair."""
+    rows = {c: [0] * col.n for c in pair}
+    union = {v for g in groups for v in g}
+    for g in groups:
+        for v in g:
+            for w in sorted(union - set(g)):
+                if not col.has_edge(v, w):
+                    continue
+                c = col.colour_of(v, w)
+                if c not in pair:
+                    raise ValueError(
+                        f"cross edge ({v},{w}) coloured outside the pair {pair}")
+                rows[c][v] |= 1 << w
+    return rows, mask_of(union)
+
+
+def reference_spans(rows, union, bound):
+    d = reference_diameter(rows, union)
+    return d is not DISCONNECTED and d <= bound
+
+
+def reference_multipartite(col, groups, pair):
+    if not all(groups):
+        raise ValueError("every group must be nonempty")
+    rows, union = reference_cross_rows(col, groups, pair)
+    bound = 20 if len(groups) == 3 else 60
+    for c in pair:
+        if reference_spans(rows[c], union, bound):
+            return c
+    raise ImpossibleByLemmaError(
+        "no spanning colour within the multipartite bound",
+        witness={"groups": groups, "pair": pair, "bound": bound})
+
+
+def reference_bipartite(col, side1, side2, pair):
+    if not side1 or not side2:
+        raise ValueError("both sides must be nonempty")
+    rows, union = reference_cross_rows(col, [side1, side2], pair)
+    ca, cb = pair
+    for c, bound in ((ca, 6), (cb, 10), (ca, 10)):
+        if reference_spans(rows[c], union, bound):
+            return c
+    present = {u: [w for w in side2 if col.has_edge(u, w)] for u in side1}
+    a2 = {w for w in present[side1[0]] if col.colour_of(side1[0], w) == ca}
+    b2 = set(side2) - a2
+    a1, b1 = set(), set()
+    for u in side1:
+        seen = {w: col.colour_of(u, w) for w in present[u]}
+        if all(c == (ca if w in a2 else cb) for w, c in seen.items()):
+            a1.add(u)
+        elif all(c == (ca if w in b2 else cb) for w, c in seen.items()):
+            b1.add(u)
+        else:
+            raise ImpossibleByLemmaError(
+                "no two-colour bipartite outcome verified",
+                witness={"side1": side1, "side2": side2, "pair": pair})
+    return Split(frozenset(a1), frozenset(b1), frozenset(a2), frozenset(b2), ca)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type, message and witness it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ImpossibleByLemmaError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(grouped_colourings())
+def test_engines_match_a_dense_reference(case):
+    col, groups, pair = case
+    if len(groups) == 2:
+        got = outcome(bipartite_outcome, col, mask_of(groups[0]),
+                      mask_of(groups[1]), pair)
+        want = outcome(reference_bipartite, col, groups[0], groups[1], pair)
+    else:
+        got = outcome(multipartite_colour, col, [mask_of(g) for g in groups], pair)
+        want = outcome(reference_multipartite, col, groups, pair)
+    assert got == want
