@@ -16,9 +16,16 @@ blocks in canonical order (blocks indexed by first contained vertex).
 Each block carries the set of colours in which its vertices are
 pairwise near, and a block left with no colour prunes the branch.
 When every vertex is placed, each block is finished in the first of its
-colours that admits an exact extension inside its pool.  Scans walk the
-colourings of K_n up to colour permutation, one canonical colour tuple
-each, and build them :data:`SCAN_STACK` at a time.
+colours that admits an exact extension inside its pool.
+
+Exhaustive scans walk the colourings of K_n up to colour permutation,
+one canonical colour tuple each, in the order of their codes, and search
+only the first tuple of each isomorphism class.  Its least bound is
+recorded under the canonical tuple of every relabelling of its vertices,
+and each later tuple of the class takes it from there.  This is exact:
+relabelling the vertices or permuting the colours maps covers to covers
+with the same diameters, and the search is exhaustive, so the report,
+witnesses and ``limit`` included, is what a search of every tuple gives.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, permutations
 from operator import or_
 from typing import Iterator
 
@@ -42,18 +49,15 @@ MAX_ORACLE_VERTICES = 14
 
 BALL_CACHE_SIZE = 1024
 """Ball tables :func:`_balls` keeps, one per colour graph: 2**10, every
-colour graph on K_5.  An entry holds n * n masks in n + 1 tuples.  The
-worst case is n = 14 with every mask a distinct int, as on a path: 14 *
-(168 + 14 * 28) + 168 bytes, about 8 KB, so a full cache holds about
-8 MB (1024 paths on 14 vertices measured 8.4 MB, the cache's links
-included, its keys not).  Masks below 257 are ints that Python shares,
-so at n = 5 a full cache holds about 1.3 MB, keys and links included."""
-
-SCAN_STACK = 256
-"""Colourings an exhaustive scan builds at once, in one
-:meth:`EdgeColouring.from_matrices` call.  Against one colouring at a
-time, stacks of 256 raised the peak memory of a fresh K_5 scan by
-0.46 MB, and stacks of 1024 by 2.5 MB."""
+colour graph on K_5, so no work on K_5 evicts one.  The scan of K_5 in
+three colours searches 142 colourings, whose 426 colour graphs are 125
+edge sets; in four colours, 513 colourings and 168 edge sets.  An
+entry holds n * n masks in n + 1 tuples.  The worst case is n = 14 with
+every mask a distinct int, as on a path: 14 * (168 + 14 * 28) + 168
+bytes, about 8 KB, so a full cache holds about 8 MB (1024 paths on 14
+vertices measured 8.4 MB, the cache's links included, its keys not).
+Masks below 257 are ints that Python shares, so at n = 5 a full cache
+holds about 1.3 MB, keys and links included."""
 
 
 def _search_bound(bound: float | None) -> int | None:
@@ -261,33 +265,53 @@ def _canonical_colour_tuples(m: int, k: int) -> Iterator[tuple[int, ...]]:
     of ``(c_i - 1) * k**i``.
 
     Digits are chosen from the last, the most significant, to the first,
-    each in increasing order.  A suffix starting at position j is kept
-    only if a canonical prefix of length j completes it; such a prefix can
-    use any number of colours up to min(j, k), and using them all serves
-    the suffix best.
+    each in increasing order.  Each suffix carries its need, the fewest
+    colours a prefix must already use for the suffix to stay canonical;
+    prepending colour c leaves a need above c as it is and makes any other
+    c - 1.  A suffix starting at position j is kept only if its need is at
+    most min(j, k), the most colours a canonical prefix of length j uses.
     """
     codes = [0] * m
 
-    def completable(j):
-        top = min(j, k)
-        for c in codes[j:]:
-            if c > top + 1:
-                return False
-            if c > top:
-                top = c
-        return True
-
-    def fill(j):
+    def fill(j, need):
         if j == 0:
             yield tuple(codes)
             return
         j -= 1
+        top = min(j, k)
         for c in range(1, k + 1):
-            codes[j] = c
-            if completable(j):
-                yield from fill(j)
+            after = need if need > c else c - 1
+            if after <= top:
+                codes[j] = c
+                yield from fill(j, after)
 
-    return fill(m)
+    return fill(m, 0)
+
+
+def _pair_moves(n: int) -> np.ndarray:
+    """An n! x m array over the m pairs of K_n in ``combinations`` order:
+    row s sends pair i to the position of its image under the s-th
+    permutation of the vertices."""
+    us, vs = np.triu_indices(n, 1)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[us, vs] = pos[vs, us] = np.arange(len(us))
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    return pos[perms[:, us], perms[:, vs]]
+
+
+def _class_tuples(codes: tuple[int, ...],
+                  moves: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """The canonical tuples of the colourings isomorphic to ``codes``, a
+    canonical tuple of at least one pair, with repeats: each row of
+    ``moves`` relabels its pairs, and the colours are renamed in order of
+    first appearance."""
+    images = np.asarray(codes, dtype=np.intp)[moves]
+    # A canonical tuple uses every colour 1..top, and so does each image.
+    top = max(codes)
+    first = (images[:, :, None] == np.arange(1, top + 1)).argmax(axis=1)
+    rank = first.argsort(axis=1).argsort(axis=1)
+    renamed = np.take_along_axis(rank, images - 1, axis=1) + 1
+    return map(tuple, renamed.tolist())
 
 
 def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
@@ -297,7 +321,8 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     """Scan colourings for instances needing more than the stated bound.
 
     Exhaustive mode enumerates colourings of K_n up to colour permutation
-    and computes the minimal achievable bound per instance; random mode
+    and reports the minimal achievable bound per instance, searching one
+    instance per isomorphism class; random mode
     samples ``count`` seeds and uses the oracle at tiny sizes or the
     4-colour solver plus the verifier at larger ones.  ``limit`` caps the
     number of instances processed; exceeding it flags the report.
@@ -318,8 +343,7 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     pairs = list(combinations(range(n), 2))
     host = HostGraph.complete(n)
 
-    def judge(colouring, witness):
-        need = minimal_bound(colouring, max_parts, None)
+    def judge(need, witness):
         if need is None or (search_bound is not None and need > search_bound):
             report.witnesses.append(witness)
         if need is not None:
@@ -332,16 +356,25 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
         # order of a tuple's codes; intp, since an empty list would be float.
         cells = np.array([[u * n + v for u, v in pairs],
                           [v * n + u for u, v in pairs]], dtype=np.intp)
+        # A scan of one tuple (one colour, or at most one pair) needs no
+        # table; otherwise k ** m <= 10 ** 8 keeps n at most 7.
+        moves = _pair_moves(n) if k > 1 and len(pairs) > 1 else None
+        known = {}  # tuple -> least bound, for later tuples of judged classes
         tuples = _canonical_colour_tuples(len(pairs), k)
         todo = tuples if limit is None else islice(tuples, limit)
-        while stack := list(islice(todo, SCAN_STACK)):
-            mats = np.zeros((len(stack), n * n), dtype=np.uint8)
-            mats[:, cells] = np.array(stack, dtype=np.uint8)[:, None]
-            colourings = EdgeColouring.from_matrices(host, k,
-                                                     mats.reshape(-1, n, n))
-            for codes, colouring in zip(stack, colourings):
-                report.instances_checked += 1
-                judge(colouring, codes)
+        for codes in todo:
+            report.instances_checked += 1
+            if codes in known:
+                need = known.pop(codes)
+            else:
+                mat = np.zeros(n * n, dtype=np.uint8)
+                mat[cells] = codes
+                colouring = EdgeColouring.from_matrix(host, k, mat.reshape(n, n))
+                need = minimal_bound(colouring, max_parts, None)
+                if moves is not None:
+                    known.update(dict.fromkeys(_class_tuples(codes, moves), need))
+                    del known[codes]
+            judge(need, codes)
         report.complete = next(tuples, None) is None
     elif sampler == "random":
         rng = random.Random(seed)
@@ -353,8 +386,9 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
             report.instances_checked += 1
             if n <= 10:
                 sub = random.Random(sub_seed)
-                judge(EdgeColouring.build(host, k, lambda u, v: sub.randint(1, k)),
-                      sub_seed)
+                colouring = EdgeColouring.build(host, k,
+                                                lambda u, v: sub.randint(1, k))
+                judge(minimal_bound(colouring, max_parts, None), sub_seed)
             else:
                 if k != 4:
                     raise ValueError("large random scans need k = 4")

@@ -3,7 +3,8 @@
 import math
 import random
 from collections import Counter, deque
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from monocover.generators import section5_example
 from monocover.graphs import (EdgeColouring, HostGraph, diameter_within,
                               iter_bits, set_diameter)
 from monocover.oracle import (_balls, _canonical_colour_tuples,
+                              _class_tuples, _pair_moves,
                               exhaustive_colouring_scan, min_cover_bruteforce,
                               minimal_bound)
 
@@ -167,6 +169,50 @@ def k4_colourings():
         yield EdgeColouring.from_pairs(host, 3, dict(zip(pairs, codes)))
 
 
+def reference_relabellings(codes, n):
+    """The canonical tuples of every vertex relabelling of the colouring
+    of K_n whose pairs, in ``combinations`` order, have colours ``codes``:
+    colours renamed in order of first appearance."""
+    pairs = list(combinations(range(n), 2))
+    colour = dict(zip(pairs, codes))
+    found = set()
+    for perm in permutations(range(n)):
+        names = {}
+        found.add(tuple(names.setdefault(colour[min(perm[u], perm[v]),
+                                                max(perm[u], perm[v])],
+                                         len(names) + 1)
+                        for u, v in pairs))
+    return found
+
+
+@lru_cache(maxsize=None)
+def reference_needs(n, k, parts):
+    """``(codes, least bound)`` of every canonical tuple in scan order,
+    each colouring built from its pairs and searched on its own."""
+    pairs = list(combinations(range(n), 2))
+    host = HostGraph.complete(n)
+    return tuple(
+        (codes, minimal_bound(EdgeColouring.from_pairs(
+            host, k, dict(zip(pairs, codes))), parts, None))
+        for codes in filtered_canonical_tuples(len(pairs), k))
+
+
+def reference_scan(n, k, bound, parts, limit=None):
+    """``(instances_checked, worst_bound_needed, witnesses, complete)`` of
+    a scan that searches every tuple."""
+    needs = reference_needs(n, k, parts)
+    taken = needs if limit is None else needs[:limit]
+    witnesses = [codes for codes, need in taken
+                 if need is None or (bound is not None and need > bound)]
+    worst = max((need for _, need in taken if need is not None), default=0)
+    return len(taken), worst, witnesses, len(taken) == len(needs)
+
+
+def scan_fields(report):
+    return (report.instances_checked, report.worst_bound_needed,
+            report.witnesses, report.complete)
+
+
 # -- minimal covers ----------------------------------------------------------
 
 
@@ -252,13 +298,19 @@ def test_scan_reads_inf_bound_as_none(k):
 
 
 @pytest.mark.parametrize("n, k, worst", [(1, 2, 0), (1, 3, 0), (2, 2, 1),
-                                          (2, 3, 1)])
+                                          (2, 3, 1), (14, 1, 1)])
 def test_scan_of_one_or_two_vertices(n, k, worst):
-    # One colouring each: K_1 has no pair, K_2 one pair in colour 1.
+    # One colouring each: K_1 has no pair, K_2 one pair in colour 1, and
+    # K_14 in one colour, scanned without a table of its 14! relabellings.
     for bound in (3, None):
         report = exhaustive_colouring_scan(n, k, bound, 1)
         assert (report.instances_checked, report.worst_bound_needed,
                 report.witnesses, report.complete) == (1, worst, [], True)
+
+
+def test_scan_of_fifteen_vertices_refused():
+    with pytest.raises(ValueError, match="oracle limited to 14 vertices"):
+        exhaustive_colouring_scan(15, 1, None, 1)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -488,20 +540,51 @@ def test_canonical_tuples_in_scan_order(n, k, orbits):
     assert len(got) == orbits
 
 
-@pytest.mark.parametrize("limit", [5, 257])
-def test_scan_limit_takes_the_first_tuples(monkeypatch, limit):
-    # 257 crosses the boundary of the scan's first stack of colourings
+# Tuple 1000 of K_5 in three colours is not the first of its class, so a
+# limit of 1000 cuts the scan inside a class.
+@pytest.mark.parametrize("limit", [5, 257, 1000])
+def test_scan_limit_takes_the_first_tuples(limit):
+    # A cut scan reports the first ``limit`` tuples as if each were
+    # searched alone; at bound 1, 2856 of the 9842 are witnesses.
+    first = list(islice(filtered_canonical_tuples(10, 3), limit + 1))
+    if limit == 1000:
+        assert reference_relabellings(first[limit], 5) & set(first[:limit])
+    report = exhaustive_colouring_scan(5, 3, bound=1, max_parts=2, limit=limit)
+    assert scan_fields(report) == reference_scan(5, 3, 1, 2, limit)
+    assert report.instances_checked == limit and not report.complete
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)])
+@pytest.mark.parametrize("bound", [8, 1, None])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_scan_agrees_with_a_search_of_every_tuple(n, k, bound, parts):
+    report = exhaustive_colouring_scan(n, k, bound, parts)
+    assert scan_fields(report) == reference_scan(n, k, bound, parts)
+
+
+@pytest.mark.parametrize("n, k, classes", [(4, 2, 6), (5, 2, 18),
+                                            (5, 3, 142)])
+def test_scan_searches_once_per_class(monkeypatch, n, k, classes):
+    # Colourings up to relabelling of vertices and colours (Burnside):
+    # 142 of K_5 in three colours; in two, the 11 graphs on 4 vertices and
+    # the 34 on 5 paired with their complements, of which one (the path)
+    # and two are self-complementary.
     from monocover import oracle
-    seen = []
+    searched = []
     bound_of = oracle.minimal_bound
 
     def recorded(colouring, *args):
-        seen.append(tuple(colouring.colour_of(u, v)
-                          for u, v in combinations(range(colouring.n), 2)))
+        searched.append(colouring)
         return bound_of(colouring, *args)
 
     monkeypatch.setattr(oracle, "minimal_bound", recorded)
-    report = exhaustive_colouring_scan(5, 3, bound=8, max_parts=2, limit=limit)
-    assert report.instances_checked == limit and not report.complete
-    first = filtered_canonical_tuples(10, 3)
-    assert seen == [next(first) for _ in range(limit)]
+    report = exhaustive_colouring_scan(n, k, bound=8, max_parts=2)
+    assert len(searched) == classes and report.complete
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 3), (5, 3)])
+def test_class_tuples_are_the_relabellings(n, k):
+    m = n * (n - 1) // 2
+    moves = _pair_moves(n)
+    for codes in islice(filtered_canonical_tuples(m, k), 1, 200):
+        assert set(_class_tuples(codes, moves)) == reference_relabellings(codes, n)
