@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
@@ -216,11 +216,28 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
                                 lm.reserved_pair), lm.union_mask(triple))
 
 
-def _classify_against(anchors: Sequence[Point], point: Point,
-                      separation: int = 2) -> list[Point]:
-    """Anchors that are ``separation``-distant from ``point``, sorted."""
-    return [a for a in anchors
-            if abs(a[0] - point[0]) >= separation and abs(a[1] - point[1]) >= separation]
+def _distant_anchors(anchors: Sequence[Point], separation: int = 2
+                     ) -> Callable[[Point], list[Point]]:
+    """Map from a point to the anchors ``separation``-distant from it, in
+    anchor order.
+
+    The anchors must be (2 * separation - 1)-distant, so that each
+    coordinate value lies within separation - 1 of at most one anchor:
+    one dict per coordinate, built once, names that anchor, and a point
+    drops at most the two anchors that its coordinates look up.
+    """
+    near: tuple[dict[int, Point], dict[int, Point]] = ({}, {})
+    for a in anchors:
+        for axis in (0, 1):
+            for v in range(a[axis] - separation + 1, a[axis] + separation):
+                near[axis][v] = a
+    near_x, near_y = near
+
+    def distant(point: Point) -> list[Point]:
+        nx, ny = near_x.get(point[0]), near_y.get(point[1])
+        return [a for a in anchors if a != nx and a != ny]
+
+    return distant
 
 
 def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
@@ -253,12 +270,13 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
     p_core: list[Point] = []
     p_h: list[Point] = []
     p_third: list[Point] = []
+    distant = _distant_anchors(triple)
     for point in lm.points:
         if point in triple:
             continue
         # Anchor values are >= 3 apart, so at most one per coordinate lies
         # within 1 of the point: some anchor is 2-distant from it.
-        e = _classify_against(triple, point)[0]
+        e = distant(point)[0]
         out = bipartite_outcome(col, lm.layer_mask(point), lm.layer_mask(e),
                                 lm.reserved_pair)
         if out != cprime:  # c or a split
@@ -296,11 +314,12 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
 
     base_points: list[Point] = []
     pair_groups: dict[tuple[Point, Point], list[Point]] = {}
+    distant = _distant_anchors(quad)
     for point in lm.points:
         if point in quad:
             continue
         # As in the extended triple cover, at most two anchors are close.
-        pair = tuple(_classify_against(quad, point)[:2])
+        pair = tuple(distant(point)[:2])
         c_pt = multipartite_colour(
             col, [layers[pair[0]], layers[pair[1]], layers[point]], reserved)
         if c_pt == cbase:
@@ -344,8 +363,9 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     points = [p for p in lm.points if p not in triple]
 
     # A point 3-distant from the whole triple upgrades it to a quadruple.
+    distant = _distant_anchors(triple, separation=3)
     for point in points:
-        if len(_classify_against(triple, point, separation=3)) == 3:
+        if len(distant(point)) == 3:
             return cover_from_dist3_quad(lm, triple + (point,))
 
     c, core_mask = cover_from_dist3_triple(lm, triple)

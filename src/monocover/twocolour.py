@@ -17,11 +17,14 @@ pay for the exact one of :func:`graphs.diameter_of_mask`.
 
 The cross-group rows are sparse: one dict per colour, holding a row for
 each vertex of the groups' union only, built from one read of each
-colour's rows, so a call over three single-vertex layers costs three
-rows per colour rather than two n-long lists.  A colour in which some
-vertex of the union has no cross edge is disconnected, since the union
-holds at least two vertices, and the engines skip its check without a
-BFS.
+colour's rows.  A colour in which some vertex of the union has no cross
+edge is disconnected, since the union holds at least two vertices, and
+the engines skip its check without a BFS.  Three single-vertex groups,
+the layer cover's usual call, need no rows at all: when their three
+pairs are present and coloured in the pair, the cross graph is a
+triangle, and the multipartite engine reads its answer from the three
+colours of the colouring's byte rows (the triangle rule of
+:func:`multipartite_colour`).
 """
 
 from __future__ import annotations
@@ -144,6 +147,27 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
                  frozenset(iter_bits(a2)), frozenset(iter_bits(b2)), ca)
 
 
+def _triangle_colour(colouring: EdgeColouring, masks: Sequence[int],
+                     pair: tuple[int, int]) -> int | None:
+    """The triangle rule of :func:`multipartite_colour`; None unless the
+    groups are three distinct vertices whose pairs are all present and
+    coloured in ``pair``, both of whose colours are valid."""
+    ma, mb, mx = masks
+    if (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)
+            or ma == mb or ma == mx or mb == mx):
+        return None
+    ca, cb = pair
+    if not (1 <= ca <= colouring.k and 1 <= cb <= colouring.k):
+        return None
+    rows = colouring._rows
+    a, b, x = ma.bit_length() - 1, mb.bit_length() - 1, mx.bit_length() - 1
+    ab, ax, bx = rows[a][b], rows[a][x], rows[b][x]
+    if ab not in pair or ax not in pair or bx not in pair:
+        return None
+    # Two colours share three edges, so cb holds two whenever ca does not.
+    return ca if (ab == ca) + (ax == ca) + (bx == ca) >= 2 else cb
+
+
 def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
                         pair: tuple[int, int]) -> int:
     """Colour whose cross-group graph spans all groups with bounded diameter.
@@ -154,6 +178,15 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
     an auxiliary colouring of the groups) is not replayed.  Returns the
     first colour that spans the union within the bound: 20 for three
     groups, 60 otherwise.
+
+    The triangle rule: when the groups are three single vertices {a},
+    {b}, {x} whose three pairs are present and coloured in ``pair``, the
+    cross graph is a triangle, and a colour spans it within any bound
+    >= 2 exactly when it holds two of the three edges.  The answer, the
+    first colour of the pair that holds two, is then read from the three
+    pair colours with no cross rows and no BFS.  Every other call (a
+    larger group, a missing pair, a colour outside the pair, overlapping
+    groups) builds the cross rows and checks each colour by BFS.
 
     Raises ValueError when a group is empty, and
     :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
@@ -168,6 +201,10 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
         raise ValueError("need at least three groups")
     if not all(masks):
         raise ValueError("every group must be nonempty")
+    if r == 3:
+        c = _triangle_colour(colouring, masks, pair)
+        if c is not None:
+            return c
     adj, union = _cross_adj(colouring, masks, pair)
     bound = TRIPARTITE_DIAMETER_BOUND if r == 3 else MULTIPARTITE_DIAMETER_BOUND
     for c in pair:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_colouring
-from monocover import layers
+from monocover import graphs, layers
 from monocover.covers import verify_cover
 from monocover.graphs import (EdgeColouring, HostGraph, MonoMetrics, iter_bits,
                               set_diameter)
@@ -360,6 +360,36 @@ def test_quad_cover_random_instances(rng):
         rep = verify_cover(col, cover, bound=160, max_parts=3)
         assert rep.valid
         assert len(cover.parts) <= 3
+
+
+def test_quad_cover_places_a_two_vertex_layer_by_bfs(monkeypatch):
+    # Anchors (0, 0), (3, 3), (6, 6), (9, 9) and single-vertex layers
+    # (0, 9) and (12, 1) (vertices 0-4 and 7) are joined in colour 3; the
+    # layer (20, 20) holds vertices 5 and 6, which take colour 4 to
+    # everything.  Its placement with anchors (0, 0) and (3, 3) is not a
+    # triangle, so the engine builds cross rows: colour 3 misses vertex 5,
+    # and colour 4 takes a BFS and spans, so the layer joins the anchor
+    # pair in colour 4.  The single-vertex layers are placed with no BFS.
+    coords = [(0, 0), (3, 3), (6, 6), (9, 9), (0, 9), (20, 20), (20, 20), (12, 1)]
+    col = EdgeColouring.build(HostGraph.complete(len(coords)), 4,
+                              lambda u, v: 4 if {u, v} & {5, 6} else 3)
+    lm = LayerMapping(col, 1, 2, coords)
+    assert lm.layer_mask((20, 20)) == 0b1100000
+    real, runs = layers.multipartite_colour, {}
+
+    def counted(colouring, masks, pair):
+        before = graphs.BFS_RUNS
+        got = real(colouring, masks, pair)
+        if len(masks) == 3:
+            runs[masks[2]] = graphs.BFS_RUNS - before
+        return got
+
+    monkeypatch.setattr(layers, "multipartite_colour", counted)
+    cover = cover_from_dist3_quad(lm, coords[:4])
+    assert runs == {0b1100000: 1, 1 << 4: 0, 1 << 7: 0}
+    assert [(p.vertices, p.colour) for p in cover.parts] == [
+        ({0, 1, 2, 3, 4, 7}, 3), ({0, 1, 5, 6}, 4)]
+    assert verify_cover(col, cover, bound=160, max_parts=3).valid
 
 
 def test_quad_cover_rejects_non_distant():

@@ -311,14 +311,16 @@ def test_stage_records_count_bfs_runs():
 
 def test_layer_stage_bfs_runs_pinned():
     # The quad cover places each of the other 296 layers with one
-    # multipartite_colour call over three single-vertex layers.  In all
-    # but two of them the first colour of the pair leaves a vertex without
-    # a cross edge, and the engine skips its BFS (596 runs without that
-    # exit).
+    # multipartite_colour call over three single-vertex layers, whose
+    # three pairs all take reserved colours.  The engine answers each by
+    # the triangle rule (the first colour of the pair that holds two of
+    # the three edges) with no BFS.  The 5 runs left are the mapping's two
+    # coordinate rows, the quadruple's own four-layer call and the checks
+    # of the cover's two parts.
     _, trace = solve4(two_paths(300, seed=1))
     assert trace.branch == BRANCH_LAYER_QUAD
     (stage,) = [s for s in trace.stages if s.name == "layer mappings"]
-    assert stage.bfs_runs == 301
+    assert stage.bfs_runs == 5
 
 
 def test_multipartite_colour_skips_a_colour_with_an_isolated_vertex():

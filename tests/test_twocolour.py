@@ -1,7 +1,7 @@
 """Two-colour lemmas: spanning colour on K_n, bipartite split, multipartite."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import constant_colouring
 from test_graphs import reference_diameter
+from monocover import graphs
 from monocover.errors import ImpossibleByLemmaError
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, mask_of,
                               set_diameter)
-from monocover.twocolour import (MonoSpanning, Split, bipartite_outcome,
-                                 bipartite_two_colour, erdos_rado_cover,
-                                 multipartite_colour, multipartite_two_colour)
+from monocover.twocolour import (MonoSpanning, Split, _cross_adj, _spans_within,
+                                 bipartite_outcome, bipartite_two_colour,
+                                 erdos_rado_cover, multipartite_colour,
+                                 multipartite_two_colour)
 
 
 def complete_two_colouring(n, colour_fn):
@@ -486,3 +488,51 @@ def test_engines_match_a_dense_reference(case):
         got = outcome(multipartite_colour, col, [mask_of(g) for g in groups], pair)
         want = outcome(reference_multipartite, col, groups, pair)
     assert got == want
+
+
+# -- the triangle rule against the BFS path ----------------------------------
+
+
+def bfs_path_colour(col, masks, pair):
+    """multipartite_colour as it answers by BFS: the cross rows of
+    ``_cross_adj``, then each colour of the pair checked by
+    ``_spans_within`` at the three-group bound 20."""
+    adj, union = _cross_adj(col, masks, pair)
+    for c in pair:
+        if _spans_within(adj[c], union, 20):
+            return c
+    raise ImpossibleByLemmaError(
+        "no spanning colour within the multipartite bound",
+        witness={"groups": [[m.bit_length() - 1] for m in masks], "pair": pair,
+                 "bound": 20})
+
+
+def test_triangle_rule_matches_the_bfs_path():
+    # Every colouring of the three pairs of K_3 from {missing, 1..4} (0
+    # marks a pair missing from the host), every ordered pair of colours
+    # 0..5, the out-of-range ones included, and every order of the three
+    # single-vertex groups.  The answers, raise types and messages must be
+    # the BFS path's, and a triangle in the colours of a valid pair must be
+    # answered with no BFS.
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    triangles = 0
+    for colours in product(range(5), repeat=3):
+        host = HostGraph(3, [q for q, c in zip(pairs, colours) if c == 0])
+        col = EdgeColouring.from_pairs(
+            host, 4, {q: c for q, c in zip(pairs, colours) if c})
+        for pair in product(range(6), repeat=2):
+            triangle = set(colours) <= set(pair) <= {1, 2, 3, 4}
+            for order in permutations(range(3)):
+                masks = [1 << v for v in order]
+                before = graphs.BFS_RUNS
+                got = outcome(multipartite_colour, col, masks, pair)
+                if triangle:
+                    assert graphs.BFS_RUNS == before
+                assert got == outcome(bfs_path_colour, col, masks, pair)
+                triangles += triangle
+        # overlapping singleton groups stay an error
+        for a, x in ((0, 1), (2, 0)):
+            with pytest.raises(ValueError, match="groups must be disjoint"):
+                multipartite_colour(col, [1 << a, 1 << a, 1 << x], (1, 2))
+    # per pair of two colours, the 8 triangles in them; per (c, c), one
+    assert triangles == 6 * (12 * 8 + 4 * 1)
