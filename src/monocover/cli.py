@@ -103,11 +103,10 @@ def _solve_lemma(args, colouring) -> int:
                                ("A2", out.a2), ("B2", out.b2)):
                 print(f"  {name}: {' '.join(map(str, sorted(part)))}")
         return OK
-    if args.lemma == "mult2col":
-        res = multipartite_two_colour(colouring)
-        print(f"colour {res.colour} bound {res.bound} diameter {res.diameter}")
-        return OK
-    raise ValueError(f"unknown lemma {args.lemma!r}")
+    # argparse's choices leave only "mult2col"
+    res = multipartite_two_colour(colouring)
+    print(f"colour {res.colour} bound {res.bound} diameter {res.diameter}")
+    return OK
 
 
 def _cmd_verify(args) -> int:
@@ -156,13 +155,12 @@ def _cmd_grid(args) -> int:
         else:
             raise ValueError("classification needs 4 or 5 points")
         return OK
-    if args.grid_cmd == "search":
-        res = bounded_degree_search(args.l, args.d, args.m, mode=args.mode,
-                                    budget=args.budget)
-        print(f"size {res.size} complete {res.complete} explored {res.explored}")
-        print("witness " + " ".join(",".join(map(str, p)) for p in res.witness))
-        return OK if res.complete else INCOMPLETE
-    raise ValueError(f"unknown grid command {args.grid_cmd!r}")
+    # argparse's required subcommands leave only "search"
+    res = bounded_degree_search(args.l, args.d, args.m, mode=args.mode,
+                                budget=args.budget)
+    print(f"size {res.size} complete {res.complete} explored {res.explored}")
+    print("witness " + " ".join(",".join(map(str, p)) for p in res.witness))
+    return OK if res.complete else INCOMPLETE
 
 
 def _cmd_convert(args) -> int:
@@ -171,12 +169,11 @@ def _cmd_convert(args) -> int:
         colouring, _ = colouring_from_points(ps)
         _write(args.dest, format_colouring(colouring))
         return OK
-    if args.direction == "col2points":
-        colouring = parse_colouring(_read(args.source))
-        ps, _ = points_from_colouring(colouring)
-        _write(args.dest, format_points(ps))
-        return OK
-    raise ValueError(f"unknown conversion {args.direction!r}")
+    # argparse's choices leave only "col2points"
+    colouring = parse_colouring(_read(args.source))
+    ps, _ = points_from_colouring(colouring)
+    _write(args.dest, format_points(ps))
+    return OK
 
 
 def _cmd_oracle(args) -> int:

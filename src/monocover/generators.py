@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 
-from .graphs import EdgeColouring, HostGraph
+from .graphs import EdgeColouring, HostGraph, check_byte_colours
 from .grid import GridPointSet, colouring_from_points
 
 SHARPNESS_POINTS = GridPointSet.of([
@@ -29,8 +29,7 @@ def random_uniform(n: int, k: int, seed: int) -> EdgeColouring:
     """Uniform colouring of K_n; seed fully determines the output."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if k > 255:
-        raise ValueError(f"k = {k} exceeds the 255 colours a byte can hold")
+    check_byte_colours(k)
     rng = np.random.default_rng(seed)
     mat = rng.integers(1, k + 1, size=(n, n), dtype=np.uint8)
     mat = np.triu(mat, 1)

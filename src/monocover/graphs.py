@@ -27,13 +27,12 @@ its number is reported.  ``BFS_RUNS`` counts the calls of
 :func:`bfs_reach` since import; ``solver.solve4`` reads it per stage.
 
 A colouring has one checking constructor and one metrics cache:
-:meth:`EdgeColouring.from_matrices` alone checks colourings and derives
-their rows and adjacency masks, a stack of matrices at a time, so its
-fixed numpy costs are shared by a whole stack of small colourings
-(:meth:`EdgeColouring.from_matrix` hands it a stack of one; the other
-constructors and the parser fill a matrix and end there), and
-``colouring.metrics`` is the one lazily made :class:`MonoMetrics` that
-every stage of a solve shares.
+:meth:`EdgeColouring.from_matrix` alone checks a colouring's n x n uint8
+matrix and derives its rows and adjacency masks (the other constructors
+and the parser fill a matrix and end there; :func:`check_byte_colours`
+keeps k within the 255 colours a byte holds), and ``colouring.metrics``
+is the one lazily made :class:`MonoMetrics` that every stage of a solve
+shares.
 
 The colouring file format is read and written without a Python loop per
 pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
@@ -161,12 +160,18 @@ class HostGraph:
         return _clique_classes(self.n, self.missing)
 
 
+def check_byte_colours(k: int) -> None:
+    """Reject a colour count that a uint8 colour matrix cannot hold."""
+    if k > 255:
+        raise ValueError(f"k = {k} exceeds the 255 colours a byte can hold")
+
+
 def _write_pairs(mat: np.ndarray, host: HostGraph,
                  colour: Mapping[tuple[int, int], int]) -> None:
     """Set ``mat[u, v] = mat[v, u] = c`` for each ``(u, v): c`` of ``colour``.
 
     Pairs and colours are checked first, since numpy would wrap vertex -1
-    to n-1 and a uint8 store would wrap colour 257 to 1; from_matrices
+    to n-1 and a uint8 store would wrap colour 257 to 1; from_matrix
     checks that colours lie in 1..k."""
     n = host.n
     missing = host.missing
@@ -191,17 +196,15 @@ class EdgeColouring:
     Colours are 1..k.  Internally one bytes row per vertex (0 marks a
     missing pair or the diagonal) plus one adjacency bitmask per
     (colour, vertex).  Instances are immutable once built, always by
-    :meth:`from_matrices`, the one checking constructor: :meth:`from_matrix`
-    hands it one matrix, and the other constructors fill a matrix and call
-    :meth:`from_matrix`.
+    :meth:`from_matrix`, the one checking constructor: the other
+    constructors fill a matrix and call it.
     """
 
     __slots__ = ("host", "k", "_rows", "_adj", "_metrics")
 
     def __init__(self, host: HostGraph, k: int, rows: list[bytes],
                  adj: list[list[int]]):
-        """Store the fields as given; use :meth:`from_matrices` or
-        :meth:`from_matrix` to build."""
+        """Store the fields as given; use :meth:`from_matrix` to build."""
         self.host = host
         self.k = k
         self._rows = rows
@@ -211,55 +214,37 @@ class EdgeColouring:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_matrices(cls, host: HostGraph, k: int,
-                      mats: np.ndarray) -> list["EdgeColouring"]:
-        """Colourings from an N x n x n uint8 stack of colour matrices, each
-        symmetric, 1..k on every present pair and 0 on the diagonal and the
-        missing pairs.  Every check runs once over the whole stack and
-        rejects it if any matrix fails."""
-        if k < 1:
-            raise ValueError("need at least one colour")
-        n = host.n
-        mats = np.asarray(mats)
-        if mats.shape[1:] != (n, n) or mats.dtype != np.uint8:
-            raise ValueError(f"colour matrices must be N x {n} x {n} uint8")
-        if not np.array_equal(mats, mats.transpose(0, 2, 1)):
-            raise ValueError("colour matrix must be symmetric")
-        if np.any(np.diagonal(mats, axis1=1, axis2=2)):
-            raise ValueError("diagonal entries must be uncoloured")
-        missing = host.missing
-        uv = np.fromiter(chain.from_iterable(missing), np.intp, 2 * len(missing))
-        if np.any(mats[:, uv[0::2], uv[1::2]]):
-            raise ValueError("missing pairs must not be coloured")
-        # The diagonal and the missing pairs are 0, so no matrix has more
-        # nonzero entries than present pairs, and every present pair of
-        # every matrix is coloured iff the stack has that many per matrix.
-        present = n * (n - 1) - 2 * len(missing)
-        if (np.count_nonzero(mats) != len(mats) * present
-                or mats.max(initial=0) > k):
-            raise ValueError(f"colours must lie in 1..{k}")
-        size = len(mats) * n  # rows in the stack
-        rows = [row.tobytes() for row in mats.reshape(size, n)]
-        width = (n + 7) // 8
-        by_colour = []  # each colour's adjacency masks, all rows of the stack
-        for c in range(1, k + 1):
-            bits = np.packbits(mats == c, axis=2, bitorder="little").tobytes()
-            by_colour.append([int.from_bytes(bits[i:i + width], "little")
-                              for i in range(0, size * width, width)])
-        return [cls(host, k, rows[i:i + n],
-                    [[0] * n] + [masks[i:i + n] for masks in by_colour])
-                for i in range(0, size, n)]
-
-    @classmethod
     def from_matrix(cls, host: HostGraph, k: int, mat: np.ndarray) -> "EdgeColouring":
         """Colouring from its symmetric n x n uint8 colour matrix: 1..k on
-        every present pair, 0 on the diagonal and the missing pairs; checked
-        by :meth:`from_matrices`."""
+        every present pair, 0 on the diagonal and the missing pairs, with
+        1 <= k <= 255."""
+        if k < 1:
+            raise ValueError("need at least one colour")
+        check_byte_colours(k)
         n = host.n
         mat = np.asarray(mat)
         if mat.shape != (n, n) or mat.dtype != np.uint8:
             raise ValueError(f"colour matrix must be {n} x {n} uint8")
-        return cls.from_matrices(host, k, mat[None])[0]
+        if not np.array_equal(mat, mat.T):
+            raise ValueError("colour matrix must be symmetric")
+        if np.any(mat.diagonal()):
+            raise ValueError("diagonal entries must be uncoloured")
+        missing = host.missing
+        uv = np.fromiter(chain.from_iterable(missing), np.intp, 2 * len(missing))
+        if np.any(mat[uv[0::2], uv[1::2]]):
+            raise ValueError("missing pairs must not be coloured")
+        # The diagonal and the missing pairs are 0, so every present pair
+        # is coloured iff the nonzero entries are exactly the present ones.
+        if np.count_nonzero(mat) != n * (n - 1) - 2 * len(missing) or mat.max() > k:
+            raise ValueError(f"colours must lie in 1..{k}")
+        rows = [row.tobytes() for row in mat]
+        width = (n + 7) // 8
+        adj = [[0] * n]
+        for c in range(1, k + 1):
+            bits = np.packbits(mat == c, axis=1, bitorder="little").tobytes()
+            adj.append([int.from_bytes(bits[i:i + width], "little")
+                        for i in range(0, n * width, width)])
+        return cls(host, k, rows, adj)
 
     @classmethod
     def from_pairs(cls, host: HostGraph, k: int,
@@ -716,8 +701,7 @@ def parse_colouring(text: str) -> EdgeColouring:
     n, k = int(val[0]), int(val[1])
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if k > 255:
-        raise ValueError(f"k = {k} exceeds the 255 colours a byte can hold")
+    check_byte_colours(k)
     m = n * (n - 1) // 2
     if (val.size - 2) // 3 != m:
         raise ValueError(f"every unordered pair must appear exactly once: "

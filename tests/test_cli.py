@@ -152,6 +152,26 @@ def test_grid_commands(tmp_path, capsys):
                "--budget", "10") == 3
 
 
+def test_gen_from_points_matches_sharpness_x(tmp_path):
+    pts = tmp_path / "sharp.pts"
+    pts.write_text("3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n0 1 1\n")
+    a, b = tmp_path / "a.col", tmp_path / "b.col"
+    assert run("gen", "from-points", "--points", str(pts), "-o", str(a)) == 0
+    assert run("gen", "sharpness-x", "-o", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_grid_cover_and_classify_print_their_parts(tmp_path, capsys):
+    pair = tmp_path / "pair.pts"
+    pair.write_text("3\n0 0 0\n1 1 1\n")
+    assert run("grid", "cover", str(pair)) == 0
+    assert "connected: 0,0,0 1,1,1\n" in capsys.readouterr().out
+    plane = tmp_path / "plane.pts"
+    plane.write_text("3\n" + "".join(f"0 {i} {i}\n" for i in range(5)))
+    assert run("grid", "classify", str(plane)) == 0
+    assert capsys.readouterr().out == "Coplanar5(axis=0, value=0)\n"
+
+
 def test_convert_roundtrip(tmp_path):
     pts = tmp_path / "p.pts"
     pts.write_text("3\n0 0 0\n1 1 1\n2 0 1\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from collections import deque
 from collections.abc import Sequence
@@ -757,14 +758,10 @@ MATRIX_FLAWS = [None, "asymmetric", "diagonal", "colour-0", "colour-k+1",
 
 
 @settings(max_examples=200, deadline=None)
-@given(coloured_hosts(), st.sampled_from(MATRIX_FLAWS),
-       st.sampled_from(["first", "last"]), st.integers(0, 3), st.data())
-def test_from_matrix_matches_reference_build(drawn, flaw, at, others, data):
+@given(coloured_hosts(), st.sampled_from(MATRIX_FLAWS), st.data())
+def test_from_matrix_matches_reference_build(drawn, flaw, data):
     # from_matrix against the pair-by-pair checks and adjacency build: equal
     # rows and adjacency on valid matrices, and both reject a flawed one.
-    # from_matrices on a stack of the matrix, first or last, and ``others``
-    # valid colourings of the same host: equal states per matrix, or a
-    # rejection of the whole stack when the matrix is flawed.
     host, k, colour = drawn
     n = host.n
     mat = [[0] * n for _ in range(n)]
@@ -794,45 +791,36 @@ def test_from_matrix_matches_reference_build(drawn, flaw, at, others, data):
         got = None
     assert got == expect
 
-    stack = []
-    for _ in range(others):
-        other = [[0] * n for _ in range(n)]
-        for u, v in colour:
-            other[u][v] = other[v][u] = data.draw(st.integers(1, k))
-        stack.append(other)
-    stack.insert(0 if at == "first" else len(stack), mat)
-    try:
-        expect = [reference_colouring_state(host, k, m) for m in stack]
-    except ValueError:
-        expect = None
-    try:
-        got = [parsed_state(col) for col in
-               EdgeColouring.from_matrices(host, k, np.array(stack, dtype=np.uint8))]
-    except ValueError:
-        got = None
-    assert got == expect
-
 
 @pytest.mark.parametrize("host", [HostGraph.complete(1), HostGraph.complete(4),
                                   HostGraph.multipartite([2, 1, 2]),
                                   HostGraph(4, [(0, 1), (1, 2)])])
-def test_from_matrices_of_empty_and_one_vertex_stacks(host):
+def test_from_matrix_rejects_bad_arrays_and_builds_one_vertex(host):
     n = host.n
-    assert EdgeColouring.from_matrices(host, 3, np.zeros((0, n, n), np.uint8)) == []
-    for bad in (np.zeros((n, n), np.uint8), np.zeros((0, n, n + 1), np.uint8),
-                np.zeros((0, n, n), np.int64)):
+    for bad in (np.zeros((n, n + 1), np.uint8), np.zeros((n, n), np.int64),
+                np.zeros((1, n, n), np.uint8)):
         with pytest.raises(ValueError, match="uint8"):
-            EdgeColouring.from_matrices(host, 3, bad)
+            EdgeColouring.from_matrix(host, 3, bad)
     with pytest.raises(ValueError, match="need at least one colour"):
-        EdgeColouring.from_matrices(host, 0, np.zeros((0, n, n), np.uint8))
+        EdgeColouring.from_matrix(host, 0, np.zeros((n, n), np.uint8))
     if n == 1:
-        cols = EdgeColouring.from_matrices(host, 2, np.zeros((3, 1, 1), np.uint8))
-        assert [parsed_state(col) for col in cols] == [
-            parsed_state(EdgeColouring.from_pairs(host, 2, {}))] * 3
-        flawed = np.zeros((3, 1, 1), np.uint8)
-        flawed[-1, 0, 0] = 1
+        col = EdgeColouring.from_matrix(host, 2, np.zeros((1, 1), np.uint8))
+        assert parsed_state(col) == parsed_state(EdgeColouring.from_pairs(host, 2, {}))
         with pytest.raises(ValueError, match="diagonal"):
-            EdgeColouring.from_matrices(host, 2, flawed)
+            EdgeColouring.from_matrix(host, 2, np.ones((1, 1), np.uint8))
+
+
+def test_colour_count_is_limited_to_a_byte():
+    # A colouring that could be written could not be read back at k > 255.
+    host = HostGraph.complete(2)
+    with pytest.raises(ValueError, match="^k = 300 exceeds the 255 colours a byte can hold$"):
+        EdgeColouring.from_pairs(host, 300, {(0, 1): 1})
+    with pytest.raises(ValueError, match="^k = 300 exceeds the 255 colours a byte can hold$"):
+        parse_colouring("2 300\n0 1 1\n")
+    col = EdgeColouring.from_pairs(host, 255, {(0, 1): 255})
+    text = format_colouring(col)
+    assert text == "2 255\n0 1 255\n"
+    assert parsed_state(parse_colouring(text)) == parsed_state(col)
 
 
 @settings(max_examples=150, deadline=None)
@@ -859,7 +847,8 @@ def test_colouring_parser_ignores_layout(text, data):
 
 
 MUTATIONS = ["drop", "duplicate", "move-pair", "colour-0", "colour-k+1",
-             "non-digit", "extra-token", "missing-token", "dash-number"]
+             "non-digit", "extra-token", "missing-token", "dash-number",
+             "loop", "vertex-n"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -893,6 +882,11 @@ def test_colouring_parser_rejects_mutations(text, mutation, data):
     elif mutation == "missing-token":
         i = data.draw(st.integers(0, len(lines) - 1), label="any line")
         lines[i] = " ".join(lines[i].split()[:-1])
+    elif mutation == "loop":
+        lines[i] = f"{fields[0]} {fields[0]} {fields[2]}"
+    elif mutation == "vertex-n":
+        fields[data.draw(st.integers(0, 1))] = lines[0].split()[0]
+        lines[i] = " ".join(fields)
     else:
         # a vertex column, or n or k on the header
         i = data.draw(st.integers(0, len(lines) - 1), label="any line")
@@ -917,3 +911,17 @@ def test_colouring_parser_accepts_ascii_digits_only():
         assert reference_parse_colouring(base.format(token))[1][0][1] in (3, 30)
         with pytest.raises(ValueError):
             parse_colouring(base.format(token))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty colouring file"),
+    ("# only a comment\n", "empty colouring file"),
+    ("0 4\n", "n and k must be positive"),
+    ("3 0\n0 1 1\n0 2 1\n1 2 1\n", "n and k must be positive"),
+    ("3 2\n0 1 1\n1 1 2\n1 2 1\n", "bad pair (1,1)"),
+    ("3 2\n0 1 1\n0 3 1\n1 2 1\n", "bad pair (0,3)"),
+])
+def test_colouring_parser_rejects_empty_files_headers_and_pairs(text, message):
+    for parse in (parse_colouring, reference_parse_colouring):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(text)
