@@ -7,29 +7,16 @@ one line `monocover: no outcome: <message>` on stderr), 4 rejected input
 (a usage error, or a malformed or unreadable file or a value a command
 cannot use, reported as one line `monocover: error: <message>` on
 stderr).  Flags only; no configuration files or environment variables.
+Each command imports the modules it uses when it runs, so a command
+pays only for its own start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
-from .covers import format_cover, parse_cover, verify_cover
 from .errors import ImpossibleByLemmaError
-from .generators import (layered_adversarial, random_uniform, section5_example,
-                         sharpness_x)
-from .graphs import (DISCONNECTED, format_colouring, parse_colouring,
-                     parse_decimal, set_diameter)
-from .grid import (GridPointSet, bounded_degree_search, classify_independent4,
-                   classify_independent5, colouring_from_points, cover_G3,
-                   format_points, parse_points, points_from_colouring)
-from .layers import build_layer_mapping
-from .oracle import exhaustive_colouring_scan
-from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
-from .twocolour import (MonoSpanning, bipartite_two_colour, erdos_rado_cover,
-                        multipartite_two_colour)
 
 OK, INVALID, INCOMPLETE, REJECTED = 0, 2, 3, 4
 
@@ -48,6 +35,10 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import (layered_adversarial, random_uniform,
+                             section5_example, sharpness_x)
+    from .graphs import format_colouring
+    from .grid import colouring_from_points, parse_points
     if args.kind == "random-uniform":
         colouring = random_uniform(args.n, args.k, args.seed)
     elif args.kind == "layered-adversarial":
@@ -65,6 +56,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    import json
+    import math
+
+    from .covers import format_cover, verify_cover
+    from .graphs import parse_colouring
+    from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
     colouring = parse_colouring(_read(args.colouring))
     if args.lemma:
         return _solve_lemma(args, colouring)
@@ -89,6 +86,9 @@ def _cmd_solve(args) -> int:
 
 
 def _solve_lemma(args, colouring) -> int:
+    from .graphs import set_diameter
+    from .twocolour import (MonoSpanning, bipartite_two_colour,
+                            erdos_rado_cover, multipartite_two_colour)
     if args.lemma == "2cols":
         c = erdos_rado_cover(colouring)
         print(f"colour {c} diameter {set_diameter(colouring, c, range(colouring.n))}")
@@ -110,6 +110,8 @@ def _solve_lemma(args, colouring) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .covers import parse_cover, verify_cover
+    from .graphs import DISCONNECTED, parse_colouring
     colouring = parse_colouring(_read(args.colouring))
     cover = parse_cover(_read(args.cover))
     bound = cover.claimed_bound if args.bound is None else args.bound
@@ -124,6 +126,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_layers(args) -> int:
+    from .graphs import parse_colouring, parse_decimal
+    from .layers import build_layer_mapping
     colouring = parse_colouring(_read(args.colouring))
     seeds = [parse_decimal(tok) for tok in args.seed.split(",")] if args.seed else []
     lm = build_layer_mapping(colouring, args.c1, args.c2, seeds=seeds,
@@ -135,6 +139,8 @@ def _cmd_layers(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from .grid import (bounded_degree_search, classify_independent4,
+                       classify_independent5, cover_G3, parse_points)
     if args.grid_cmd == "cover":
         ps = parse_points(_read(args.points))
         parts = cover_G3(ps)
@@ -164,6 +170,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .graphs import format_colouring, parse_colouring
+    from .grid import (colouring_from_points, format_points, parse_points,
+                       points_from_colouring)
     if args.direction == "points2col":
         ps = parse_points(_read(args.source))
         colouring, _ = colouring_from_points(ps)
@@ -177,6 +186,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import exhaustive_colouring_scan
     sampler = "random" if args.random else "exhaustive"
     report = exhaustive_colouring_scan(
         args.n, args.k, args.bound, args.parts, sampler=sampler,

@@ -18,11 +18,13 @@ pairwise near, and a block left with no colour prunes the branch.
 When every vertex is placed, each block is finished in the first of its
 colours that admits an exact extension inside its pool.
 
-Exhaustive scans walk the colourings of K_n up to colour permutation,
-one canonical colour tuple each, in the order of their codes, and search
-only the first tuple of each isomorphism class.  Its least bound is
-recorded under the canonical tuple of every relabelling of its vertices,
-and each later tuple of the class takes it from there.  This is exact:
+Exhaustive scans take the colourings of K_n up to colour permutation as
+one uint8 array of canonical colour tuples, a row each, in the order of
+their codes, and search only the first row of each isomorphism class.
+Its least bound is written, in an int16 array indexed by row, into the
+rows of the canonical tuples of every relabelling of its vertices, found
+by their codes; the next class to search is the first row still unset.
+Python runs once per class, never once per tuple.  This is exact:
 relabelling the vertices or permuting the colours maps covers to covers
 with the same diameters, and the search is exhaustive, so the report,
 witnesses and ``limit`` included, is what a search of every tuple gives.
@@ -34,9 +36,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations, islice, permutations
+from itertools import accumulate, combinations, permutations
 from operator import or_
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +60,14 @@ bytes, about 8 KB, so a full cache holds about 8 MB (1024 paths on 14
 vertices measured 8.4 MB, the cache's links included, its keys not).
 Masks below 257 are ints that Python shares, so at n = 5 a full cache
 holds about 1.3 MB, keys and links included."""
+
+
+_UNSET, _NO_COVER = -2, -1
+"""The scan's marks in its int16 table of least bounds: a row whose class
+is not yet judged, and a class with no cover in the part budget."""
+
+_SEEK = 4096
+"""Rows the scan tests at a time for the next class to judge."""
 
 
 def _search_bound(bound: float | None) -> int | None:
@@ -258,34 +268,40 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _canonical_colour_tuples(m: int, k: int) -> Iterator[tuple[int, ...]]:
+def _canonical_colour_tuples(m: int, k: int) -> np.ndarray:
     """The canonical tuples of length m over colours 1..k, those in which
     each colour first appears after every smaller one, so one per orbit
-    under colour permutations, in increasing order of their code, the sum
-    of ``(c_i - 1) * k**i``.
+    under colour permutations: a uint8 array of one tuple per row, in
+    increasing order of their code, the sum of ``(c_i - 1) * k**i``.
 
-    Digits are chosen from the last, the most significant, to the first,
-    each in increasing order.  Each suffix carries its need, the fewest
-    colours a prefix must already use for the suffix to stay canonical;
-    prepending colour c leaves a need above c as it is and makes any other
-    c - 1.  A suffix starting at position j is kept only if its need is at
-    most min(j, k), the most colours a canonical prefix of length j uses.
+    Digits are filled from the last, the most significant, to the first,
+    a column per step.  Each suffix carries its need, the fewest colours a
+    prefix must already use for the suffix to stay canonical; prepending
+    colour c leaves a need above c as it is and makes any other c - 1.  A
+    suffix starting at position j is kept only if its need is at most
+    min(j, k), the most colours a canonical prefix of length j uses, so no
+    colour above min(m, k) is tried.  Children follow their parent, in
+    increasing colour, so the rows come out in code order.
     """
-    codes = [0] * m
+    colours = np.arange(1, min(m, k) + 1, dtype=np.uint8)
+    rows = np.zeros((1, m), dtype=np.uint8)
+    need = np.zeros(1, dtype=np.uint8)
+    for j in range(m - 1, -1, -1):
+        # after[s, i]: the need of suffix s with colours[i] prepended
+        after = np.where(need[:, None] > colours, need[:, None], colours - 1)
+        keep = after <= min(j, k)
+        rows = np.repeat(rows, keep.sum(axis=1), axis=0)
+        rows[:, j] = np.broadcast_to(colours, keep.shape)[keep]
+        need = after[keep]
+    return rows
 
-    def fill(j, need):
-        if j == 0:
-            yield tuple(codes)
-            return
-        j -= 1
-        top = min(j, k)
-        for c in range(1, k + 1):
-            after = need if need > c else c - 1
-            if after <= top:
-                codes[j] = c
-                yield from fill(j, after)
 
-    return fill(m, 0)
+def _tuple_codes(tuples: np.ndarray, k: int) -> np.ndarray:
+    """The int64 code of each row of ``tuples``, the sum of
+    ``(c_i - 1) * k**i``; ``einsum`` casts the rows in chunks, so no int64
+    copy of a large array is made."""
+    weights = k ** np.arange(tuples.shape[1], dtype=np.int64)
+    return np.einsum("ij,j->i", tuples, weights) - weights.sum()
 
 
 def _pair_moves(n: int) -> np.ndarray:
@@ -299,19 +315,19 @@ def _pair_moves(n: int) -> np.ndarray:
     return pos[perms[:, us], perms[:, vs]]
 
 
-def _class_tuples(codes: tuple[int, ...],
-                  moves: np.ndarray) -> Iterator[tuple[int, ...]]:
+def _class_tuples(codes: Sequence[int], moves: np.ndarray) -> np.ndarray:
     """The canonical tuples of the colourings isomorphic to ``codes``, a
-    canonical tuple of at least one pair, with repeats: each row of
-    ``moves`` relabels its pairs, and the colours are renamed in order of
-    first appearance."""
+    canonical tuple of at least one pair, one per row and with repeats:
+    each row of ``moves`` relabels its pairs, and the colours are renamed
+    in order of first appearance."""
     images = np.asarray(codes, dtype=np.intp)[moves]
     # A canonical tuple uses every colour 1..top, and so does each image.
-    top = max(codes)
-    first = (images[:, :, None] == np.arange(1, top + 1)).argmax(axis=1)
-    rank = first.argsort(axis=1).argsort(axis=1)
-    renamed = np.take_along_axis(rank, images - 1, axis=1) + 1
-    return map(tuple, renamed.tolist())
+    colours = np.arange(1, images.max() + 1)
+    # first[s, c]: the first position of colour c + 1 in image s
+    first = (images[:, None, :] == colours[:, None]).argmax(axis=2)
+    # rank[s, c]: the colours that appear before colour c + 1 in image s
+    rank = (first[:, :, None] > first[:, None, :]).sum(axis=2)
+    return rank[np.arange(len(images))[:, None], images - 1] + 1
 
 
 def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
@@ -343,39 +359,48 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
     pairs = list(combinations(range(n), 2))
     host = HostGraph.complete(n)
 
-    def judge(need, witness):
-        if need is None or (search_bound is not None and need > search_bound):
-            report.witnesses.append(witness)
-        if need is not None:
-            report.worst_bound_needed = max(report.worst_bound_needed, need)
-
     if sampler == "exhaustive":
         if k ** len(pairs) > 10 ** 8:
             raise ValueError("exhaustive scan too large")
+        tuples = _canonical_colour_tuples(len(pairs), k)
+        stop = len(tuples) if limit is None else min(limit, len(tuples))
+        codes = _tuple_codes(tuples[:stop], k)
         # Flat matrix positions of (u, v) and (v, u) for each pair, in the
-        # order of a tuple's codes; intp, since an empty list would be float.
+        # order of a tuple's colours; intp, since an empty list would be float.
         cells = np.array([[u * n + v for u, v in pairs],
                           [v * n + u for u, v in pairs]], dtype=np.intp)
         # A scan of one tuple (one colour, or at most one pair) needs no
         # table; otherwise k ** m <= 10 ** 8 keeps n at most 7.
         moves = _pair_moves(n) if k > 1 and len(pairs) > 1 else None
-        known = {}  # tuple -> least bound, for later tuples of judged classes
-        tuples = _canonical_colour_tuples(len(pairs), k)
-        todo = tuples if limit is None else islice(tuples, limit)
-        for codes in todo:
-            report.instances_checked += 1
-            if codes in known:
-                need = known.pop(codes)
+        # need[i]: the least bound of row i's class, once its first row is
+        # judged; _NO_COVER for None.
+        need = np.full(stop, _UNSET, dtype=np.int16)
+        cursor = 0  # no unset row lies before it
+        while cursor < stop:
+            unset = np.flatnonzero(need[cursor:cursor + _SEEK] == _UNSET)
+            if not len(unset):
+                cursor += _SEEK
+                continue
+            row = cursor + int(unset[0])
+            cursor = row + 1
+            mat = np.zeros(n * n, dtype=np.uint8)
+            mat[cells] = tuples[row]
+            colouring = EdgeColouring.from_matrix(host, k, mat.reshape(n, n))
+            least = minimal_bound(colouring, max_parts, None)
+            if moves is None:
+                at = row
             else:
-                mat = np.zeros(n * n, dtype=np.uint8)
-                mat[cells] = codes
-                colouring = EdgeColouring.from_matrix(host, k, mat.reshape(n, n))
-                need = minimal_bound(colouring, max_parts, None)
-                if moves is not None:
-                    known.update(dict.fromkeys(_class_tuples(codes, moves), need))
-                    del known[codes]
-            judge(need, codes)
-        report.complete = next(tuples, None) is None
+                at = np.searchsorted(codes, _tuple_codes(
+                    _class_tuples(tuples[row], moves), k))
+                at = at[at < stop]  # images past the limit are not scanned
+            need[at] = _NO_COVER if least is None else least
+        bad = need == _NO_COVER
+        if search_bound is not None:
+            bad |= need > search_bound
+        report.instances_checked = stop
+        report.worst_bound_needed = int(need.max(initial=0))
+        report.witnesses = list(map(tuple, tuples[:stop][bad].tolist()))
+        report.complete = stop == len(tuples)
     elif sampler == "random":
         rng = random.Random(seed)
         for i in range(count):
@@ -388,7 +413,13 @@ def exhaustive_colouring_scan(n: int, k: int, bound: float | None,
                 sub = random.Random(sub_seed)
                 colouring = EdgeColouring.build(host, k,
                                                 lambda u, v: sub.randint(1, k))
-                judge(minimal_bound(colouring, max_parts, None), sub_seed)
+                need = minimal_bound(colouring, max_parts, None)
+                if need is None or (search_bound is not None
+                                    and need > search_bound):
+                    report.witnesses.append(sub_seed)
+                if need is not None:
+                    report.worst_bound_needed = max(report.worst_bound_needed,
+                                                    need)
             else:
                 if k != 4:
                     raise ValueError("large random scans need k = 4")

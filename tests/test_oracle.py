@@ -6,6 +6,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from monocover.generators import section5_example
 from monocover.graphs import (EdgeColouring, HostGraph, diameter_within,
                               iter_bits, set_diameter)
 from monocover.oracle import (_balls, _canonical_colour_tuples,
-                              _class_tuples, _pair_moves,
+                              _class_tuples, _pair_moves, _tuple_codes,
                               exhaustive_colouring_scan, min_cover_bruteforce,
                               minimal_bound)
 
@@ -535,9 +536,19 @@ def test_canonical_tuples_in_scan_order(n, k, orbits):
     # Burnside: one tuple per set partition of the m pairs into at most k
     # colour classes, sum of S(m, j) for j <= k.
     m = n * (n - 1) // 2
-    got = list(_canonical_colour_tuples(m, k))
+    got = list(map(tuple, _canonical_colour_tuples(m, k).tolist()))
     assert got == list(filtered_canonical_tuples(m, k))
     assert len(got) == orbits
+
+
+@pytest.mark.parametrize("m, k, rows", [(15, 2, 16384), (15, 3, 2391485),
+                                        (10, 4, 43947)])
+def test_canonical_tuple_rows_match_burnside(m, k, rows):
+    # ROADMAP's Burnside table: K_6 in three colours, K_5 in four; in two
+    # colours 2**(m - 1).  Codes strictly increase down the rows.
+    tuples = _canonical_colour_tuples(m, k)
+    assert tuples.shape == (rows, m) and tuples.dtype == np.uint8
+    assert (np.diff(_tuple_codes(tuples, k)) > 0).all()
 
 
 @pytest.mark.parametrize("limit", [5, 257, 1000])
@@ -552,6 +563,16 @@ def test_scan_limit_takes_the_first_tuples(limit):
     assert scan_fields(report) == reference_scan(5, 3, 1, 2, limit)
 
 
+@pytest.mark.parametrize("limit, complete", [(0, False), (9841, False),
+                                             (9842, True), (10 ** 6, True)])
+def test_scan_limit_at_the_ends(limit, complete):
+    # No tuple, all but the last, exactly all, and more than all.
+    report = exhaustive_colouring_scan(5, 3, bound=1, max_parts=2, limit=limit)
+    assert report.instances_checked == min(limit, 9842)
+    assert report.complete is complete
+    assert scan_fields(report) == reference_scan(5, 3, 1, 2, limit)
+
+
 @pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)])
 @pytest.mark.parametrize("bound", [8, 1, None])
 @pytest.mark.parametrize("parts", [1, 2])
@@ -561,12 +582,12 @@ def test_scan_agrees_with_a_search_of_every_tuple(n, k, bound, parts):
 
 
 @pytest.mark.parametrize("n, k, classes", [(4, 2, 6), (5, 2, 18),
-                                            (5, 3, 142)])
+                                            (5, 3, 142), (6, 2, 78)])
 def test_scan_searches_once_per_class(monkeypatch, n, k, classes):
     # Colourings up to relabelling of vertices and colours (Burnside):
-    # 142 of K_5 in three colours; in two, the 11 graphs on 4 vertices and
-    # the 34 on 5 paired with their complements, of which one (the path)
-    # and two are self-complementary.
+    # 142 of K_5 in three colours; in two, the 11 graphs on 4 vertices, the
+    # 34 on 5 and the 156 on 6 paired with their complements, of which one
+    # (the path), two and none are self-complementary.
     from monocover import oracle
     searched = []
     bound_of = oracle.minimal_bound
@@ -578,6 +599,8 @@ def test_scan_searches_once_per_class(monkeypatch, n, k, classes):
     monkeypatch.setattr(oracle, "minimal_bound", recorded)
     report = exhaustive_colouring_scan(n, k, bound=8, max_parts=2)
     assert len(searched) == classes and report.complete
+    assert report.instances_checked == {(4, 2): 32, (5, 2): 512, (5, 3): 9842,
+                                        (6, 2): 16384}[n, k]
 
 
 @pytest.mark.parametrize("n, k", [(3, 3), (4, 3), (5, 3)])
@@ -585,4 +608,5 @@ def test_class_tuples_are_the_relabellings(n, k):
     m = n * (n - 1) // 2
     moves = _pair_moves(n)
     for codes in islice(filtered_canonical_tuples(m, k), 1, 200):
-        assert set(_class_tuples(codes, moves)) == reference_relabellings(codes, n)
+        assert (set(map(tuple, _class_tuples(codes, moves).tolist()))
+                == reference_relabellings(codes, n))
