@@ -11,20 +11,22 @@ layers are masks, and only ``covers.verified`` turns a construction's
 masks into the frozensets of a cover.
 
 One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
-(distances, balls and components are calls to it) and stops as soon as
-it has reached its whole mask; inside a level it stops reading adjacency
-rows once they hold every unseen vertex of the mask, so a BFS in a dense
-part reads a few rows instead of a whole frontier.
+(distances, balls and components are read from its levels) and stops as
+soon as it has reached its whole mask; inside a level it stops reading
+adjacency rows once they hold every unseen vertex of the mask, so a BFS
+in a dense part reads a few rows instead of a whole frontier.
 :func:`diameter_of_mask` is the one exact diameter: eccentricity bounds,
 then BFS only where they leave a gap, and
 :func:`diameter_within` answers "connected with diameter at most b" with
 a single BFS unless b lies between an eccentricity and twice it; that
 BFS expands at most b levels, since a vertex that has not reached the
 whole mask within b levels already makes the answer no.  One
-rule holds across the package: a yes/no diameter question goes through
-:func:`diameter_within`, and :func:`diameter_of_mask` runs only where
-its number is reported.  ``BFS_RUNS`` counts the calls of
-:func:`bfs_reach` since import; ``solver.solve4`` reads it per stage.
+rule holds across the package: a yes/no diameter question is decided by
+:func:`_decide_within`, through :func:`diameter_within` or on the levels
+the metrics cache keeps, and :func:`diameter_of_mask` runs only where
+its number is reported or that rule leaves a gap.  ``BFS_RUNS`` counts
+the calls of :func:`bfs_reach` since import; ``solver.solve4`` reads it
+per stage.
 
 A colouring has one checking constructor and one metrics cache:
 :meth:`EdgeColouring.from_matrix` alone checks a colouring's n x n uint8
@@ -32,7 +34,9 @@ matrix and derives its rows and adjacency masks (the other constructors
 and the parser fill a matrix and end there; :func:`check_byte_colours`
 keeps k within the 255 colours a byte holds), and ``colouring.metrics``
 is the one lazily made :class:`MonoMetrics` that every stage of a solve
-shares.
+shares.  It runs the BFS of each (colour, source) pair at most once,
+keeps its levels, and answers components, distance rows, balls and the
+threshold questions from them.
 
 The colouring file format is read and written without a Python loop per
 pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
@@ -44,7 +48,9 @@ and ends in :meth:`EdgeColouring.from_matrix`, and
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -351,12 +357,14 @@ def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
     """
     global BFS_RUNS
     BFS_RUNS += 1
-    seen = start_mask
     frontier = start_mask
     levels = 0
-    while frontier and levels != radius and seen != within:
+    # The vertices still to reach.  With no ``within`` that is the
+    # complement of the reached set, a negative int, which no OR of rows
+    # can hold and which is never 0.
+    todo = ~start_mask if within is None else within & ~start_mask
+    while frontier and levels != radius and todo:
         nxt = 0
-        todo = -1 if within is None else within & ~seen  # -1: never met
         m = frontier
         while m:
             lsb = m & -m
@@ -364,13 +372,11 @@ def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
             if nxt & todo == todo:
                 break
             m ^= lsb
-        if within is not None:
-            nxt &= within
-        nxt &= ~seen
+        nxt &= todo
         if not nxt:
             break
         levels += 1
-        seen |= nxt
+        todo ^= nxt
         if dist is not None:
             m = nxt
             while m:
@@ -380,7 +386,7 @@ def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
         if fringes is not None:
             fringes.append(nxt)
         frontier = nxt
-    return levels, seen
+    return levels, ~todo if within is None else start_mask | within & ~todo
 
 
 def bfs_distances(adj: Sequence[int], n: int, source: int,
@@ -461,16 +467,27 @@ def diameter_within(adj: Rows, mask: int, bound: float) -> bool:
     """True iff ``mask`` induces a connected subgraph of diameter <= bound.
 
     One BFS from the lowest vertex, capped at floor(bound) levels (no cap
-    for an infinite bound), comes first.  If it has not reached the whole
-    mask, the mask is disconnected or that vertex's eccentricity exceeds
-    the bound, and the answer is no either way.  Otherwise it gives the
-    exact eccentricity e <= bound, and 2*e <= bound decides yes (every
-    pair meets within e + e); only a bound between e and 2*e pays for the
-    one exact diameter (eccentricity bounds, then BFS only where they
-    leave a gap), which stops at the first eccentricity above the bound.
+    for an infinite bound), comes first, and :func:`_decide_within` reads
+    the answer from it.
     """
     radius = None if bound == math.inf else math.floor(bound)
     ecc, reach = bfs_reach(adj, mask & -mask, within=mask, radius=radius)
+    return _decide_within(adj, mask, ecc, reach, bound)
+
+
+def _decide_within(adj: Rows, mask: int, ecc: int, reach: int, bound: float) -> bool:
+    """The rule of :func:`diameter_within` and of the metrics' threshold
+    questions, given a BFS inside ``mask`` from one of its vertices that
+    reached ``reach`` in ``ecc`` levels, uncapped or capped at floor(bound).
+
+    If it has not reached the whole mask, the mask is disconnected or that
+    vertex's eccentricity exceeds the bound, and the answer is no either
+    way.  Otherwise ``ecc`` is the exact eccentricity e, and e > bound
+    decides no, 2*e <= bound yes (every pair meets within e + e); only a
+    bound between e and 2*e pays for the one exact diameter (eccentricity
+    bounds, then BFS only where they leave a gap), which stops at the
+    first eccentricity above the bound.
+    """
     if reach != mask:
         return False
     if 2 * ecc <= bound or ecc > bound:
@@ -482,14 +499,24 @@ def diameter_within(adj: Rows, mask: int, bound: float) -> bool:
 
 
 class MonoMetrics:
-    """Cached per-colour components and distances of a colouring.
+    """Cached per-colour BFS levels of a colouring, and what they give.
 
-    BFS rows and component masks are memoised on first request.  Each
-    colouring holds one instance, ``colouring.metrics``, which lives as
-    long as the colouring does, and every caller shares its rows and
-    lists: read them, never change them.  The caches are plain
-    dicts with no locking, so an instance, and with it the colouring's
-    metric queries, belongs to one thread.
+    The one cached search is the BFS of a (colour, source) pair: its
+    levels, as :func:`bfs_reach` appends them to ``fringes``, with the
+    source's own mask in front.  Each pair's BFS runs at most once per
+    instance, and every other answer is read off levels: the components
+    (the levels of each component's lowest vertex), distance rows, balls
+    (the OR of the first r + 1 levels) and the threshold questions, whose
+    eccentricity is the level count (:func:`_decide_within`, the rule of
+    :func:`diameter_within`).  The one exception keeps memory linear in
+    the rows asked for: a distance row asked for before the pair's
+    levels comes from a BFS that writes the row only, and levels asked
+    for later are read off that row.  Levels, rows and component lists
+    are memoised on first request.  Each colouring holds one instance,
+    ``colouring.metrics``, which lives as long as the colouring does, and
+    every caller shares its lists: read them, never change them.  The
+    caches are plain dicts with no locking, so an instance, and with it
+    the colouring's metric queries, belongs to one thread.
     """
 
     def __init__(self, colouring: EdgeColouring):
@@ -499,6 +526,8 @@ class MonoMetrics:
         self.n = colouring.n
         self.k = colouring.k
         self._adj = colouring._adj
+        self._full = (1 << self.n) - 1
+        self._bfs: dict[tuple[int, int], tuple[list[int], int]] = {}
         self._dist: dict[tuple[int, int], list[int]] = {}
         self._comps: dict[int, list[int]] = {}
 
@@ -508,22 +537,72 @@ class MonoMetrics:
         if v is not None and not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
 
+    def _search(self, c: int, x: int) -> tuple[list[int], int]:
+        """The levels of the c-BFS from x and the mask it reached, x's
+        c-component.  The BFS runs on the first request only, and not at
+        all when a distance row from x is cached: the levels are read
+        off it."""
+        key = (c, x)
+        got = self._bfs.get(key)
+        if got is None:
+            self._check(c, x)
+            row = self._dist.get(key)
+            if row is None:
+                levels = [1 << x]
+                _, reach = bfs_reach(self._adj[c], 1 << x, within=self._full,
+                                     fringes=levels)
+            else:
+                levels = [0] * (max(row) + 1)
+                for v, d in enumerate(row):
+                    if d >= 0:
+                        levels[d] |= 1 << v
+                reach = reduce(or_, levels)
+            got = self._bfs[key] = (levels, reach)
+        return got
+
+    def levels(self, c: int, x: int) -> list[int]:
+        """The c-BFS levels of x: entry i is the mask of the vertices at
+        c-distance i from x, entry 0 is x alone, and the last entry is the
+        farthest, so the list's length less one is x's eccentricity in its
+        component."""
+        return self._search(c, x)[0]
+
     def component_masks(self, c: int) -> list[int]:
         """The c-components as masks, singletons included, in increasing
         order of lowest vertex."""
         self._check(c)
         got = self._comps.get(c)
         if got is None:
-            got = components_masks(self._adj[c], self.n)
+            got = []
+            left = self._full
+            while left:
+                comp = self._search(c, (left & -left).bit_length() - 1)[1]
+                got.append(comp)
+                left &= ~comp
             self._comps[c] = got
         return got
 
     def distances_from(self, c: int, x: int) -> list[int]:
-        self._check(c, x)
+        """d_c(x, v) for every vertex v, -1 outside x's c-component.
+
+        The row is read off cached levels, or else written by a BFS that
+        keeps no levels.  A loop over many sources asks for rows, and on
+        a long thin colour graph a source's levels, one n-bit int each,
+        hold several times the memory of its row."""
         key = (c, x)
         row = self._dist.get(key)
         if row is None:
-            row = bfs_distances(self._adj[c], self.n, x)
+            got = self._bfs.get(key)
+            if got is None:
+                self._check(c, x)
+                row = bfs_distances(self._adj[c], self.n, x)
+            else:
+                row = [-1] * self.n
+                for d, level in enumerate(got[0]):
+                    while level:
+                        lsb = level & -level
+                        row[lsb.bit_length() - 1] = d
+                        level ^= lsb
             self._dist[key] = row
         return row
 
@@ -537,25 +616,28 @@ class MonoMetrics:
         """B_c(x, r) as a mask: every vertex at c-distance at most r from x."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        row = self.distances_from(c, x)
-        m = 0
-        for v, d in enumerate(row):
-            if 0 <= d <= r:
-                m |= 1 << v
-        return m
+        return reduce(or_, self.levels(c, x)[:r + 1])
+
+    def within(self, c: int, mask: int, bound: float) -> bool:
+        """``diameter_within(adj_rows(c), mask, bound)`` for a mask that is
+        a union of c-components (one component, or every vertex), read off
+        the levels of its lowest vertex: inside such a mask, that BFS is
+        the one in the whole colour graph."""
+        levels, reach = self._search(c, (mask & -mask).bit_length() - 1)
+        return _decide_within(self._adj[c], mask, len(levels) - 1, reach, bound)
 
     def colour_diameter(self, c: int) -> int:
         """Largest distance between two vertices sharing a c-component."""
         return max(diameter_of_mask(self._adj[c], m) for m in self.component_masks(c))
 
-    def colour_within(self, c: int, bound: int) -> bool:
+    def colour_within(self, c: int, bound: float) -> bool:
         """Same as ``colour_diameter(c) <= bound``, without exact diameters."""
-        return all(diameter_within(self._adj[c], m, bound) for m in self.component_masks(c))
+        return all(self.within(c, m, bound) for m in self.component_masks(c))
 
-    def spans_within_diameter(self, c: int, bound: int) -> bool:
+    def spans_within_diameter(self, c: int, bound: float) -> bool:
         """True iff G[c] is connected on all vertices with diameter <= bound."""
         self._check(c)
-        return diameter_within(self._adj[c], (1 << self.n) - 1, bound)
+        return self.within(c, self._full, bound)
 
 
 def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):

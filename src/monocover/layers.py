@@ -9,22 +9,24 @@ and the certificate H are vertex bitmasks; each construction hands its
 parts to :func:`covers.verified` as ``(mask, colour)`` pairs, and that
 step builds the cover's frozensets or raises ImpossibleByLemmaError with
 a replayable witness when the output fails verification.  Coordinates
-come from the shared ``colouring.metrics`` rows and the core balls of the
-7-distant construction from ``graphs.bfs_reach(..., radius=r)``, both on
-the one BFS kernel of :mod:`graphs`.  Diameters are decided by threshold;
-the one exact diameter here is the certificate H's, which sets a bound.
+come from the BFS levels that ``colouring.metrics`` keeps, and the core
+balls of the 7-distant construction from ``graphs.bfs_reach(...,
+radius=r)``, both on the one BFS kernel of :mod:`graphs`.  Diameters are
+decided by threshold; the one exact diameter here is the certificate
+H's, which sets a bound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, bfs_reach, diameter_of_mask, iter_bits
-from .twocolour import Split, bipartite_outcome, multipartite_colour
+from .twocolour import (Split, bipartite_outcome, multipartite_colour,
+                        triangle_colour)
 
 Point = tuple[int, int]
 
@@ -79,7 +81,11 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     index order).  Whenever a vertex still lacks a coordinate, the policy
     supplies a start value for its component: "zero" starts every
     component at 0, "spread" starts far beyond every value used so far,
-    which keeps distinct components far apart in that coordinate.
+    which keeps distinct components far apart in that coordinate.  A
+    coordinate's values are the vertex's BFS levels from that start,
+    read from ``colouring.metrics``.  A connected colour has one
+    component, which both policies start at 0, so its coordinates are the
+    first vertex's cached distance row, taken whole.
     """
     colouring._check_colour(c1)
     colouring._check_colour(c2)
@@ -90,6 +96,7 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     if value_policy not in ("zero", "spread"):
         raise ValueError(f"unknown value policy {value_policy!r}")
     n = colouring.n
+    gap = n + 7
     order = list(dict.fromkeys(seeds))
     if any(v < 0 or v >= n for v in order):
         raise ValueError("seed vertex out of range")
@@ -97,26 +104,25 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     order += [v for v in range(n) if v not in in_seeds]
 
     metrics = colouring.metrics
-    coords: list[list[int | None]] = [[None] * n, [None] * n]
-    next_base = [0, 0]
-    gap = n + 7
-    for v in order:
-        for j, c in ((0, c1), (1, c2)):
-            if coords[j][v] is not None:
+    coords = []
+    for c in (c1, c2):
+        if len(metrics.component_masks(c)) == 1:
+            # One BFS reaches everything, and both policies start it at 0.
+            coords.append(metrics.distances_from(c, order[0]))
+            continue
+        values: list[int | None] = [None] * n
+        base = 0
+        for v in order:
+            if values[v] is not None:
                 continue
-            base = 0 if value_policy == "zero" else next_base[j]
-            row = metrics.distances_from(c, v)
-            top = base
-            for u in range(n):
-                d = row[u]
-                if d >= 0:
-                    val = base + d
-                    coords[j][u] = val
-                    if val > top:
-                        top = val
-            next_base[j] = top + gap
-    return LayerMapping(colouring, c1, c2,
-                        [(coords[0][v], coords[1][v]) for v in range(n)])
+            levels = metrics.levels(c, v)
+            for d, level in enumerate(levels):
+                for u in iter_bits(level):
+                    values[u] = base + d
+            if value_policy == "spread":
+                base += len(levels) - 1 + gap
+        coords.append(values)
+    return LayerMapping(colouring, c1, c2, list(zip(*coords)))
 
 
 # -- distant sets ---------------------------------------------------------
@@ -133,12 +139,14 @@ def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, .
 
     A depth-first search over the points in sorted order extends a chosen
     prefix only with later points, so ``compat[i]`` holds just the later
-    points k-distant from point i.  With the points sorted by x, those
-    with x_j >= x_i + k are one suffix of indices, found by bisection.
-    The points with |y_j - y_i| >= k are a prefix and a suffix of the
-    points taken in y order; one sweep in that order keeps both as
-    running ORs.  So the rows cost O(m log m) bisections and O(m)
-    big-integer operations, and the only O(m^2) bits are the m rows.
+    points k-distant from point i.  It is built when the search first
+    extends through point i, so a search that stops early builds few of
+    the m rows.  With the points sorted by x, those with x_j >= x_i + k
+    are one suffix of indices, found by bisection.  The points with
+    |y_j - y_i| >= k are a prefix and a suffix of the points taken in y
+    order; two bisections in that order pick them out of the prefix
+    masks, made in one sweep.  So a row costs three bisections and a few
+    big-integer operations.
     """
     if k < 1 or size < 1:
         raise ValueError("k and size must be positive")
@@ -152,34 +160,35 @@ def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, .
     xs = [p[0] for p in pts]
     by_y = sorted(range(m), key=lambda i: pts[i][1])
     ys = [pts[i][1] for i in by_y]
-    compat = [0] * m
-    below = above = 0  # the points by_y[:lo] and by_y[:hi], as masks
-    lo = hi = 0
-    for i in by_y:
+    prefix = [0] * (m + 1)  # prefix[t]: the points by_y[:t], as a mask
+    for t, i in enumerate(by_y):
+        prefix[t + 1] = prefix[t] | 1 << i
+    compat: list[int | None] = [None] * m
+
+    def row(i: int) -> int:
         x, y = pts[i]
-        while lo < m and ys[lo] <= y - k:
-            below |= 1 << by_y[lo]
-            lo += 1
-        while hi < m and ys[hi] < y + k:
-            above |= 1 << by_y[hi]
-            hi += 1
         j = bisect_left(xs, x + k)  # the first point with x_j >= x + k
-        compat[i] = (full >> j << j) & (below | full ^ above)
+        below = prefix[bisect_right(ys, y - k)]  # y_j <= y - k
+        above = prefix[bisect_left(ys, y + k)]  # y_j < y + k
+        return (full >> j << j) & (below | full ^ above)
 
     def extend(common: int, depth: int, start: int) -> tuple[int, ...] | None:
-        if depth == size:
-            return ()
         cand = common >> start << start
+        if depth == size - 1:  # any candidate completes the set
+            return ((cand & -cand).bit_length() - 1,) if cand else None
         while cand:
             lsb = cand & -cand
             i = lsb.bit_length() - 1
-            rest = extend(common & compat[i], depth + 1, i + 1)
+            compat_i = compat[i]
+            if compat_i is None:
+                compat_i = compat[i] = row(i)
+            rest = extend(common & compat_i, depth + 1, i + 1)
             if rest is not None:
                 return (i,) + rest
             cand ^= lsb
         return None
 
-    got = extend((1 << m) - 1, 0, 0)
+    got = extend(full, 0, 0)
     if got is None:
         return None
     return tuple(pts[i] for i in got)
@@ -217,14 +226,16 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
 
 
 def _distant_anchors(anchors: Sequence[Point], separation: int = 2
-                     ) -> Callable[[Point], list[Point]]:
+                     ) -> Callable[[Point], tuple[Point, ...]]:
     """Map from a point to the anchors ``separation``-distant from it, in
     anchor order.
 
     The anchors must be (2 * separation - 1)-distant, so that each
     coordinate value lies within separation - 1 of at most one anchor:
     one dict per coordinate, built once, names that anchor, and a point
-    drops at most the two anchors that its coordinates look up.
+    drops at most the two anchors that its coordinates look up.  The
+    answer depends on those two names only, so it is kept in a table
+    keyed by them, of at most (len(anchors) + 1) ** 2 entries.
     """
     near: tuple[dict[int, Point], dict[int, Point]] = ({}, {})
     for a in anchors:
@@ -232,10 +243,14 @@ def _distant_anchors(anchors: Sequence[Point], separation: int = 2
             for v in range(a[axis] - separation + 1, a[axis] + separation):
                 near[axis][v] = a
     near_x, near_y = near
+    table: dict[tuple[Point | None, Point | None], tuple[Point, ...]] = {}
 
-    def distant(point: Point) -> list[Point]:
-        nx, ny = near_x.get(point[0]), near_y.get(point[1])
-        return [a for a in anchors if a != nx and a != ny]
+    def distant(point: Point) -> tuple[Point, ...]:
+        key = (near_x.get(point[0]), near_y.get(point[1]))
+        got = table.get(key)
+        if got is None:
+            got = table[key] = tuple(a for a in anchors if a not in key)
+        return got
 
     return distant
 
@@ -312,34 +327,40 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     cbase = multipartite_colour(col, [layers[p] for p in quad], reserved)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
 
-    base_points: list[Point] = []
-    pair_groups: dict[tuple[Point, Point], list[Point]] = {}
+    base = lm.union_mask(quad)
+    groups: dict[tuple[Point, Point], int] = {}  # anchor pair -> its layers
     distant = _distant_anchors(quad)
     for point in lm.points:
         if point in quad:
             continue
         # As in the extended triple cover, at most two anchors are close.
-        pair = tuple(distant(point)[:2])
-        c_pt = multipartite_colour(
-            col, [layers[pair[0]], layers[pair[1]], layers[point]], reserved)
+        pair = distant(point)[:2]
+        ma, mb, mx = layers[pair[0]], layers[pair[1]], layers[point]
+        c_pt = None
+        if not (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)):
+            # three single vertices: the triangle rule, with no masks
+            c_pt = triangle_colour(col, ma.bit_length() - 1, mb.bit_length() - 1,
+                                   mx.bit_length() - 1, reserved)
+        if c_pt is None:
+            c_pt = multipartite_colour(col, [ma, mb, mx], reserved)
         if c_pt == cbase:
-            base_points.append(point)
+            base |= mx
         else:
-            pair_groups.setdefault(pair, []).append(point)
+            groups[pair] = groups.get(pair, 0) | mx
 
-    parts = [(lm.union_mask(quad) | lm.union_mask(base_points), cbase)]
-    if pair_groups:
-        pairs = sorted(pair_groups)
+    parts = [(base, cbase)]
+    if groups:
+        pairs = sorted(groups)
         intersecting = any(set(p1) & set(p2)
                            for p1, p2 in combinations(pairs, 2))
         if intersecting or len(pairs) == 1:
             merged = 0
             for pair in pairs:
-                merged |= lm.union_mask(pair) | lm.union_mask(pair_groups[pair])
+                merged |= lm.union_mask(pair) | groups[pair]
             parts.append((merged, cbar))
         else:  # four anchors hold at most two disjoint pairs
             for pair in pairs:
-                parts.append((lm.union_mask(pair) | lm.union_mask(pair_groups[pair]), cbar))
+                parts.append((lm.union_mask(pair) | groups[pair], cbar))
     return verified(col, parts, QUAD_COVER_BOUND, "quadruple cover",
                     {"quad": quad, "base_colour": cbase})
 

@@ -25,7 +25,7 @@ from itertools import combinations
 from . import graphs
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
-from .graphs import EdgeColouring, diameter_within, iter_bits
+from .graphs import EdgeColouring, iter_bits
 from .grid import GridPointSet, cover_G3, signature_fibres
 from .layers import (build_layer_mapping, cover_from_dist7_triple,
                      cover_from_dist3_quad, find_k_distant,
@@ -296,7 +296,7 @@ def _disjoint_pairs(metrics, min_diameter):
     another colour c2 disjoint from it, by c, then mask, c2 and mask2."""
     for c in range(1, 5):
         for mask in metrics.component_masks(c):
-            if diameter_within(metrics._adj[c], mask, min_diameter - 1):
+            if metrics.within(c, mask, min_diameter - 1):
                 continue
             for c2 in range(1, 5):
                 if c2 == c:

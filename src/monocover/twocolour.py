@@ -19,12 +19,13 @@ The cross-group rows are sparse: one dict per colour, holding a row for
 each vertex of the groups' union only, built from one read of each
 colour's rows.  A colour in which some vertex of the union has no cross
 edge is disconnected, since the union holds at least two vertices, and
-the engines skip its check without a BFS.  Three single-vertex groups,
-the layer cover's usual call, need no rows at all: when their three
-pairs are present and coloured in the pair, the cross graph is a
-triangle, and the multipartite engine reads its answer from the three
-colours of the colouring's byte rows (the triangle rule of
-:func:`multipartite_colour`).
+the engines skip its check without a BFS.  Three single-vertex groups
+need no rows at all: when their three pairs are present and coloured in
+the pair, the cross graph is a triangle, and the multipartite engine
+reads its answer from the three colours of the colouring's byte rows
+(the triangle rule of :func:`multipartite_colour`).  The layer cover,
+whose usual call this is, applies :func:`triangle_colour` to the three
+vertices itself.
 """
 
 from __future__ import annotations
@@ -159,12 +160,21 @@ def _triangle_colour(colouring: EdgeColouring, masks: Sequence[int],
     ca, cb = pair
     if not (1 <= ca <= colouring.k and 1 <= cb <= colouring.k):
         return None
+    return triangle_colour(colouring, ma.bit_length() - 1, mb.bit_length() - 1,
+                           mx.bit_length() - 1, pair)
+
+
+def triangle_colour(colouring: EdgeColouring, a: int, b: int, x: int,
+                    pair: tuple[int, int]) -> int | None:
+    """The triangle rule on three distinct vertices and a pair of valid
+    colours: the first colour of ``pair`` that holds two of the three
+    edges, or None unless all three edges are coloured in ``pair``."""
     rows = colouring._rows
-    a, b, x = ma.bit_length() - 1, mb.bit_length() - 1, mx.bit_length() - 1
     ab, ax, bx = rows[a][b], rows[a][x], rows[b][x]
     if ab not in pair or ax not in pair or bx not in pair:
         return None
     # Two colours share three edges, so cb holds two whenever ca does not.
+    ca, cb = pair
     return ca if (ab == ca) + (ax == ca) + (bx == ca) >= 2 else cb
 
 

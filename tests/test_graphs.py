@@ -462,6 +462,54 @@ def test_distance_finite_iff_same_component():
                 assert (m.dist(c, u, v) < math.inf) == same
 
 
+def skewed_colouring(n, k, seed):
+    """K_n with colour 1 on most pairs and the other colours rare, so that
+    they form several components, singletons among them."""
+    rng = random.Random(seed)
+    weights = [8] + [1] * (k - 1)
+    return EdgeColouring.build(HostGraph.complete(n), k,
+                               lambda u, v: rng.choices(range(1, k + 1), weights)[0])
+
+
+def test_levels_cache_agrees_with_the_kernel():
+    # Every answer of MonoMetrics is read off cached BFS levels; each must
+    # match what the kernel computes directly.  Two passes over one
+    # instance ask the same questions cold and then warm, in an order that
+    # differs from colouring to colouring.
+    rnd = random.Random(2024)
+    cols = [skewed_colouring(rnd.randint(1, 14), rnd.choice((1, 2, 3, 3, 4, 4)),
+                             seed) for seed in range(60)]
+    cols.append(two_paths(40, 1))
+    for i, col in enumerate(cols):
+        n, m = col.n, MonoMetrics(col)
+        full = (1 << n) - 1
+        colours = range(1, 3) if col is cols[-1] else range(1, col.k + 1)
+        order = ["dist", "comps", "within", "spans"]
+        random.Random(i).shuffle(order)
+        for _ in range(2):
+            for c in colours:
+                adj = col.adj_rows(c)
+                comps = graphs.components_masks(adj, n)
+                for what in order:
+                    if what == "dist":
+                        for v in range(n):
+                            row = bfs_distances(adj, n, v)
+                            assert m.distances_from(c, v) == row
+                            for r in range(n + 2):
+                                want = mask_of(u for u in range(n) if 0 <= row[u] <= r)
+                                assert m.ball_mask(c, v, r) == want
+                    elif what == "comps":
+                        assert m.component_masks(c) == comps
+                    else:
+                        for b in [*range(n + 2), math.inf]:
+                            if what == "within":
+                                want = all(diameter_within(adj, x, b) for x in comps)
+                                assert m.colour_within(c, b) == want, (i, c, b)
+                            else:
+                                want = diameter_within(adj, full, b)
+                                assert m.spans_within_diameter(c, b) == want, (i, c, b)
+
+
 class CountingRows(Sequence):
     """Adjacency rows that count how often the BFS reads one."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_colouring
 from monocover import graphs, layers
 from monocover.covers import verify_cover
+from monocover.generators import two_paths
 from monocover.graphs import (EdgeColouring, HostGraph, MonoMetrics, iter_bits,
                               set_diameter)
 from monocover.layers import (LayerMapping, build_layer_mapping,
@@ -261,6 +262,24 @@ def test_find_k_distant_matches_bruteforce(rng):
     assert 100 <= found <= 300
 
 
+def test_find_k_distant_builds_rows_only_where_it_searches(monkeypatch):
+    # The (1, 2) mapping of two_paths(600, 1) has 600 points, and the
+    # search meets its quadruple after extending through three of them,
+    # so only those three build a compat row.  Building a row takes one
+    # bisect_right, the y-order one, so its calls count the rows.
+    lm = build_layer_mapping(two_paths(600, 1), 1, 2)
+    assert len(lm.points) == 600
+    real, calls = layers.bisect_right, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(layers, "bisect_right", counted)
+    assert find_k_distant(lm.points, 3, 4) == ((0, 0), (3, 301), (6, 3), (9, 304))
+    assert len(calls) == 3
+
+
 # -- dist-3 triple covers --------------------------------------------------
 
 
@@ -369,7 +388,8 @@ def test_quad_cover_places_a_two_vertex_layer_by_bfs(monkeypatch):
     # everything.  Its placement with anchors (0, 0) and (3, 3) is not a
     # triangle, so the engine builds cross rows: colour 3 misses vertex 5,
     # and colour 4 takes a BFS and spans, so the layer joins the anchor
-    # pair in colour 4.  The single-vertex layers are placed with no BFS.
+    # pair in colour 4.  The single-vertex layers are placed by the
+    # triangle rule on their vertices and never reach the engine.
     coords = [(0, 0), (3, 3), (6, 6), (9, 9), (0, 9), (20, 20), (20, 20), (12, 1)]
     col = EdgeColouring.build(HostGraph.complete(len(coords)), 4,
                               lambda u, v: 4 if {u, v} & {5, 6} else 3)
@@ -386,7 +406,7 @@ def test_quad_cover_places_a_two_vertex_layer_by_bfs(monkeypatch):
 
     monkeypatch.setattr(layers, "multipartite_colour", counted)
     cover = cover_from_dist3_quad(lm, coords[:4])
-    assert runs == {0b1100000: 1, 1 << 4: 0, 1 << 7: 0}
+    assert runs == {0b1100000: 1}
     assert [(p.vertices, p.colour) for p in cover.parts] == [
         ({0, 1, 2, 3, 4, 7}, 3), ({0, 1, 5, 6}, 4)]
     assert verify_cover(col, cover, bound=160, max_parts=3).valid

@@ -310,17 +310,32 @@ def test_stage_records_count_bfs_runs():
 
 
 def test_layer_stage_bfs_runs_pinned():
-    # The quad cover places each of the other 296 layers with one
-    # multipartite_colour call over three single-vertex layers, whose
-    # three pairs all take reserved colours.  The engine answers each by
-    # the triangle rule (the first colour of the pair that holds two of
-    # the three edges) with no BFS.  The 5 runs left are the mapping's two
-    # coordinate rows, the quadruple's own four-layer call and the checks
-    # of the cover's two parts.
+    # The quad cover places each of the other 296 layers, three single
+    # vertices, by the triangle rule (the first colour of the pair that
+    # holds two of the three edges) with no BFS.  The mapping's coordinate
+    # rows come from the levels that stage 0 cached for vertex 0 in
+    # colours 1 and 2, with no BFS either.  The 3 runs left are the
+    # quadruple's own four-layer call and the checks of the cover's two
+    # parts.
     _, trace = solve4(two_paths(300, seed=1))
     assert trace.branch == BRANCH_LAYER_QUAD
     (stage,) = [s for s in trace.stages if s.name == "layer mappings"]
-    assert stage.bfs_runs == 5
+    assert stage.bfs_runs == 3
+
+
+def test_each_colour_and_source_takes_one_bfs_per_colouring():
+    # Cold, stage 0 runs one BFS from vertex 0 per colour and keeps its
+    # levels.  Stage 1 reads colours 1 and 2 (paths) from them and runs
+    # one more BFS in colours 3 and 4, from vertex 1, the lowest vertex
+    # outside vertex 0's component (vertex 0 has no colour-3 edge, vertex
+    # 1 no colour-4 edge).  The layer stage is as pinned above.  Warm,
+    # only the constructions' own checks run.
+    col = two_paths(300, seed=1)
+    _, cold = solve4(col)
+    _, warm = solve4(col)
+    assert cold.branch == warm.branch == BRANCH_LAYER_QUAD
+    assert [s.bfs_runs for s in cold.stages] == [4, 2, 3]
+    assert [s.bfs_runs for s in warm.stages] == [0, 0, 3]
 
 
 def test_multipartite_colour_skips_a_colour_with_an_isolated_vertex():
@@ -614,3 +629,53 @@ def test_section5_example_shape():
     assert col.colour_of(1, 3) == 2   # v2 v4
     assert col.colour_of(1, 2) == 3   # v2 v3
     assert not col.has_edge(0, 1)
+
+
+def reference_two_paths(n, seed):
+    """``generators.two_paths`` as a pair-by-pair build, the reference for
+    its matrix fill."""
+    rng = random.Random(seed)
+    order = list(range(0, n, 2)) + list(range(1, n, 2))
+    path2 = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+
+    def colour(u, v):
+        if v - u == 1:
+            return 1
+        if (u, v) in path2:
+            return 2
+        if u == 0:
+            return 4
+        if u == 1:
+            return 3
+        return rng.choice((3, 4))
+
+    return EdgeColouring.build(HostGraph.complete(n), 4, colour)
+
+
+def reference_ladder(length, seed):
+    """``generators.ladder`` as a pair-by-pair build."""
+    rng = random.Random(seed)
+
+    def colour(u, v):
+        gap = abs(u // 2 - v // 2)
+        if gap == 0:
+            return 2
+        if gap == 1:
+            return 1
+        return rng.choice((3, 4))
+
+    return EdgeColouring.build(HostGraph.complete(2 * length), 4, colour)
+
+
+def test_matrix_fill_generators_match_the_pairwise_builds():
+    rnd = random.Random(11)
+    sizes = list(range(8, 48)) + [rnd.randint(48, 700) for _ in range(4)]
+    for n in sizes:
+        for seed in (0, 1, rnd.randrange(2**31)):
+            assert two_paths(n, seed)._rows == reference_two_paths(n, seed)._rows, (n, seed)
+    for length in list(range(1, 30)) + [80, 161]:
+        for seed in (0, 1, rnd.randrange(2**31)):
+            assert ladder(length, seed)._rows == reference_ladder(length, seed)._rows, (length, seed)
+    for bad in (lambda: two_paths(7, 0), lambda: ladder(0, 0)):
+        with pytest.raises(ValueError):
+            bad()
