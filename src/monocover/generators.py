@@ -102,47 +102,6 @@ def four_blocks(seed: int) -> EdgeColouring:
     return col.recoloured(changes) if changes else col
 
 
-_CHUNK_WORDS = 1 << 14  # 64 KB of random words at a time
-
-
-def _choices_3_4(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` values of ``rng.choice((3, 4))``, as uint8.
-
-    CPython's ``choice`` over two items draws a 32-bit word, keeps its top
-    two bits r, draws again while r >= 2 and returns item r.
-    ``rng.getrandbits(32 * w)`` returns the next w words with the first
-    lowest, so the words are read little-endian, in chunks of at most
-    ``_CHUNK_WORDS`` and never more than the values still wanted: ``rng``
-    ends where the ``count`` calls would leave it.
-    """
-    out = np.empty(count, dtype=np.uint8)
-    got = 0
-    while got < count:
-        w = min(count - got, _CHUNK_WORDS)
-        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"),
-                              dtype="<u4")
-        top = (words >> 30)[words < 1 << 31]
-        out[got:got + top.size] = top + 3
-        got += top.size
-    return out
-
-
-def _fill_chords(host: HostGraph, upper: np.ndarray, rng: random.Random) -> EdgeColouring:
-    """Colour the pairs u < v that ``upper``, zero on and below its
-    diagonal, leaves 0 by ``rng.choice((3, 4))`` in row-major order, as a
-    pair-by-pair build would, and mirror each row into its column."""
-    n = host.n
-    draws = _choices_3_4(rng, n * (n - 1) // 2 - np.count_nonzero(upper))
-    at = 0
-    for u in range(n - 1):
-        row = upper[u, u + 1:]
-        free = np.flatnonzero(row == 0)
-        row[free] = draws[at:at + free.size]
-        at += free.size
-        upper[u + 1:, u] = row
-    return EdgeColouring.from_matrix(host, 4, upper)
-
-
 def two_paths(n: int, seed: int) -> EdgeColouring:
     """Two interleaved spanning paths of huge diameter plus split chords.
 
@@ -153,17 +112,27 @@ def two_paths(n: int, seed: int) -> EdgeColouring:
     """
     if n < 8:
         raise ValueError("two_paths needs at least 8 vertices")
-    host = HostGraph.complete(n)
-    mat = np.zeros((n, n), dtype=np.uint8)  # the upper triangle
-    # Later writes win: the paths over the chords at vertices 0 and 1.
-    mat[0, 1:] = 4
-    mat[1, 2:] = 3
-    order = np.r_[0:n:2, 1:n:2]
-    a, b = order[:-1], order[1:]
-    mat[np.minimum(a, b), np.maximum(a, b)] = 2
-    i = np.arange(n - 1)
-    mat[i, i + 1] = 1
-    return _fill_chords(host, mat, random.Random(seed))
+    rng = random.Random(seed)
+    evens = list(range(0, n, 2))
+    odds = list(range(1, n, 2))
+    order = evens + odds
+    pos = {v: i for i, v in enumerate(order)}
+    path2 = set()
+    for a, b in zip(order, order[1:]):
+        path2.add((min(a, b), max(a, b)))
+
+    def colour(u, v):
+        if v - u == 1:
+            return 1
+        if (u, v) in path2:
+            return 2
+        if u == 0:
+            return 4
+        if u == 1:
+            return 3
+        return rng.choice((3, 4))
+
+    return EdgeColouring.build(HostGraph.complete(n), 4, colour)
 
 
 def ladder(length: int, seed: int) -> EdgeColouring:
@@ -174,12 +143,21 @@ def ladder(length: int, seed: int) -> EdgeColouring:
     up to length 161 ``solve4`` closes the ladder in SingleColour with
     colour 1.
     """
-    host = HostGraph.complete(2 * length)
-    rung = np.arange(2 * length) // 2
-    gap = np.abs(rung[:, None] - rung[None, :])
-    by_gap = np.array([2, 1, 0], dtype=np.uint8)  # rung gap 0, 1, >= 2
-    mat = np.triu(by_gap[np.minimum(gap, 2)], 1)
-    return _fill_chords(host, mat, random.Random(seed))
+    rng = random.Random(seed)
+    n = 2 * length
+
+    def rung(v):
+        return v // 2
+
+    def colour(u, v):
+        gap = abs(rung(u) - rung(v))
+        if gap == 0:
+            return 2
+        if gap == 1:
+            return 1
+        return rng.choice((3, 4))
+
+    return EdgeColouring.build(HostGraph.complete(n), 4, colour)
 
 
 def hub_tails(L: int, seed: int, extra: bool = False) -> EdgeColouring:

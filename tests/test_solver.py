@@ -630,52 +630,3 @@ def test_section5_example_shape():
     assert col.colour_of(1, 2) == 3   # v2 v3
     assert not col.has_edge(0, 1)
 
-
-def reference_two_paths(n, seed):
-    """``generators.two_paths`` as a pair-by-pair build, the reference for
-    its matrix fill."""
-    rng = random.Random(seed)
-    order = list(range(0, n, 2)) + list(range(1, n, 2))
-    path2 = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
-
-    def colour(u, v):
-        if v - u == 1:
-            return 1
-        if (u, v) in path2:
-            return 2
-        if u == 0:
-            return 4
-        if u == 1:
-            return 3
-        return rng.choice((3, 4))
-
-    return EdgeColouring.build(HostGraph.complete(n), 4, colour)
-
-
-def reference_ladder(length, seed):
-    """``generators.ladder`` as a pair-by-pair build."""
-    rng = random.Random(seed)
-
-    def colour(u, v):
-        gap = abs(u // 2 - v // 2)
-        if gap == 0:
-            return 2
-        if gap == 1:
-            return 1
-        return rng.choice((3, 4))
-
-    return EdgeColouring.build(HostGraph.complete(2 * length), 4, colour)
-
-
-def test_matrix_fill_generators_match_the_pairwise_builds():
-    rnd = random.Random(11)
-    sizes = list(range(8, 48)) + [rnd.randint(48, 700) for _ in range(4)]
-    for n in sizes:
-        for seed in (0, 1, rnd.randrange(2**31)):
-            assert two_paths(n, seed)._rows == reference_two_paths(n, seed)._rows, (n, seed)
-    for length in list(range(1, 30)) + [80, 161]:
-        for seed in (0, 1, rnd.randrange(2**31)):
-            assert ladder(length, seed)._rows == reference_ladder(length, seed)._rows, (length, seed)
-    for bad in (lambda: two_paths(7, 0), lambda: ladder(0, 0)):
-        with pytest.raises(ValueError):
-            bad()
