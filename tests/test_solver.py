@@ -629,4 +629,3 @@ def test_section5_example_shape():
     assert col.colour_of(1, 3) == 2   # v2 v4
     assert col.colour_of(1, 2) == 3   # v2 v3
     assert not col.has_edge(0, 1)
-
