@@ -461,6 +461,53 @@ def test_disjoint_corollary_direct():
     assert verify_cover(col, cover, bound=160, max_parts=3).valid
 
 
+def test_direct_call_pair_searches_pinned():
+    # The covers and anomaly messages of the direct-call routes whose
+    # pairs come from the connected case's and the disjoint corollary's
+    # searches, hashed: a change that moves any searched pair turns this
+    # red.  hub_colouring takes the ball route; the two path colourings
+    # take the walk route through _geodesic and _try_distant_triples.
+    routes = [
+        (solve_connected_case, hub_colouring(50, 3), {"min_diameter": 1}),
+        (solve_connected_case, connected_paths_colouring(60), {"min_diameter": 1}),
+        (solve_connected_case, connected_paths_colouring(300), {"min_diameter": 1}),
+        (disjoint_corollary, disjoint_components_colouring(), {"min_diameter": 30}),
+    ]
+    digest = hashlib.sha256()
+    for solve, col, kwargs in routes:
+        notes = []
+        cover = solve(col, anomalies=notes, **kwargs)
+        assert verify_cover(col, cover, bound=160, max_parts=3).valid
+        digest.update(json.dumps([format_cover(cover),
+                                  [a["message"] for a in notes]]).encode())
+    assert digest.hexdigest() == (
+        "74d56bc4f3b6edc8a9a88da7cd8861a771fe206b9d394ac37c37579755aef1b4")
+
+
+def found_colouring(n=1500):
+    """Colour 1 the path 0..n-1; every other pair coloured 2-4 at random."""
+    rng = np.random.default_rng(1)
+    mat = np.triu(rng.integers(2, 5, size=(n, n), dtype=np.uint8), 1)
+    mat += mat.T
+    i = np.arange(n - 1)
+    mat[i, i + 1] = mat[i + 1, i] = 1
+    return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat)
+
+
+def test_connected_case_without_a_pair_on_a_long_path():
+    # No vertex pair is at colour-1 distance 25..27 and colour-2 distance
+    # >= 40, since colour 2 is dense: the three balls around vertex 0
+    # close.  The search's capped runs stay out of the levels cache, which
+    # holds the four runs from vertex 0 that the gates and balls read.
+    col = found_colouring()
+    cover = solve_connected_case(col, min_diameter=1)
+    assert [(len(p.vertices), p.colour) for p in cover.parts] == [
+        (1500, 2), (490, 3), (501, 4)]
+    assert hashlib.sha256(format_cover(cover).encode()).hexdigest() == (
+        "e5b058d8618f516f8080dcefbd4a65a0fb61e2e5dc1cc18d2e2b689ab12990b0")
+    assert len(col.metrics._bfs) == 4
+
+
 def test_intersecting_case_gate():
     # disjoint large component pairs make the stage inapplicable
     col = disjoint_components_colouring()
