@@ -36,7 +36,9 @@ keeps k within the 255 colours a byte holds), and ``colouring.metrics``
 is the one lazily made :class:`MonoMetrics` that every stage of a solve
 shares.  It runs the BFS of each (colour, source) pair at most once,
 keeps its levels, and answers components, distance rows, balls and the
-threshold questions from them.
+threshold questions from them.  A search over many sources, such as the
+solver's pair searches, calls :func:`bfs_reach` with a level cap
+instead, and no cache keeps those runs.
 
 The colouring file format is read and written without a Python loop per
 pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
@@ -508,11 +510,8 @@ class MonoMetrics:
     (the levels of each component's lowest vertex), distance rows, balls
     (the OR of the first r + 1 levels) and the threshold questions, whose
     eccentricity is the level count (:func:`_decide_within`, the rule of
-    :func:`diameter_within`).  The one exception keeps memory linear in
-    the rows asked for: a distance row asked for before the pair's
-    levels comes from a BFS that writes the row only, and levels asked
-    for later are read off that row.  Levels, rows and component lists
-    are memoised on first request.  Each colouring holds one instance,
+    :func:`diameter_within`).  Levels, rows and component lists are
+    memoised on first request.  Each colouring holds one instance,
     ``colouring.metrics``, which lives as long as the colouring does, and
     every caller shares its lists: read them, never change them.  The
     caches are plain dicts with no locking, so an instance, and with it
@@ -539,25 +538,14 @@ class MonoMetrics:
 
     def _search(self, c: int, x: int) -> tuple[list[int], int]:
         """The levels of the c-BFS from x and the mask it reached, x's
-        c-component.  The BFS runs on the first request only, and not at
-        all when a distance row from x is cached: the levels are read
-        off it."""
-        key = (c, x)
-        got = self._bfs.get(key)
+        c-component.  The BFS runs on the first request only."""
+        got = self._bfs.get((c, x))
         if got is None:
             self._check(c, x)
-            row = self._dist.get(key)
-            if row is None:
-                levels = [1 << x]
-                _, reach = bfs_reach(self._adj[c], 1 << x, within=self._full,
-                                     fringes=levels)
-            else:
-                levels = [0] * (max(row) + 1)
-                for v, d in enumerate(row):
-                    if d >= 0:
-                        levels[d] |= 1 << v
-                reach = reduce(or_, levels)
-            got = self._bfs[key] = (levels, reach)
+            levels = [1 << x]
+            _, reach = bfs_reach(self._adj[c], 1 << x, within=self._full,
+                                 fringes=levels)
+            got = self._bfs[(c, x)] = (levels, reach)
         return got
 
     def levels(self, c: int, x: int) -> list[int]:
@@ -583,27 +571,14 @@ class MonoMetrics:
         return got
 
     def distances_from(self, c: int, x: int) -> list[int]:
-        """d_c(x, v) for every vertex v, -1 outside x's c-component.
-
-        The row is read off cached levels, or else written by a BFS that
-        keeps no levels.  A loop over many sources asks for rows, and on
-        a long thin colour graph a source's levels, one n-bit int each,
-        hold several times the memory of its row."""
-        key = (c, x)
-        row = self._dist.get(key)
+        """d_c(x, v) for every vertex v, -1 outside x's c-component, read
+        off x's c-levels."""
+        row = self._dist.get((c, x))
         if row is None:
-            got = self._bfs.get(key)
-            if got is None:
-                self._check(c, x)
-                row = bfs_distances(self._adj[c], self.n, x)
-            else:
-                row = [-1] * self.n
-                for d, level in enumerate(got[0]):
-                    while level:
-                        lsb = level & -level
-                        row[lsb.bit_length() - 1] = d
-                        level ^= lsb
-            self._dist[key] = row
+            row = self._dist[(c, x)] = [-1] * self.n
+            for d, level in enumerate(self.levels(c, x)):
+                for v in iter_bits(level):
+                    row[v] = d
         return row
 
     def dist(self, c: int, u: int, v: int) -> float:

@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import graphs
 from .covers import Cover, verified
@@ -51,8 +53,9 @@ class StageRecord:
     """One stage of one solve.  ``outcome`` is ``"closed"`` (it returned the
     cover), ``"anomaly"`` (it did not, and recorded an anomaly) or
     ``"n/a"``; each anomaly is ``{"message": str, "witness": dict}``.
-    ``bfs_runs`` counts the calls of ``graphs.bfs_reach`` the stage made;
-    rows the colouring's metrics cache already held cost none."""
+    ``bfs_runs`` counts the calls of ``graphs.bfs_reach`` the stage made,
+    the pair searches' capped runs included, which no cache keeps; levels
+    the colouring's metrics cache already held cost none."""
 
     name: str
     outcome: str = "n/a"
@@ -179,6 +182,19 @@ def _try_distant_triples(lm, a, b, thirds, anomalies, note) -> Cover | None:
     return None
 
 
+# -- pair searches ---------------------------------------------------------------
+
+
+def _ring(colouring: EdgeColouring, c: int, x: int, lo: int, hi: int) -> int:
+    """The vertices at c-distance lo..hi from x, as a mask, from a BFS that
+    expands at most hi levels.  A pair search runs one per source, so the
+    metrics cache does not keep it."""
+    levels = [1 << x]
+    graphs.bfs_reach(colouring.adj_rows(c), 1 << x, within=(1 << colouring.n) - 1,
+                     radius=hi, fringes=levels)
+    return reduce(or_, levels[lo:hi + 1], 0)
+
+
 # -- stage 3: every colour connected ------------------------------------------
 
 
@@ -189,7 +205,9 @@ def solve_connected_case(colouring: EdgeColouring,
 
     Only engages when every colour's diameter exceeds ``min_diameter``;
     below that other stages are responsible.  Searches for a pair at
-    colour-1 distance 25..27 and colour-2 distance >= 40: absence yields
+    colour-1 distance 25..27 and colour-2 distance >= 40 as a mask test:
+    for each source x in turn, y is the lowest vertex of x's colour-1
+    levels 25..27 outside its colour-2 ball of radius 39.  Absence yields
     an explicit three-ball cover, presence walks a colour-2 geodesic
     until a distance pattern realises either a 7-distant triple or a
     two-ball cover.
@@ -198,7 +216,6 @@ def solve_connected_case(colouring: EdgeColouring,
     if anomalies is None:
         anomalies = []
     metrics = colouring.metrics
-    n = colouring.n
     for c in range(1, 5):
         if len(metrics.component_masks(c)) > 1:
             return None
@@ -206,14 +223,10 @@ def solve_connected_case(colouring: EdgeColouring,
         return None
 
     pair = None
-    for x in range(n):
-        d1 = metrics.distances_from(1, x)
-        d2 = metrics.distances_from(2, x)
-        for y in range(n):
-            if d1[y] in (25, 26, 27) and d2[y] >= 40:
-                pair = (x, y)
-                break
-        if pair:
+    for x in range(colouring.n):
+        hit = _ring(colouring, 1, x, 25, 27) & ~_ring(colouring, 2, x, 0, 39)
+        if hit:
+            pair = (x, next(iter_bits(hit)))
             break
 
     if pair is None:
@@ -227,48 +240,32 @@ def solve_connected_case(colouring: EdgeColouring,
 
     x, y = pair
     path = _geodesic(colouring, metrics, 2, x, y)
-    r = len(path) - 2
-    k = (r - 10) // 10
-    d1xy = metrics.distances_from(1, x)[y]
-    d2xy = len(path) - 1
+    k = (len(path) - 12) // 10
+    # both colours are connected, so the coordinates are d_1 and d_2 from x
     lm = build_layer_mapping(colouring, 1, 2, seeds=[x])
-    cover = _try_distant_triples(lm, (0, 0), (d1xy, d2xy),
-                                 [path[10 * i] for i in range(1, k + 1)],
+    stops = path[:10 * k + 1:10] + [y]
+    cover = _try_distant_triples(lm, lm.coords[x], lm.coords[y], stops[1:-1],
                                  anomalies, "connected case, geodesic point")
     if cover is not None:
         return cover
-
-    def close_to_x(v):
-        return metrics.distances_from(1, x)[v] <= 6
-
-    if not close_to_x(path[10]):
-        u, v = x, path[10]
-    else:
-        u = v = None
-        for i in range(1, k):
-            if not close_to_x(path[10 * (i + 1)]):
-                u, v = path[10 * i], path[10 * (i + 1)]
-                break
-        if u is None:
-            u, v = path[10 * k], y
+    # the first step between stops that leaves x's colour-1 ball of
+    # radius 6, else the last step
+    near_x = metrics.ball_mask(1, x, 6)
+    steps = list(zip(stops, stops[1:]))
+    u, v = next((s for s in steps if not near_x >> s[1] & 1), steps[-1])
     return _realize_contradiction_pair(colouring, u, v, anomalies)
 
 
 def _geodesic(colouring, metrics, c, x, y) -> list[int]:
-    """A shortest c-path from x to y, which the caller knows to be reachable."""
-    dist = metrics.distances_from(c, x)
-    path = [y]
+    """A shortest c-path from x to y, which the caller knows to be
+    reachable: from y, each step back takes the lowest neighbour one
+    c-level nearer x."""
+    levels = metrics.levels(c, x)
     adj = colouring.adj_rows(c)
-    cur = y
-    while cur != x:
-        want = dist[cur] - 1
-        nxt = None
-        for w in iter_bits(adj[cur]):
-            if dist[w] == want:
-                nxt = w
-                break
-        path.append(nxt)
-        cur = nxt
+    d = next(i for i, level in enumerate(levels) if level >> y & 1)
+    path = [y]
+    for level in reversed(levels[:d]):
+        path.append(next(iter_bits(adj[path[-1]] & level)))
     path.reverse()
     return path
 
@@ -313,8 +310,10 @@ def solve_intersecting_case(colouring: EdgeColouring,
 
     Finds a colour with a large component, a different colour with two or
     more components, and a vertex pair straddling the latter at moderate
-    distance in the former; every vertex then joins a layer-mapping
-    7-distant triple or one of three explicit balls.
+    distance in the former, as a mask test: for each source x in turn, y
+    is the lowest vertex of x's c_big-levels 10..40 outside x's
+    c_prime-component.  Every vertex then joins a layer-mapping 7-distant
+    triple or one of three explicit balls.
     """
     _require_k4_complete(colouring)
     if anomalies is None:
@@ -335,21 +334,14 @@ def solve_intersecting_case(colouring: EdgeColouring,
     if c_prime is None:
         return None
 
-    prime_id = [0] * n
-    for cid, mask in enumerate(metrics.component_masks(c_prime)):
-        for w in iter_bits(mask):
-            prime_id[w] = cid
-
     # Only pairs at distance 10..40 are searched: a straddling pair closer
     # than 10 and a vertex at distance 25 from one end would give one.
     pair = None
     for x in range(n):
-        row = metrics.distances_from(c_big, x)
-        for y in range(n):
-            if 10 <= row[y] <= 40 and prime_id[x] != prime_id[y]:
-                pair = (x, y)
-                break
-        if pair:
+        own = next(m for m in metrics.component_masks(c_prime) if m >> x & 1)
+        hit = _ring(colouring, c_big, x, 10, 40) & ~own
+        if hit:
+            pair = (x, next(iter_bits(hit)))
             break
     if pair is None:
         return None
@@ -373,32 +365,36 @@ def disjoint_corollary(colouring: EdgeColouring,
                        anomalies: list | None = None) -> Cover | None:
     """Cover from a large component disjoint from one of a different colour.
 
-    If every far pair of the component is close in the other colour, three
-    balls around any of its vertices cover everything; otherwise a far
-    pair plus any vertex of the disjoint component seeds a layer mapping
-    whose coordinates are spread far apart, handing over a 7-distant
-    triple.  A failure is recorded, and the next disjoint pair is tried.
+    Both tests are mask tests over the component's vertices u in turn,
+    which stop once both are settled.  The component is near when every
+    u's c2-ball of radius 12 holds it all; then three balls around any of
+    its vertices cover everything.  Otherwise the far pair is (u, v) for
+    the first u with a vertex of the component outside both its c-ball
+    and its c2-ball of radius 6, and v the lowest such vertex; it seeds,
+    with any vertex of the disjoint component, a layer mapping whose
+    coordinates are spread far apart, handing over a 7-distant triple.  A
+    failure is recorded, and the next disjoint pair is tried.
     """
     _require_k4_complete(colouring)
     if anomalies is None:
         anomalies = []
     metrics = colouring.metrics
     for c, mask, c2, mask2 in _disjoint_pairs(metrics, min_diameter):
-        verts = list(iter_bits(mask))
-        near = True
-        far_pair = None
-        for u in verts:
-            row_c = metrics.distances_from(c, u)
-            row_2 = metrics.distances_from(c2, u)
-            for v in verts:
-                if not 0 <= row_2[v] <= 12:
-                    near = False
-                if row_c[v] >= 7 and not 0 <= row_2[v] <= 6:
-                    far_pair = far_pair or (u, v)
+        near, far_pair = True, None
+        for u in iter_bits(mask):
+            if near and mask & ~_ring(colouring, c2, u, 0, 12):
+                near = False
+            if far_pair is None:
+                far = mask & ~_ring(colouring, c, u, 0, 6)
+                far &= ~_ring(colouring, c2, u, 0, 6)
+                if far:
+                    far_pair = (u, next(iter_bits(far)))
+            if not near and far_pair is not None:
+                break
         if near:
             # A c-edge from v0 stays in the component, so within 12 in c2;
             # the three balls cover V with diameters <= 24, 2 and 2.
-            v0 = verts[0]
+            v0 = next(iter_bits(mask))
             others = [d for d in range(1, 5) if d not in (c, c2)]
             parts = [(metrics.ball_mask(c2, v0, 12), c2),
                      (metrics.ball_mask(others[0], v0, 1), others[0]),

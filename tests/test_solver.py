@@ -338,6 +338,24 @@ def test_each_colour_and_source_takes_one_bfs_per_colouring():
     assert [s.bfs_runs for s in warm.stages] == [0, 0, 3]
 
 
+def test_pair_search_stages_bfs_runs_pinned():
+    # Each pair search runs capped BFS from one source at a time and stops
+    # at the first source that settles it.  On hub_tails(170, 0) the
+    # intersecting stage finds its pair from vertex 0 in one run capped at
+    # 40 levels; the layer mapping adds one BFS and the three balls' checks
+    # three more.  On hub_tails(161, 0, extra=True) the disjoint corollary
+    # settles "not near" and its far pair from vertex 0 in three runs
+    # capped at 12, 6 and 6 levels; the layer mapping adds one more.
+    _, trace = solve4(hub_tails(170, 0))
+    assert trace.branch == BRANCH_INTERSECTING
+    assert trace.stages[-1].name == "intersecting case"
+    assert trace.stages[-1].bfs_runs == 5
+    _, trace = solve4(hub_tails(161, 0, extra=True))
+    assert trace.branch == BRANCH_FALLBACK
+    assert trace.stages[-1].name == "disjoint corollary"
+    assert trace.stages[-1].bfs_runs == 4
+
+
 def test_multipartite_colour_skips_a_colour_with_an_isolated_vertex():
     # In K_{2,2,2}, vertex 0 sees only colour 2, so colour 1 is
     # disconnected and only colour 2 (vertex 0 adjacent to every other
