@@ -248,8 +248,6 @@ def solve_connected_case(colouring: EdgeColouring,
                                  anomalies, "connected case, geodesic point")
     if cover is not None:
         return cover
-    # the first step between stops that leaves x's colour-1 ball of
-    # radius 6, else the last step
     near_x = metrics.ball_mask(1, x, 6)
     steps = list(zip(stops, stops[1:]))
     u, v = next((s for s in steps if not near_x >> s[1] & 1), steps[-1])
