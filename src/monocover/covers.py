@@ -14,10 +14,12 @@ of the part.
 ``solver`` and ``layers`` returns through.  The constructions hold
 vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``
 pairs; it is the one place where they become :class:`CoverPart`
-frozensets.  It decides by threshold: one BFS per part settles
-"diameter <= bound" unless the bound lies between an eccentricity and
-twice it, so exact diameters are computed only by :func:`verify_cover`,
-and by :func:`verified` only for the witness of a cover that fails.
+frozensets, each mask's vertex list read in one numpy step by
+:func:`graphs.bits_of`.  It decides by threshold: one BFS per part
+settles "diameter <= bound" unless the bound lies between an
+eccentricity and twice it, so exact diameters are computed only by
+:func:`verify_cover`, and by :func:`verified` only for the witness of a
+cover that fails.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ImpossibleByLemmaError
-from .graphs import (DISCONNECTED, EdgeColouring, diameter_of_mask,
+from .graphs import (DISCONNECTED, EdgeColouring, bits_of, diameter_of_mask,
                      diameter_within, iter_bits, mask_of, parse_decimal)
 
 
@@ -146,7 +148,7 @@ def verified(colouring: EdgeColouring, parts: Iterable[tuple[int, int]],
     vertex list, colour and exact diameter, enough to replay the check.
     """
     parts = list(parts)
-    cover = Cover.of(((iter_bits(mask), c) for mask, c in parts), bound)
+    cover = Cover.of(((bits_of(mask), c) for mask, c in parts), bound)
     valid = len(parts) <= colouring.k - 1
     n = colouring.n
     covered = 0

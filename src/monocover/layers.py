@@ -14,21 +14,34 @@ balls of the 7-distant construction from ``graphs.bfs_reach(...,
 radius=r)``, both on the one BFS kernel of :mod:`graphs`.  Diameters are
 decided by threshold; the one exact diameter here is the certificate
 H's, which sets a bound.
+
+A mapping keeps, per axis, the slabs those levels already are: the mask
+of the vertices with each coordinate value.  The quadruple cover uses
+them to place layers by region rather than point by point.  A layer
+joins the first two anchors that neither of its coordinates is near, so
+the OR of the three slabs around each anchor's coordinate splits the
+vertices into at most 25 regions with one anchor pair each; when the
+anchors are single vertices, the triangle rule for a whole region is
+mask algebra on the pair's adjacency rows in the two reserved colours.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import combinations
+from operator import lt, or_
 from typing import Callable, Iterable, Sequence
 
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
 from .graphs import EdgeColouring, bfs_reach, diameter_of_mask, iter_bits
-from .twocolour import (Split, bipartite_outcome, multipartite_colour,
-                        triangle_colour)
+from .twocolour import Split, bipartite_outcome, multipartite_colour
 
 Point = tuple[int, int]
+# The vertices of each coordinate value on one axis: a list indexed by
+# value (a connected colour's BFS levels) or a dict from value to mask.
+Slabs = Sequence[int] | dict[int, int]
 
 QUAD_COVER_BOUND = 160
 TRIPLE7_COVER_BOUND = 160
@@ -41,12 +54,19 @@ class LayerMapping:
     ``c1, c2`` are the generating colours (coordinates follow their BFS
     metrics), ``c3, c4`` the reserved pair: any edge between layers that
     are 2-separated in both coordinates uses a reserved colour only.
+    ``points`` are the layers' index points, sorted and unique.  Per axis
+    the mapping also keeps its slabs, the masks of the vertices with each
+    coordinate value: :func:`build_layer_mapping` hands over the slabs it
+    read the coordinates from (a connected colour's levels list as it
+    is), and a mapping made from bare coordinates builds them itself.
     """
 
-    __slots__ = ("colouring", "c1", "c2", "c3", "c4", "coords", "points", "_layers")
+    __slots__ = ("colouring", "c1", "c2", "c3", "c4", "coords", "points",
+                 "_layers", "_slabs")
 
     def __init__(self, colouring: EdgeColouring, c1: int, c2: int,
-                 coords: Sequence[Point]):
+                 coords: Sequence[Point],
+                 slabs: tuple[Slabs, Slabs] | None = None):
         self.colouring = colouring
         self.c1 = c1
         self.c2 = c2
@@ -57,6 +77,12 @@ class LayerMapping:
             layers[p] = layers.get(p, 0) | (1 << v)
         self.points: tuple[Point, ...] = tuple(sorted(layers))
         self._layers = layers
+        if slabs is None:
+            slabs = ({}, {})
+            for v, p in enumerate(self.coords):
+                for axis in (0, 1):
+                    slabs[axis][p[axis]] = slabs[axis].get(p[axis], 0) | 1 << v
+        self._slabs = slabs
 
     @property
     def reserved_pair(self) -> tuple[int, int]:
@@ -70,6 +96,13 @@ class LayerMapping:
         for p in points:
             m |= self._layers[p]
         return m
+
+    def slab_mask(self, axis: int, lo: int, hi: int) -> int:
+        """The vertices whose coordinate on ``axis`` lies in lo..hi."""
+        slabs = self._slabs[axis]
+        if isinstance(slabs, dict):
+            return reduce(or_, (slabs.get(v, 0) for v in range(lo, hi + 1)), 0)
+        return reduce(or_, slabs[max(lo, 0):max(hi + 1, 0)], 0)
 
 
 def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
@@ -85,7 +118,9 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     coordinate's values are the vertex's BFS levels from that start,
     read from ``colouring.metrics``.  A connected colour has one
     component, which both policies start at 0, so its coordinates are the
-    first vertex's cached distance row, taken whole.
+    first vertex's cached distance row, taken whole, and its slabs that
+    vertex's levels list; a disconnected colour's slabs OR each
+    component's levels in at the component's start value.
     """
     colouring._check_colour(c1)
     colouring._check_colour(c2)
@@ -104,25 +139,29 @@ def build_layer_mapping(colouring: EdgeColouring, c1: int, c2: int,
     order += [v for v in range(n) if v not in in_seeds]
 
     metrics = colouring.metrics
-    coords = []
+    coords, slabs = [], []
     for c in (c1, c2):
         if len(metrics.component_masks(c)) == 1:
             # One BFS reaches everything, and both policies start it at 0.
             coords.append(metrics.distances_from(c, order[0]))
+            slabs.append(metrics.levels(c, order[0]))
             continue
         values: list[int | None] = [None] * n
+        slab: dict[int, int] = {}
         base = 0
         for v in order:
             if values[v] is not None:
                 continue
             levels = metrics.levels(c, v)
-            for d, level in enumerate(levels):
+            for d, level in enumerate(levels, base):
+                slab[d] = slab.get(d, 0) | level
                 for u in iter_bits(level):
-                    values[u] = base + d
+                    values[u] = d
             if value_policy == "spread":
                 base += len(levels) - 1 + gap
         coords.append(values)
-    return LayerMapping(colouring, c1, c2, list(zip(*coords)))
+        slabs.append(slab)
+    return LayerMapping(colouring, c1, c2, list(zip(*coords)), tuple(slabs))
 
 
 # -- distant sets ---------------------------------------------------------
@@ -146,11 +185,17 @@ def find_k_distant(points: Iterable[Point], k: int, size: int) -> tuple[Point, .
     |y_j - y_i| >= k are a prefix and a suffix of the points taken in y
     order; two bisections in that order pick them out of the prefix
     masks, made in one sweep.  So a row costs three bisections and a few
-    big-integer operations.
+    big-integer operations.  Points given as a tuple already sorted and
+    unique, such as a layer mapping's ``points``, are used as they are:
+    one pass of comparisons checks that, in about a fifth of the time of
+    the sort that any other input gets.
     """
     if k < 1 or size < 1:
         raise ValueError("k and size must be positive")
-    pts = sorted(set(points))
+    if isinstance(points, tuple) and all(map(lt, points, points[1:])):
+        pts = points
+    else:
+        pts = sorted(set(points))
     m = len(pts)
     if size > m:
         return None
@@ -317,36 +362,75 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     layer joins a 2-distant pair of the quadruple in one of the reserved
     colours.  Pair groups in the non-base colour either chain through
     shared anchors into one part or form at most two disjoint parts.
+
+    A layer's pair is the first two anchors that neither of its
+    coordinates lies within 1 of, so it depends only on the anchor (if
+    any) each coordinate is near to: the slabs around the anchors'
+    coordinates split the vertices into at most 25 regions, one pair
+    each.  When the four anchors are single vertices a and b, so are
+    their pairs, and a single-vertex layer {x} joins its pair by the
+    triangle rule of :func:`twocolour.multipartite_colour`, read off four
+    adjacency rows for a whole region at once: x is settled when ax and
+    bx are reserved edges (and ab is one), and takes c3 when two of the
+    three edges are c3.  Every other layer (a larger one, or one the rule
+    leaves open) is placed by :func:`twocolour.multipartite_colour`, in
+    point order.
     """
     quad = tuple(sorted(quad))
     if len(quad) != 4 or not is_k_distant(quad, 3):
         raise ValueError("need a 3-distant quadruple of index points")
     _require_points(lm, quad)
     col = lm.colouring
-    layers, reserved = lm._layers, lm.reserved_pair
+    layers, reserved, c3 = lm._layers, lm.reserved_pair, lm.c3
     cbase = multipartite_colour(col, [layers[p] for p in quad], reserved)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
 
     base = lm.union_mask(quad)
     groups: dict[tuple[Point, Point], int] = {}  # anchor pair -> its layers
+
+    def place(pair: tuple[Point, Point], mask: int, colour: int) -> None:
+        nonlocal base
+        if colour == cbase:
+            base |= mask
+        else:
+            groups[pair] = groups.get(pair, 0) | mask
+
+    left = ((1 << col.n) - 1) & ~base  # the vertices still to place
+    if not any(layers[q] & (layers[q] - 1) for q in quad):
+        singles = left
+        if len(lm.points) < col.n:
+            singles &= reduce(or_, (m for m in layers.values() if not m & (m - 1)))
+        # near[axis][q]: the vertices within 1 of anchor q on that axis;
+        # near[axis][None]: those near no anchor (a negative int).
+        near = [{q: lm.slab_mask(axis, q[axis] - 1, q[axis] + 1) for q in quad}
+                for axis in (0, 1)]
+        for by_anchor in near:
+            by_anchor[None] = ~reduce(or_, by_anchor.values())
+        rows, (adj3, adj4) = col._rows, (col.adj_rows(c) for c in reserved)
+        for kx, x_near in near[0].items():
+            for ky, y_near in near[1].items():
+                region = singles & x_near & y_near
+                if not region:
+                    continue
+                pair = tuple(q for q in quad if q not in (kx, ky))[:2]
+                a, b = (layers[q].bit_length() - 1 for q in pair)
+                ab = rows[a][b]
+                if ab not in reserved:
+                    continue
+                ok = region & (adj3[a] | adj4[a]) & (adj3[b] | adj4[b])
+                to_c3 = ok & (adj3[a] | adj3[b] if ab == c3 else adj3[a] & adj3[b])
+                for colour, mask in ((c3, to_c3), (lm.c4, ok & ~to_c3)):
+                    if mask:
+                        place(pair, mask, colour)
+                left &= ~ok
+
     distant = _distant_anchors(quad)
-    for point in lm.points:
-        if point in quad:
-            continue
+    for point in sorted({lm.coords[v] for v in iter_bits(left)}):
         # As in the extended triple cover, at most two anchors are close.
         pair = distant(point)[:2]
-        ma, mb, mx = layers[pair[0]], layers[pair[1]], layers[point]
-        c_pt = None
-        if not (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)):
-            # three single vertices: the triangle rule, with no masks
-            c_pt = triangle_colour(col, ma.bit_length() - 1, mb.bit_length() - 1,
-                                   mx.bit_length() - 1, reserved)
-        if c_pt is None:
-            c_pt = multipartite_colour(col, [ma, mb, mx], reserved)
-        if c_pt == cbase:
-            base |= mx
-        else:
-            groups[pair] = groups.get(pair, 0) | mx
+        mx = layers[point]
+        place(pair, mx, multipartite_colour(
+            col, [layers[pair[0]], layers[pair[1]], mx], reserved))
 
     parts = [(base, cbase)]
     if groups:

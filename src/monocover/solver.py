@@ -4,8 +4,9 @@
 table ``_STAGES``: one spanning colour of small diameter; three small
 colours, as the axes of a connectivity cover of the colouring itself;
 distant sets in the layer mappings of all colour pairs; all colours
-connected; intersecting components; disjoint components.  The first stage to return a cover
-closes the instance, else the connectivity-only cover does, flagged.
+connected; intersecting components; disjoint components; two balls
+around vertex 0.  The first stage to return a cover closes the
+instance, else the connectivity-only cover does, flagged.
 Constructions build their parts as ``(vertex mask, colour)`` pairs from
 the masks of ``colouring.metrics`` (balls, components) and return through
 :func:`covers.verified`, which turns them into the cover's frozensets, or
@@ -21,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import or_
 
 from . import graphs
@@ -45,6 +46,7 @@ BRANCH_LAYER_TRIPLE7 = "LayerTriple7"
 BRANCH_SINGLE_COMPONENT = "SingleComponent"
 BRANCH_INTERSECTING = "Intersecting"
 BRANCH_DISJOINT = "DisjointCorollary"
+BRANCH_TWO_BALLS = "TwoBalls"
 BRANCH_FALLBACK = "ConnectivityFallback"
 
 
@@ -353,8 +355,12 @@ def solve_intersecting_case(colouring: EdgeColouring,
                                  anomalies, "intersecting case")
     if cover is not None:
         return cover
-    parts = [(ball50, c_big), (metrics.ball_mask(c_prime, x, 6), c_prime),
+    balls = [(ball50, c_big), (metrics.ball_mask(c_prime, x, 6), c_prime),
              (metrics.ball_mask(c_prime, y, 6), c_prime)]
+    # A ball inside another adds nothing; of equal ones the last stays.
+    parts = [(m, c) for i, (m, c) in enumerate(balls)
+             if not any(m & ~other == 0 and (m != other or j > i)
+                        for j, (other, _) in enumerate(balls) if j != i)]
     return verified(colouring, parts, COVER_BOUND, "intersecting case, three balls")
 
 
@@ -411,6 +417,43 @@ def disjoint_corollary(colouring: EdgeColouring,
     return None
 
 
+# -- stage 6: two balls around vertex 0 ----------------------------------------
+
+
+def two_balls(colouring: EdgeColouring) -> Cover | None:
+    """Two balls around vertex 0, of radii a and b at most 80, that cover
+    the vertex set, else None.
+
+    Every vertex v with d_c1(0, v) > a must have d_c2(0, v) <= b, so for
+    each ordered colour pair (c1, c2) and each a in turn, b is the
+    largest c2-level of vertex 0 that meets the vertices beyond its
+    c1-ball of radius a (unreached ones count as infinitely far).  As a
+    grows, that set shrinks, so b only falls: one walk down the c2-levels
+    serves every a.  The first pair with a, b <= 80 closes, with
+    diameters at most 2a and 2b.
+    """
+    _require_k4_complete(colouring)
+    metrics = colouring.metrics
+    full = (1 << colouring.n) - 1
+    radius = COVER_BOUND // 2
+    for c1, c2 in permutations(range(1, 5), 2):
+        levels1, levels2 = metrics.levels(c1, 0), metrics.levels(c2, 0)
+        unreached2 = full & ~reduce(or_, levels2)
+        ball1, b = 0, len(levels2) - 1
+        for a, level in enumerate(levels1[:radius + 1]):
+            ball1 |= level
+            beyond = full & ~ball1
+            if beyond & unreached2:
+                continue
+            while b > 0 and not levels2[b] & beyond:
+                b -= 1
+            if b <= radius:
+                parts = [(ball1, c1), (metrics.ball_mask(c2, 0, b), c2)]
+                return verified(colouring, parts, COVER_BOUND, "two balls",
+                                {"pair": (c1, c2), "radii": (a, b)})
+    return None
+
+
 # -- the cascade -----------------------------------------------------------------
 
 
@@ -464,6 +507,7 @@ _STAGES = (
         BRANCH_INTERSECTING, {}, solve_intersecting_case(col, anomalies=notes))),
     ("disjoint corollary", lambda col, notes: (
         BRANCH_DISJOINT, {}, disjoint_corollary(col, anomalies=notes))),
+    ("two balls", lambda col, notes: (BRANCH_TWO_BALLS, {}, two_balls(col))),
 )
 
 

@@ -23,9 +23,10 @@ the engines skip its check without a BFS.  Three single-vertex groups
 need no rows at all: when their three pairs are present and coloured in
 the pair, the cross graph is a triangle, and the multipartite engine
 reads its answer from the three colours of the colouring's byte rows
-(the triangle rule of :func:`multipartite_colour`).  The layer cover,
-whose usual call this is, applies :func:`triangle_colour` to the three
-vertices itself.
+(the triangle rule of :func:`multipartite_colour`).  The quadruple
+cover, whose usual call this was, applies the same rule to a whole
+region of single-vertex layers at once, by mask algebra on adjacency
+rows, and calls the engine only for the layers that the rule leaves.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Layer mappings, distant sets, and the distant-set cover constructions."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_colouring
-from monocover import graphs, layers
-from monocover.covers import verify_cover
+from monocover import graphs, layers, twocolour
+from monocover.covers import verified, verify_cover
+from monocover.errors import ImpossibleByLemmaError
 from monocover.generators import two_paths
 from monocover.graphs import (EdgeColouring, HostGraph, MonoMetrics, iter_bits,
                               set_diameter)
@@ -18,6 +20,7 @@ from monocover.layers import (LayerMapping, build_layer_mapping,
                               cover_from_dist3_triple_ext,
                               cover_from_dist7_triple, find_k_distant,
                               has_rich_coordinates, is_k_distant)
+from monocover.twocolour import multipartite_colour, triangle_colour
 
 
 # -- engineered layered colourings ----------------------------------------
@@ -260,6 +263,18 @@ def test_find_k_distant_matches_bruteforce(rng):
         assert find_k_distant(pts, k, size) == want, (sorted(pts), k, size)
         found += want is not None
     assert 100 <= found <= 300
+    # A layer mapping's points come sorted and unique, and are searched as
+    # they are; the same points shuffled, with repeats, are sorted first.
+    for seed in range(40):
+        lm = build_layer_mapping(random_colouring(rng.randint(2, 40), 4, seed),
+                                 1, 2, value_policy=rng.choice(("zero", "spread")))
+        mixed = list(lm.points) + rng.choices(lm.points, k=rng.randint(1, 9))
+        rng.shuffle(mixed)
+        for k, size in ((1, 2), (2, 2), (3, 4), (7, 3)):
+            want = find_k_distant(lm.points, k, size)
+            assert want == brute_force_k_distant(lm.points, k, size)
+            assert find_k_distant(mixed, k, size) == want
+            assert find_k_distant(tuple(mixed), k, size) == want
 
 
 def test_find_k_distant_builds_rows_only_where_it_searches(monkeypatch):
@@ -410,6 +425,129 @@ def test_quad_cover_places_a_two_vertex_layer_by_bfs(monkeypatch):
     assert [(p.vertices, p.colour) for p in cover.parts] == [
         ({0, 1, 2, 3, 4, 7}, 3), ({0, 1, 5, 6}, 4)]
     assert verify_cover(col, cover, bound=160, max_parts=3).valid
+
+
+def reference_quad_cover(lm, quad):
+    """The quadruple cover with every layer placed point by point: the
+    triangle rule on three single vertices, else the multipartite engine."""
+    quad = tuple(sorted(quad))
+    col, reserved = lm.colouring, lm.reserved_pair
+    cbase = multipartite_colour(col, [lm.layer_mask(p) for p in quad], reserved)
+    cbar = lm.c4 if cbase == lm.c3 else lm.c3
+    base, groups = lm.union_mask(quad), {}
+    distant = layers._distant_anchors(quad)
+    for point in lm.points:
+        if point in quad:
+            continue
+        pair = distant(point)[:2]
+        ma, mb, mx = (lm.layer_mask(p) for p in pair + (point,))
+        c_pt = None
+        if not (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)):
+            c_pt = triangle_colour(col, ma.bit_length() - 1, mb.bit_length() - 1,
+                                   mx.bit_length() - 1, reserved)
+        if c_pt is None:
+            c_pt = multipartite_colour(col, [ma, mb, mx], reserved)
+        if c_pt == cbase:
+            base |= mx
+        else:
+            groups[pair] = groups.get(pair, 0) | mx
+    parts = [(base, cbase)]
+    pairs = sorted(groups)
+    if len(pairs) == 1 or any(set(p) & set(q) for p, q in combinations(pairs, 2)):
+        parts.append((lm.union_mask(sum(pairs, ())) | sum(groups.values()), cbar))
+    else:
+        parts += [(lm.union_mask(p) | groups[p], cbar) for p in pairs]
+    return verified(col, parts, layers.QUAD_COVER_BOUND, "quadruple cover",
+                    {"quad": quad, "base_colour": cbase})
+
+
+def random_quad_mapping(rng):
+    """A mapping from bare coordinates around a 3-distant quadruple, its
+    anchors single vertices or not, with repeated points (multi-vertex
+    layers), on a complete or multipartite host, coloured mostly in the
+    reserved pair of a random ordered generating pair."""
+    n = rng.randint(6, 45)
+    if rng.random() < 0.3:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(2, min(6, n - 1))))
+        host = HostGraph.multipartite([b - a for a, b in zip([0] + cuts, cuts + [n])])
+    else:
+        host = HostGraph.complete(n)
+    c1, c2 = rng.sample(range(1, 5), 2)
+    reserved = [c for c in range(1, 5) if c not in (c1, c2)]
+    stray = rng.choice((0.0, 0.0, 0.01, 0.05))
+    weight = rng.random()
+    col = EdgeColouring.build(host, 4, lambda u, v: rng.choice((c1, c2))
+                              if rng.random() < stray else
+                              reserved[rng.random() < weight])
+    xs, ys = [0], [0]
+    for _ in range(3):
+        xs.append(xs[-1] + rng.randint(3, 5))
+        ys.append(ys[-1] + rng.randint(3, 5))
+    rng.shuffle(ys)
+    quad = list(zip(xs, ys))
+    top = max(xs + ys) + 2
+    coords = []
+    for q in quad:
+        coords += [q] * (1 if rng.random() < 0.9 else 2)
+    while len(coords) < n:
+        if coords[4:] and rng.random() < 0.2:
+            coords.append(rng.choice(coords[4:]))
+        else:
+            coords.append((rng.randint(-1, top), rng.randint(-1, top)))
+    coords = coords[:n]
+    rng.shuffle(coords)
+    return LayerMapping(col, c1, c2, coords), quad
+
+
+def quad_outcome(build, lm, quad):
+    try:
+        cover = build(lm, quad)
+    except (ValueError, ImpossibleByLemmaError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return [(sorted(p.vertices), p.colour) for p in cover.parts], cover.claimed_bound
+
+
+def test_quad_cover_regions_match_point_by_point(rng):
+    # cover_from_dist3_quad places single-vertex layers by regions, with
+    # mask algebra on four adjacency rows; the reference places every
+    # layer on its own.  Covers, and raises with message and witness, agree.
+    seen = Counter()
+    for _ in range(500):
+        lm, quad = random_quad_mapping(rng)
+        if set(quad) - set(lm.points):
+            continue
+        got = quad_outcome(cover_from_dist3_quad, lm, quad)
+        assert got == quad_outcome(reference_quad_cover, lm, quad), (lm.coords, quad)
+        seen[type(got[0]).__name__] += 1
+        col, anchors = lm.colouring, [lm.layer_mask(q) for q in quad]
+        if all(m.bit_count() == 1 for m in anchors):
+            vs = [m.bit_length() - 1 for m in anchors]
+            seen.update("ab=c3" if col.colour_of(a, b) == lm.c3 else "ab=c4"
+                        for a, b in combinations(vs, 2) if col.has_edge(a, b)
+                        and col.colour_of(a, b) in lm.reserved_pair)
+        seen["multipartite"] += not lm.colouring.host.is_complete
+        seen["multi-vertex layer"] += len(lm.points) < lm.colouring.n
+    assert seen["list"] >= 50 and seen["str"] >= 20, seen
+    assert min(seen["ab=c3"], seen["ab=c4"], seen["multipartite"],
+               seen["multi-vertex layer"]) >= 20, seen
+
+
+def test_quad_cover_on_two_paths_takes_no_triangle_call(monkeypatch):
+    # All 300 layers of two_paths(300, 1)'s (1, 2) mapping are single
+    # vertices, and the region rule places every one of them: the only
+    # engine call left is the quadruple's own.
+    lm = build_layer_mapping(two_paths(300, 1), 1, 2)
+    quad = find_k_distant(lm.points, 3, 4)
+    real, triangles = twocolour.triangle_colour, []
+    monkeypatch.setattr(twocolour, "triangle_colour",
+                        lambda *args: triangles.append(args) or real(*args))
+    engines = record_calls(monkeypatch, "multipartite_colour")
+    cover = cover_from_dist3_quad(lm, quad)
+    assert triangles == []
+    assert [len(args[1]) for args, _ in engines] == [4]
+    assert quad_outcome(cover_from_dist3_quad, lm, quad) == \
+        quad_outcome(reference_quad_cover, lm, quad)
+    assert verify_cover(lm.colouring, cover, bound=160, max_parts=3).valid
 
 
 def test_quad_cover_rejects_non_distant():

@@ -5,13 +5,14 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from conftest import constant_colouring, random_colouring
 from monocover import graphs
-from monocover.covers import Cover, format_cover, verify_cover
+from monocover.covers import Cover, CoverPart, format_cover, verify_cover
 from monocover.generators import (four_blocks, hub_tails, ladder,
                                   layered_adversarial, random_uniform,
                                   section5_example, sharpness_x, two_paths)
@@ -20,10 +21,12 @@ from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetric
 from monocover.solver import (BRANCH_FALLBACK, BRANCH_INTERSECTING,
                               BRANCH_LAYER_QUAD, BRANCH_LAYER_TRIPLE7,
                               BRANCH_SINGLE_COLOUR, BRANCH_SMALL_DIAM,
-                              SMALL_DIAMETER, _disjoint_pairs,
-                              disjoint_corollary, gyarfas_connectivity_cover,
+                              BRANCH_TWO_BALLS, SMALL_DIAMETER,
+                              _disjoint_pairs, disjoint_corollary,
+                              gyarfas_connectivity_cover,
                               reduce_small_diameters, solve4,
-                              solve_connected_case, solve_intersecting_case)
+                              solve_connected_case, solve_intersecting_case,
+                              two_balls)
 from monocover.twocolour import multipartite_colour
 
 
@@ -342,18 +345,20 @@ def test_pair_search_stages_bfs_runs_pinned():
     # Each pair search runs capped BFS from one source at a time and stops
     # at the first source that settles it.  On hub_tails(170, 0) the
     # intersecting stage finds its pair from vertex 0 in one run capped at
-    # 40 levels; the layer mapping adds one BFS and the three balls' checks
-    # three more.  On hub_tails(161, 0, extra=True) the disjoint corollary
-    # settles "not near" and its far pair from vertex 0 in three runs
-    # capped at 12, 6 and 6 levels; the layer mapping adds one more.
+    # 40 levels; the layer mapping adds one BFS and the checks of the two
+    # balls left after the one inside another is dropped two more.  On
+    # hub_tails(161, 0, extra=True) the disjoint corollary settles "not
+    # near" and its far pair from vertex 0 in three runs capped at 12, 6
+    # and 6 levels; the layer mapping adds one more.  The two-ball stage
+    # after it reads cached levels and checks its two parts.
     _, trace = solve4(hub_tails(170, 0))
     assert trace.branch == BRANCH_INTERSECTING
     assert trace.stages[-1].name == "intersecting case"
-    assert trace.stages[-1].bfs_runs == 5
-    _, trace = solve4(hub_tails(161, 0, extra=True))
-    assert trace.branch == BRANCH_FALLBACK
-    assert trace.stages[-1].name == "disjoint corollary"
     assert trace.stages[-1].bfs_runs == 4
+    _, trace = solve4(hub_tails(161, 0, extra=True))
+    assert trace.branch == BRANCH_TWO_BALLS
+    assert [s.name for s in trace.stages[-2:]] == ["disjoint corollary", "two balls"]
+    assert [s.bfs_runs for s in trace.stages[-2:]] == [4, 2]
 
 
 def test_multipartite_colour_skips_a_colour_with_an_isolated_vertex():
@@ -535,7 +540,8 @@ def test_intersecting_case_gate():
 def test_hub_tails_closes_in_intersecting():
     # The hub family passes stages 0-2 by construction and reaches
     # solve_intersecting_case past its gate: the straddling pair is found,
-    # no 7-distant triple closes, and the three-ball cover does.
+    # no 7-distant triple closes, and the three-ball cover does.  Its
+    # colour-3 ball {0} lies inside the colour-1 ball, so two parts are left.
     digest = hashlib.sha256()
     for seed in range(3):
         col = hub_tails(170, seed)
@@ -543,11 +549,11 @@ def test_hub_tails_closes_in_intersecting():
         assert trace.branch == BRANCH_INTERSECTING
         assert verify_cover(col, cover, bound=160, max_parts=3).valid
         assert [(len(p.vertices), p.colour) for p in cover.parts] == [
-            (221, 1), (1, 3), (340, 3)]
+            (221, 1), (340, 3)]
         digest.update(json.dumps([format_cover(cover),
                                   list(trace.anomalies)]).encode())
     assert digest.hexdigest() == (
-        "6abb0ad95d8aa11b21a73940cc89584a4ec08be17c2dbfdad943be39a82f1fbb")
+        "bea12368a6a25663eb978252b4ed5d6de9fd84e417d37e6d10f7b2aa84b5717c")
 
 
 def test_hub_tails_extra_has_a_two_ball_cover():
@@ -561,13 +567,63 @@ def test_hub_tails_extra_has_a_two_ball_cover():
     assert verify_cover(col, cover, bound=4, max_parts=3).valid
 
 
-@pytest.mark.xfail(strict=True, reason="hub hole: solve4 falls back to the "
-                   "connectivity cover on hub_tails with the extra vertex")
 def test_hub_tails_extra_closes_before_the_fallback():
     col = hub_tails(161, 0, extra=True)
     cover, trace = solve4(col)
     assert trace.branch != BRANCH_FALLBACK
     assert verify_cover(col, cover, bound=160, max_parts=3).valid
+
+
+def test_hub_tails_extra_closes_in_two_balls():
+    # Every stage before it declines both instances; root 0's colour-1
+    # ball of radius 1 and colour-2 ball of radius 1 cover them.
+    digest = hashlib.sha256()
+    for L, seed in ((161, 0), (200, 2)):
+        col = hub_tails(L, seed, extra=True)
+        cover, trace = solve4(col)
+        assert trace.branch == BRANCH_TWO_BALLS
+        assert cover.parts == (
+            CoverPart(frozenset(iter_bits(col.metrics.ball_mask(1, 0, 1))), 1),
+            CoverPart(frozenset(iter_bits(col.metrics.ball_mask(2, 0, 1))), 2))
+        assert verify_cover(col, cover, bound=160, max_parts=3).valid
+        digest.update(json.dumps([format_cover(cover), trace.branch,
+                                  list(trace.anomalies)]).encode())
+    assert digest.hexdigest() == (
+        "6de952dd825b5ca3f9b08d2d44644f67aa920d11a58c2aa04fdc5bbcd69b1009")
+
+
+def reference_two_balls(col, radius=80):
+    """(c1, c2, a, b) of the first ordered colour pair and least a, with
+    b the largest c2-distance from vertex 0 beyond c1-distance a, that fit
+    the radius, from whole distance rows."""
+    inf = float("inf")
+    for c1, c2 in permutations(range(1, 5), 2):
+        d1, d2 = ([inf if d < 0 else d for d in
+                   graphs.bfs_distances(col.adj_rows(c), col.n, 0)]
+                  for c in (c1, c2))
+        for a in range(radius + 1):
+            b = max((d2[v] for v in range(col.n) if d1[v] > a), default=0)
+            if b <= radius:
+                return c1, c2, a, b
+    return None
+
+
+def test_two_balls_matches_whole_rows(rng):
+    cols = [hub_tails(L, s, extra=extra) for L, s, extra in
+            ((161, 0, True), (170, 1, False), (90, 2, True))]
+    cols += [two_paths(n, s) for n, s in ((200, 1), (401, 2))]
+    cols += [four_blocks(s) for s in range(3)]
+    cols += [random_colouring(rng.randint(1, 30), 4, s) for s in range(20)]
+    for col in cols:
+        want = reference_two_balls(col)
+        cover = two_balls(col)
+        if want is None:
+            assert cover is None
+            continue
+        c1, c2, a, b = want
+        assert [(set(p.vertices), p.colour) for p in cover.parts] == [
+            (set(iter_bits(col.metrics.ball_mask(c1, 0, a))), c1),
+            (set(iter_bits(col.metrics.ball_mask(c2, 0, b))), c2)]
 
 
 def _exact_disjoint_pairs(col, min_diameter):
