@@ -367,12 +367,12 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     coordinates lies within 1 of, so it depends only on the anchor (if
     any) each coordinate is near to: the slabs around the anchors'
     coordinates split the vertices into at most 25 regions, one pair
-    each.  When the four anchors are single vertices a and b, so are
-    their pairs, and a single-vertex layer {x} joins its pair by the
-    triangle rule of :func:`twocolour.multipartite_colour`, read off four
-    adjacency rows for a whole region at once: x is settled when ax and
-    bx are reserved edges (and ab is one), and takes c3 when two of the
-    three edges are c3.  Every other layer (a larger one, or one the rule
+    each.  When the four anchors are single vertices, each region's pair
+    is two vertices a and b, and a single-vertex layer {x} joins it by
+    the triangle rule of :func:`twocolour.multipartite_colour`, read off
+    four adjacency rows for a whole region at once: x is settled when ax
+    and bx are reserved edges (and ab is one), and takes c3 when two of
+    the three edges are c3.  Every other layer (a larger one, or one the rule
     leaves open) is placed by :func:`twocolour.multipartite_colour`, in
     point order.
     """
@@ -399,7 +399,7 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     if not any(layers[q] & (layers[q] - 1) for q in quad):
         singles = left
         if len(lm.points) < col.n:
-            singles &= reduce(or_, (m for m in layers.values() if not m & (m - 1)))
+            singles &= reduce(or_, (m for m in layers.values() if not m & (m - 1)), 0)
         # near[axis][q]: the vertices within 1 of anchor q on that axis;
         # near[axis][None]: those near no anchor (a negative int).
         near = [{q: lm.slab_mask(axis, q[axis] - 1, q[axis] + 1) for q in quad}
