@@ -41,8 +41,10 @@ solver's pair searches, calls :func:`bfs_reach` with a level cap
 instead, and no cache keeps those runs.
 
 The colouring file format is read and written without a Python loop per
-pair: :func:`parse_colouring` tokenises the whole text in one numpy pass
-and ends in :meth:`EdgeColouring.from_matrix`, and
+pair: :func:`parse_colouring` tokenises the text in line-aligned chunks
+of 256 K characters, with numpy passes over each chunk, keeps 9 bytes a
+pair, so that its peak memory is a small multiple of the text, and ends
+in :meth:`EdgeColouring.from_matrix`, and
 :func:`format_colouring` writes each row by lookup in a table of
 "v c" strings.
 """
@@ -643,14 +645,14 @@ def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):
 # -- colouring file format ----------------------------------------------
 
 
-# Byte classes of the colouring file format.  They match what str.split()
-# and str.splitlines() treat as whitespace and line breaks in ASCII text.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0"):ord("9") + 1] = True
+# Byte classes of the colouring file format, one table lookup per byte:
+# 0 for any other byte.  Blanks and breaks are what str.split() treats as
+# whitespace in ASCII text, and breaks what str.splitlines() splits at.
+_DIGIT, _BLANK, _BREAK = 1, 2, 3
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_CLASS[[9, 31, 32]] = _BLANK
+_CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
 _MAX_DIGITS = 18  # keeps every value inside int64
 
 
@@ -691,113 +693,171 @@ def _line_error(buf: np.ndarray, breaks: np.ndarray, pos: int, what: str) -> Val
     return ValueError(f"{what}: {line.split('#', 1)[0].strip()!r}")
 
 
-def parse_colouring(text: str) -> EdgeColouring:
-    """Parse the colouring file format; rejects duplicate or absent pairs.
+def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """Token values of a line-aligned chunk of a colouring file, and which
+    of its pair lines have `-` for a colour; None if it has no tokens.
 
-    One vectorised pass over the bytes.  A `#` blanks the rest of its
-    line; tokens are the runs between ASCII whitespace.  The first
-    non-empty line must hold `n k` and every later one `u v c` or
-    `u v -`, with each other token made of ASCII decimal digits.  The
-    pair count is checked against n(n-1)/2 before anything of size n*n
-    is allocated, so memory stays linear in the length of the text.
-    """
-    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ``first`` says that no token came before the chunk, so that its first
+    non-empty line is the header.  Every check that a single line settles
+    runs here: the blanking of comments, the line widths, the lone `-`
+    and the digits of each token."""
     ix = np.int32 if buf.size < 2**31 else np.int64
-    space = _SPACE[buf]
-    breaks = np.flatnonzero(_BREAK[buf])
+    cls = _CLASS[buf]
+    space = cls >= _BLANK
+    breaks = np.flatnonzero(cls == _BREAK)
     hashes = np.flatnonzero(buf == ord("#"))
     if hashes.size:
         # blank each line from its first '#' up to its line break
         line = np.searchsorted(breaks, hashes)
-        first = np.ones(hashes.size, dtype=bool)
-        first[1:] = line[1:] != line[:-1]
+        opens = np.ones(hashes.size, dtype=bool)
+        opens[1:] = line[1:] != line[:-1]
         flip = np.zeros(buf.size + 1, dtype=np.int8)
-        flip[hashes[first]] = 1
-        flip[np.append(breaks, buf.size)[line[first]]] = -1
+        flip[hashes[opens]] = 1
+        flip[np.append(breaks, buf.size)[line[opens]]] = -1
         space |= np.cumsum(flip[:-1], dtype=np.int8).view(bool)
-        del line, first, flip
-    odd = np.flatnonzero(~(space | _DIGIT[buf]))
+        del line, opens, flip
+    odd = np.flatnonzero(~space & (cls == 0))
     pad = np.concatenate(([True], space, [True]))
-    del space, hashes
+    del cls, space, hashes
     starts = np.flatnonzero(pad[:-2] > pad[1:-1]).astype(ix)
     ends = np.flatnonzero(pad[1:-1] < pad[2:]).astype(ix) + 1
     del pad
     if not starts.size:
-        raise ValueError("empty colouring file")
+        return None
 
-    # 2 tokens on the first non-empty line, 3 on every later one.  cuts
+    # 2 tokens on the header line, 3 on every other non-empty one.  cuts
     # holds the number of tokens before each line start, so its distinct
     # values are the first tokens of the non-empty lines.
     cuts = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
     heads = cuts[np.flatnonzero(np.diff(cuts))]
     widths = np.diff(heads, append=starts.size)
     del cuts
-    if widths[0] != 2:
+    if first and widths[0] != 2:
         raise _line_error(buf, breaks, starts[0], "header must be 'n k'")
-    bad = np.flatnonzero(widths[1:] != 3)
+    rest = int(first)  # the first line past the header
+    bad = np.flatnonzero(widths[rest:] != 3)
     if bad.size:
-        raise _line_error(buf, breaks, starts[heads[bad[0] + 1]], "bad edge line")
+        raise _line_error(buf, breaks, starts[heads[bad[0] + rest]], "bad edge line")
     del heads, widths
 
     # the only token that is not digits is a lone '-' in a colour column
+    lead = 2 if first else 0
     odd_tok = np.searchsorted(starts, odd, side="right") - 1
     dash = ((buf[odd] == ord("-")) & (ends[odd_tok] - starts[odd_tok] == 1)
-            & (odd_tok % 3 == 1) & (odd_tok > 1))
+            & ((odd_tok - lead) % 3 == 2) & (odd_tok >= lead))
     if not dash.all():
         t = odd_tok[np.argmin(dash)]
         token = buf[starts[t]:ends[t]].tobytes().decode("utf-8", "replace")
         raise _line_error(buf, breaks, starts[t], f"bad token {token!r} in line")
-    dashed = (odd_tok - 4) // 3
+    dashed = np.zeros((starts.size - lead) // 3, dtype=bool)
+    dashed[(odd_tok - lead) // 3] = True
     del odd, odd_tok, dash
 
     lengths = ends - starts
     too_long = np.flatnonzero(lengths > _MAX_DIGITS)
     if too_long.size:
         raise _line_error(buf, breaks, starts[too_long[0]], "number too long in line")
-    # column j of every token at once, in place to keep the peak low
-    val = np.zeros(starts.size, dtype=np.int64)
-    pos = np.empty_like(starts)
-    for j in range(int(lengths.max())):
-        live = lengths > j
-        np.minimum(starts + j, buf.size - 1, out=pos)
-        np.multiply(val, 10, out=val, where=live)
-        np.add(val, buf[pos] - ord("0"), out=val, where=live)
-    del starts, ends, lengths, pos, live
+    # digit j from the end of each token, over the tokens longer than j
+    digits = buf - np.uint8(ord("0"))
+    last = ends - 1
+    val = digits[last].astype(np.int64)
+    for j in range(1, int(lengths.max())):
+        live = np.flatnonzero(lengths > j)
+        val[live] += digits[last[live] - j].astype(np.int64) * 10**j
+    return val, dashed
 
-    n, k = int(val[0]), int(val[1])
+
+_CHUNK = 1 << 18  # characters of text that parse_colouring encodes at a time
+
+
+def parse_colouring(text: str) -> EdgeColouring:
+    """Parse the colouring file format; rejects duplicate or absent pairs.
+
+    A `#` blanks the rest of its line; tokens are the runs between ASCII
+    whitespace.  The first non-empty line must hold `n k` and every later
+    one `u v c` or `u v -`, with each other token made of ASCII decimal
+    digits.
+
+    The text is read in chunks of ``_CHUNK`` characters, each extended to
+    the end of its line, encoded and scanned by vectorised numpy passes;
+    of each chunk only its pairs' vertices and colours (0 for `-`) are
+    kept, 9 bytes a pair.  The pair count is checked against n(n-1)/2
+    before anything of size n*n is allocated.  So memory stays linear in
+    the length of the text: on a uniform K_800 file the peak is about
+    2.3 times the text, and on K_3000 about once the text.  The checks
+    that a single line settles run chunk by chunk, and the ones on pairs
+    (range, duplicates, colours) after the last chunk; so in a file with
+    faults in different chunks, the message may name another fault than
+    the one that comes first in the file.
+    """
+    head = None
+    chunks = []  # per chunk: smaller and larger vertex (int32), colour (uint8)
+    bad_pair = bad_colour = None
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK)
+        stop = len(text) if cut < 0 else cut + 1
+        buf = np.frombuffer(text[start:stop].encode("utf-8"), dtype=np.uint8)
+        start = stop
+        read = _read_chunk(buf, head is None)
+        del buf
+        if read is None:
+            continue
+        val, dashed = read
+        if head is None:
+            head, val = (int(val[0]), int(val[1])), val[2:]
+        n, k = head
+        u, v, c = val[0::3], val[1::3], val[2::3]
+        # the range is checked before the narrowing to int32, so that the
+        # message quotes a vertex past int32 whole; one below n fits, as no
+        # text holds the pair count of an n past int32
+        bad = np.flatnonzero((u >= n) | (v >= n) | (u == v))
+        if bad.size and bad_pair is None:
+            bad_pair = f"bad pair ({u[bad[0]]},{v[bad[0]]})"
+        bad = np.flatnonzero(~dashed & ((c < 1) | (c > k)))
+        if bad.size and bad_colour is None:
+            i = bad[0]
+            bad_colour = f"colour {c[i]} out of range on pair ({u[i]},{v[i]})"
+        chunks.append((np.minimum(u, v).astype(np.int32),
+                       np.maximum(u, v).astype(np.int32),
+                       np.where(dashed, 0, c).astype(np.uint8)))
+        del val, dashed, u, v, c
+
+    if head is None:
+        raise ValueError("empty colouring file")
+    n, k = head
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     check_byte_colours(k)
     m = n * (n - 1) // 2
-    if (val.size - 2) // 3 != m:
+    pairs = sum(lo.size for lo, _, _ in chunks)
+    if pairs != m:
         raise ValueError(f"every unordered pair must appear exactly once: "
-                         f"{(val.size - 2) // 3} pair lines for n = {n}")
-    u, v, c = val[2::3], val[3::3], val[4::3]
-    bad = np.flatnonzero((u >= n) | (v >= n) | (u == v))
-    if bad.size:
-        raise ValueError(f"bad pair ({u[bad[0]]},{v[bad[0]]})")
-    lo = np.minimum(u, v).astype(np.int32)
-    hi = np.maximum(u, v).astype(np.int32)
+                         f"{pairs} pair lines for n = {n}")
+    if bad_pair is not None:
+        raise ValueError(bad_pair)
     seen = np.zeros((n, n), dtype=bool)
-    seen[lo, hi] = True
+    for lo, hi, _ in chunks:
+        seen[lo, hi] = True
     if np.count_nonzero(seen) != m:
+        lo = np.concatenate([lo for lo, _, _ in chunks])
+        hi = np.concatenate([hi for _, hi, _ in chunks])
         _, first = np.unique(lo.astype(np.int64) * n + hi, return_index=True)
         again = np.ones(m, dtype=bool)
         again[first] = False
         i = np.argmax(again)
         raise ValueError(f"duplicate pair ({lo[i]},{hi[i]})")
     del seen
-    miss = np.zeros(m, dtype=bool)
-    miss[dashed] = True
-    bad = np.flatnonzero(~miss & ((c < 1) | (c > k)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"colour {c[i]} out of range on pair ({u[i]},{v[i]})")
-    col = np.where(miss, 0, c).astype(np.uint8)
-    del val, u, v, c
+    if bad_colour is not None:
+        raise ValueError(bad_colour)
+    # every colour now lies in 1..k, so colour 0 marks a '-' pair
     mat = np.zeros((n, n), dtype=np.uint8)
-    mat[lo, hi] = col
-    mat[hi, lo] = col
-    missing = list(zip(lo[miss].tolist(), hi[miss].tolist()))
+    missing = []
+    for lo, hi, col in chunks:
+        mat[lo, hi] = col
+        mat[hi, lo] = col
+        miss = col == 0
+        missing += zip(lo[miss].tolist(), hi[miss].tolist())
+    del chunks
     classes = _clique_classes(n, missing) if missing else None
     return EdgeColouring.from_matrix(HostGraph(n, missing, classes), k, mat)

@@ -432,6 +432,12 @@ def two_balls(colouring: EdgeColouring) -> Cover | None:
     serves every a.  The first pair with a, b <= 80 closes, with
     diameters at most 2a and 2b.
     """
+    return _two_balls(colouring)[2]
+
+
+def _two_balls(colouring: EdgeColouring):
+    """The two-ball stage: :func:`two_balls` as (branch, details, cover),
+    with the colour pair and radii that closed in the details."""
     _require_k4_complete(colouring)
     metrics = colouring.metrics
     full = (1 << colouring.n) - 1
@@ -448,10 +454,11 @@ def two_balls(colouring: EdgeColouring) -> Cover | None:
             while b > 0 and not levels2[b] & beyond:
                 b -= 1
             if b <= radius:
+                details = {"pair": (c1, c2), "radii": (a, b)}
                 parts = [(ball1, c1), (metrics.ball_mask(c2, 0, b), c2)]
-                return verified(colouring, parts, COVER_BOUND, "two balls",
-                                {"pair": (c1, c2), "radii": (a, b)})
-    return None
+                return BRANCH_TWO_BALLS, details, verified(
+                    colouring, parts, COVER_BOUND, "two balls", details)
+    return None, None, None
 
 
 # -- the cascade -----------------------------------------------------------------
@@ -507,7 +514,7 @@ _STAGES = (
         BRANCH_INTERSECTING, {}, solve_intersecting_case(col, anomalies=notes))),
     ("disjoint corollary", lambda col, notes: (
         BRANCH_DISJOINT, {}, disjoint_corollary(col, anomalies=notes))),
-    ("two balls", lambda col, notes: (BRANCH_TWO_BALLS, {}, two_balls(col))),
+    ("two balls", lambda col, notes: _two_balls(col)),
 )
 
 

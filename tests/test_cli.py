@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from monocover import graphs
 from monocover.cli import main
 from monocover.covers import parse_cover
+from monocover.generators import random_uniform
 from monocover.graphs import format_colouring, parse_colouring
 from monocover.layers import build_layer_mapping
 from test_twocolour import (bipartite_colouring, multipartite_colouring,
@@ -236,6 +238,20 @@ def test_malformed_colouring_is_rejected_in_one_line(tmp_path, capsys):
     assert err.startswith("monocover: error: ") and err.count("\n") == 1
     assert run("verify", str(tmp_path / "absent.col"), str(col_path)) == 4
     assert capsys.readouterr().err.startswith("monocover: error: ")
+
+
+def test_fault_in_the_last_chunk_is_quoted(tmp_path, capsys):
+    # A colouring file several parser chunks long whose one fault is on
+    # its last line: the error names that line.
+    col_path, cov_path = tmp_path / "big.col", tmp_path / "big.cov"
+    lines = format_colouring(random_uniform(400, 4, 3)).splitlines(keepends=True)
+    lines[-1] = "398 399 x\n"
+    col_path.write_text("".join(lines))
+    assert col_path.stat().st_size > 2 * graphs._CHUNK
+    cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
+    assert run("verify", str(col_path), str(cov_path)) == 4
+    assert capsys.readouterr().err == (
+        "monocover: error: bad token 'x' in line: '398 399 x'\n")
 
 
 def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Graph core: components, balls, set diameters, metric laws, file format."""
 
+import bisect
 import math
 import random
 import re
@@ -945,6 +946,98 @@ def test_colouring_parser_rejects_mutations(text, mutation, data):
     with pytest.raises(ValueError):
         parse_colouring(bad)
     assert_same_outcome(bad)
+
+
+def chunked_lines(n, seed):
+    """Lines, each with its break, of a noisy file of a random 4-colouring
+    of K_n several parser chunks long, and the pairs given a `-` colour.
+
+    A comment block longer than one chunk comes first, so the header is in
+    a later chunk.  Pair lines carry tabs, comments, blank lines, CRLF and
+    \\x1c breaks; the nearest pair line on each side of each chunk cut has
+    `-` for its colour.  The last line is the pair (n-2, n-1)."""
+    rng = random.Random(seed)
+    lines = ["# " + "padding " * 8 + "\n"] * (graphs._CHUNK // 60) + [f"{n} 4\r\n"]
+    pos = sum(map(len, lines))
+    colour_at, where = [], []  # per pair: text offset; line index and column
+    for u, v in combinations(range(n), 2):
+        body = (rng.choice(["", " ", "\t"]) + f"{u}" + rng.choice([" ", "\t", " \t "])
+                + f"{v}" + rng.choice([" ", "\t"]))
+        colour_at.append(pos + len(body))
+        where.append((len(lines), len(body)))
+        line = body + f"{rng.randint(1, 4)}" + rng.choice(["", " # 0 1 2", "\t#"])
+        lines.append(line + rng.choice(["\n", "\r\n", "\x1c"]))
+        pos += len(lines[-1])
+        if rng.random() < 0.05 and (u, v) != (n - 2, n - 1):
+            lines.append(rng.choice(["\n", "\t# note\r\n", "  \x1c"]))
+            pos += len(lines[-1])
+    lines[-1] = lines[-1].rstrip("\x1c\r\n") + "\n"
+    # the cuts parse_colouring makes: the first '\n' at or after each
+    # chunk's start plus _CHUNK
+    text, cuts, start = "".join(lines), [], 0
+    while (cut := text.find("\n", start + graphs._CHUNK)) >= 0:
+        cuts.append(cut)
+        start = cut + 1
+    pairs = list(combinations(range(n), 2))
+    dashed = set()
+    for cut in cuts:
+        i = bisect.bisect(colour_at, cut)
+        for j in (i - 1, i):
+            if 0 <= j < len(pairs):
+                # each colour is one digit, so a '-' moves no cut
+                dashed.add(pairs[j])
+                k, col = where[j]
+                lines[k] = lines[k][:col] + "-" + lines[k][col + 1:]
+    return lines, dashed
+
+
+def test_colouring_parser_across_chunks():
+    # The chunked parser against the line-by-line reference on a text of
+    # several chunks, with layout noise and '-' colours at the cuts.
+    lines, dashed = chunked_lines(300, 1)
+    text = "".join(lines)
+    assert len(text) > 3 * graphs._CHUNK
+    assert text.index("300 4") > text.find("\n", graphs._CHUNK)
+    assert len(dashed) >= 5
+    state = assert_same_outcome(text)
+    assert state is not None and state[3] == dashed
+
+
+def test_colouring_parser_rejects_mutations_in_the_last_chunk():
+    # Each MUTATIONS kind, made on the last line of a text several chunks
+    # long, is caught with the message it gets in a one-chunk text.
+    lines, _ = chunked_lines(300, 2)
+    u, v, c = lines[-1].split("#")[0].split()
+    body, m = lines[:-1], 300 * 299 // 2
+    count = "every unordered pair must appear exactly once: {} pair lines for n = 300"
+    cases = {
+        "drop": (body, count.format(m - 1)),
+        "duplicate": (lines + lines[-1:], count.format(m + 1)),
+        "move-pair": (body + [f"0 1 {c}\n"], "duplicate pair (0,1)"),
+        "colour-0": (body + [f"{u} {v} 0\n"], f"colour 0 out of range on pair ({u},{v})"),
+        "colour-k+1": (body + [f"{u} {v} 5\n"], f"colour 5 out of range on pair ({u},{v})"),
+        "non-digit": (body + [f"{u} {v} x\n"], f"bad token 'x' in line: '{u} {v} x'"),
+        "extra-token": (body + [f"{u} {v} {c} 1\n"], f"bad edge line: '{u} {v} {c} 1'"),
+        "missing-token": (body + [f"{u} {v}\n"], f"bad edge line: '{u} {v}'"),
+        "dash-number": (body + [f"{u} - {c}\n"], f"bad token '-' in line: '{u} - {c}'"),
+        "loop": (body + [f"{u} {u} {c}\n"], f"bad pair ({u},{u})"),
+        "vertex-n": (body + [f"{u} 300 {c}\n"], f"bad pair ({u},300)"),
+    }
+    assert sorted(cases) == sorted(MUTATIONS)
+    for mutation, (mutated, message) in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_colouring("".join(mutated))
+
+
+def test_colouring_parser_peak_is_at_most_four_times_the_text():
+    text = format_colouring(random_uniform(800, 4, 1))
+    tracemalloc.start()
+    try:
+        parse_colouring(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), peak / len(text)
 
 
 def test_colouring_parser_accepts_ascii_digits_only():

@@ -557,8 +557,9 @@ def test_hub_tails_closes_in_intersecting():
 
 
 def test_hub_tails_extra_has_a_two_ball_cover():
-    # The hub's radius-2 balls in colours 1 and 2 cover hub_tails_w: the
-    # cover of diameter 4 that solve4 misses (see the xfail below).
+    # The hub's radius-2 balls in colours 1 and 2 cover hub_tails_w, with
+    # diameter 4.  solve4 closes the instance in the two-ball stage with the
+    # radius-1 balls inside them (test_hub_tails_extra_closes_in_two_balls).
     col = hub_tails(161, 0, extra=True)
     assert col.n == 324
     cover = Cover.of([(iter_bits(col.metrics.ball_mask(c, 0, 2)), c)
@@ -582,6 +583,8 @@ def test_hub_tails_extra_closes_in_two_balls():
         col = hub_tails(L, seed, extra=True)
         cover, trace = solve4(col)
         assert trace.branch == BRANCH_TWO_BALLS
+        c1, c2, a, b = reference_two_balls(col)
+        assert trace.details == {"pair": (c1, c2), "radii": (a, b)}
         assert cover.parts == (
             CoverPart(frozenset(iter_bits(col.metrics.ball_mask(1, 0, 1))), 1),
             CoverPart(frozenset(iter_bits(col.metrics.ball_mask(2, 0, 1))), 2))
