@@ -698,9 +698,9 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
     of its pair lines have `-` for a colour; None if it has no tokens.
 
     ``first`` says that no token came before the chunk, so that its first
-    non-empty line is the header.  Every check that a single line settles
-    runs here: the blanking of comments, the line widths, the lone `-`
-    and the digits of each token."""
+    non-empty line is the header.  Comments are blanked here, and every
+    check that a single line settles runs here: the line widths, the lone
+    `-` and the digits of each token."""
     ix = np.int32 if buf.size < 2**31 else np.int64
     cls = _CLASS[buf]
     space = cls >= _BLANK
