@@ -8,13 +8,18 @@ one line `monocover: no outcome: <message>` on stderr), 4 rejected input
 cannot use, reported as one line `monocover: error: <message>` on
 stderr).  Flags only; no configuration files or environment variables.
 Each command imports the modules it uses when it runs, so a command
-pays only for its own start-up.
+pays only for its own start-up.  Colouring files are streamed: a command
+that reads one hands the parser the open file, read a chunk at a time,
+and one that writes one writes a row of pairs at a time, so no command
+holds a colouring file's whole text.  The colouring is built before its
+output file is opened, so a rejected one leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from .errors import ImpossibleByLemmaError
 
@@ -26,18 +31,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _read_colouring(path: str):
+    """The colouring in the file at ``path``, parsed a chunk at a time."""
+    from .graphs import parse_colouring
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_colouring(fh)
+
+
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in turn to the file at ``path``, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _cmd_gen(args) -> int:
     from .generators import (layered_adversarial, random_uniform,
                              section5_example, sharpness_x)
-    from .graphs import format_colouring
+    from .graphs import colouring_lines
     from .grid import colouring_from_points, parse_points
     if args.kind == "random-uniform":
         colouring = random_uniform(args.n, args.k, args.seed)
@@ -51,7 +64,7 @@ def _cmd_gen(args) -> int:
         if args.points is None:
             raise ValueError("gen from-points needs --points FILE")
         colouring, _ = colouring_from_points(parse_points(_read(args.points)))
-    _write(args.output, format_colouring(colouring))
+    _write(args.output, colouring_lines(colouring))
     return OK
 
 
@@ -60,15 +73,14 @@ def _cmd_solve(args) -> int:
     import math
 
     from .covers import format_cover, verify_cover
-    from .graphs import parse_colouring
     from .solver import BRANCH_FALLBACK, COVER_BOUND, solve4
-    colouring = parse_colouring(_read(args.colouring))
+    colouring = _read_colouring(args.colouring)
     if args.lemma:
         return _solve_lemma(args, colouring)
     cover, trace = solve4(colouring)
     bound = math.inf if trace.branch == BRANCH_FALLBACK else COVER_BOUND
     report = verify_cover(colouring, cover, bound=bound, max_parts=3)
-    _write(args.output, format_cover(cover))
+    _write(args.output, [format_cover(cover)])
     if args.trace:
         payload = trace.to_json()
         payload["parts"] = [
@@ -111,8 +123,8 @@ def _solve_lemma(args, colouring) -> int:
 
 def _cmd_verify(args) -> int:
     from .covers import parse_cover, verify_cover
-    from .graphs import DISCONNECTED, parse_colouring
-    colouring = parse_colouring(_read(args.colouring))
+    from .graphs import DISCONNECTED
+    colouring = _read_colouring(args.colouring)
     cover = parse_cover(_read(args.cover))
     bound = cover.claimed_bound if args.bound is None else args.bound
     report = verify_cover(colouring, cover, bound=bound,
@@ -126,9 +138,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_layers(args) -> int:
-    from .graphs import parse_colouring, parse_decimal
+    from .graphs import parse_decimal
     from .layers import build_layer_mapping
-    colouring = parse_colouring(_read(args.colouring))
+    colouring = _read_colouring(args.colouring)
     seeds = [parse_decimal(tok) for tok in args.seed.split(",")] if args.seed else []
     lm = build_layer_mapping(colouring, args.c1, args.c2, seeds=seeds,
                              value_policy=args.policy)
@@ -170,18 +182,18 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .graphs import format_colouring, parse_colouring
+    from .graphs import colouring_lines
     from .grid import (colouring_from_points, format_points, parse_points,
                        points_from_colouring)
     if args.direction == "points2col":
         ps = parse_points(_read(args.source))
         colouring, _ = colouring_from_points(ps)
-        _write(args.dest, format_colouring(colouring))
+        _write(args.dest, colouring_lines(colouring))
         return OK
     # argparse's choices leave only "col2points"
-    colouring = parse_colouring(_read(args.source))
+    colouring = _read_colouring(args.source)
     ps, _ = points_from_colouring(colouring)
-    _write(args.dest, format_points(ps))
+    _write(args.dest, [format_points(ps)])
     return OK
 
 

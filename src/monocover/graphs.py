@@ -41,12 +41,13 @@ solver's pair searches, calls :func:`bfs_reach` with a level cap
 instead, and no cache keeps those runs.
 
 The colouring file format is read and written without a Python loop per
-pair: :func:`parse_colouring` tokenises the text in line-aligned chunks
-of 256 K characters, with numpy passes over each chunk, keeps 9 bytes a
-pair, so that its peak memory is a small multiple of the text, and ends
-in :meth:`EdgeColouring.from_matrix`, and
-:func:`format_colouring` writes each row by lookup in a table of
-"v c" strings.
+pair, and in pieces: :func:`parse_colouring` takes a str or an open file
+and tokenises its text in line-aligned chunks of 256 K characters, with
+numpy passes over each chunk, keeps 9 bytes a pair, so that its peak
+memory is a small multiple of the text (from a file, the whole text is
+never held), and ends in :meth:`EdgeColouring.from_matrix`, and
+:func:`colouring_lines` yields the text a row at a time, each row by
+lookup in a table of "v c" strings; :func:`format_colouring` joins it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import math
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -645,14 +646,6 @@ def set_diameter(colouring: EdgeColouring, c: int, vertices: Iterable[int]):
 # -- colouring file format ----------------------------------------------
 
 
-# Byte classes of the colouring file format, one table lookup per byte:
-# 0 for any other byte.  Blanks and breaks are what str.split() treats as
-# whitespace in ASCII text, and breaks what str.splitlines() splits at.
-_DIGIT, _BLANK, _BREAK = 1, 2, 3
-_CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_CLASS[[9, 31, 32]] = _BLANK
-_CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
 _MAX_DIGITS = 18  # keeps every value inside int64
 
 
@@ -666,22 +659,32 @@ def parse_decimal(token: str) -> int:
     return int(token)
 
 
-def format_colouring(colouring: EdgeColouring) -> str:
-    """Line-oriented text form: header `n k`, then one `u v c|-` per pair."""
+def colouring_lines(colouring: EdgeColouring) -> Iterator[str]:
+    """The text form of :func:`format_colouring` in pieces: the header
+    line, then one block of `u v c|-` lines per vertex u < n-1, each
+    piece ending in a line break, for a writer that never holds the
+    whole text."""
     n = colouring.n
     rows = colouring._rows
-    # table[code[c] + v] is "v c" for each colour c present, "v -" for 0
-    used = np.flatnonzero(np.bincount(np.frombuffer(b"".join(rows), np.uint8)))
+    # table[code[c] + v] is "v c" for each colour c that occurs, and "v -"
+    # for 0 if some pair is missing
+    used = [c for c in range(1, colouring.k + 1) if any(colouring.adj_rows(c))]
+    if colouring.host.missing:
+        used.insert(0, 0)
     code = np.zeros(256, dtype=np.intp)
-    code[used] = np.arange(used.size) * n
-    table = [f"{v} {c or '-'}" for c in used.tolist() for v in range(n)]
+    code[used] = np.arange(len(used)) * n
+    table = [f"{v} {c or '-'}" for c in used for v in range(n)]
     cols = np.arange(n)
-    out = [f"{n} {colouring.k}"]
+    yield f"{n} {colouring.k}\n"
     for u in range(n - 1):
         idx = code[np.frombuffer(rows[u], np.uint8, offset=u + 1)] + cols[u + 1:]
         pre = f"{u} "
-        out.append(pre + ("\n" + pre).join(map(table.__getitem__, idx.tolist())))
-    return "\n".join(out) + "\n"
+        yield pre + ("\n" + pre).join(map(table.__getitem__, idx.tolist())) + "\n"
+
+
+def format_colouring(colouring: EdgeColouring) -> str:
+    """Line-oriented text form: header `n k`, then one `u v c|-` per pair."""
+    return "".join(colouring_lines(colouring))
 
 
 def _line_error(buf: np.ndarray, breaks: np.ndarray, pos: int, what: str) -> ValueError:
@@ -702,9 +705,18 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
     check that a single line settles runs here: the line widths, the lone
     `-` and the digits of each token."""
     ix = np.int32 if buf.size < 2**31 else np.int64
-    cls = _CLASS[buf]
-    space = cls >= _BLANK
-    breaks = np.flatnonzero(cls == _BREAK)
+    # Byte classes by uint8 comparisons (a difference wraps below 0, so
+    # code - 10 < 4 means 10 <= code <= 13).  Whitespace is what str.split()
+    # splits at in ASCII text, 9-13 and 28-32, and line breaks what
+    # str.splitlines() splits at, 10-13 and 28-30: all below 33, and the
+    # control bytes among them are few, so those alone are told apart.
+    space = buf <= 32
+    ctl = np.flatnonzero(buf < 32)
+    code = buf[ctl]
+    breaks = ctl[((code - np.uint8(10)) < 4) | ((code - np.uint8(28)) < 3)]
+    space[ctl[(code < 9) | ((code - np.uint8(14)) < 14)]] = False
+    del ctl, code
+    digits = buf - np.uint8(ord("0"))
     hashes = np.flatnonzero(buf == ord("#"))
     if hashes.size:
         # blank each line from its first '#' up to its line break
@@ -716,9 +728,9 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
         flip[np.append(breaks, buf.size)[line[opens]]] = -1
         space |= np.cumsum(flip[:-1], dtype=np.int8).view(bool)
         del line, opens, flip
-    odd = np.flatnonzero(~space & (cls == 0))
+    odd = np.flatnonzero(~(space | (digits < 10)))
     pad = np.concatenate(([True], space, [True]))
-    del cls, space, hashes
+    del space, hashes
     starts = np.flatnonzero(pad[:-2] > pad[1:-1]).astype(ix)
     ends = np.flatnonzero(pad[1:-1] < pad[2:]).astype(ix) + 1
     del pad
@@ -758,7 +770,6 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
     if too_long.size:
         raise _line_error(buf, breaks, starts[too_long[0]], "number too long in line")
     # digit j from the end of each token, over the tokens longer than j
-    digits = buf - np.uint8(ord("0"))
     last = ends - 1
     val = digits[last].astype(np.int64)
     for j in range(1, int(lengths.max())):
@@ -770,8 +781,26 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
 _CHUNK = 1 << 18  # characters of text that parse_colouring encodes at a time
 
 
-def parse_colouring(text: str) -> EdgeColouring:
-    """Parse the colouring file format; rejects duplicate or absent pairs.
+def _text_chunks(source: str | TextIO) -> Iterator[str]:
+    """``source`` in pieces of ``_CHUNK`` characters, each extended to the
+    end of its line.  A str and a file holding the same text give the
+    same pieces: ``readline`` after ``read(_CHUNK)`` stops at the first
+    `\\n` at or past the chunk's end, where ``find`` does."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            cut = source.find("\n", start + _CHUNK)
+            stop = len(source) if cut < 0 else cut + 1
+            yield source[start:stop]
+            start = stop
+    else:
+        while piece := source.read(_CHUNK) + source.readline():
+            yield piece
+
+
+def parse_colouring(source: str | TextIO) -> EdgeColouring:
+    """Parse the colouring file format from a str or an open text file;
+    rejects duplicate or absent pairs.
 
     A `#` blanks the rest of its line; tokens are the runs between ASCII
     whitespace.  The first non-empty line must hold `n k` and every later
@@ -781,24 +810,24 @@ def parse_colouring(text: str) -> EdgeColouring:
     The text is read in chunks of ``_CHUNK`` characters, each extended to
     the end of its line, encoded and scanned by vectorised numpy passes;
     of each chunk only its pairs' vertices and colours (0 for `-`) are
-    kept, 9 bytes a pair.  The pair count is checked against n(n-1)/2
-    before anything of size n*n is allocated.  So memory stays linear in
-    the length of the text: on a uniform K_800 file the peak is about
-    2.3 times the text, and on K_3000 about once the text.  The checks
-    that a single line settles run chunk by chunk, and the ones on pairs
-    (range, duplicates, colours) after the last chunk; so in a file with
-    faults in different chunks, the message may name another fault than
-    the one that comes first in the file.
+    kept, 9 bytes a pair.  A file is read a chunk at a time, so its whole
+    text is never held, and it is cut where its text as a str would be,
+    so both give the same colouring or the same message.  The pair count
+    is checked against n(n-1)/2 before anything of size n*n is allocated.
+    So memory stays linear in the length of the text: on a uniform K_800
+    file the peak of a parse from a str is about 2.3 times the text, and
+    on K_3000 about once the text, the text itself not counted.  The
+    checks that a single line settles run chunk by chunk, and the ones on
+    pairs (range, duplicates, colours) after the last chunk; so in a file
+    with faults in different chunks, the message may name another fault
+    than the one that comes first in the file.
     """
     head = None
     chunks = []  # per chunk: smaller and larger vertex (int32), colour (uint8)
     bad_pair = bad_colour = None
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _CHUNK)
-        stop = len(text) if cut < 0 else cut + 1
-        buf = np.frombuffer(text[start:stop].encode("utf-8"), dtype=np.uint8)
-        start = stop
+    for piece in _text_chunks(source):
+        buf = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8)
+        del piece
         read = _read_chunk(buf, head is None)
         del buf
         if read is None:

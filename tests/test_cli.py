@@ -1,6 +1,9 @@
 """CLI: subcommands, exit codes, file round-trips, generator determinism."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -280,6 +283,41 @@ def test_gen_rejects_unusable_values_in_one_line(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"monocover: error: {message}\n"
+
+
+def test_rejected_gen_leaves_no_file(tmp_path, capsys):
+    # The colouring is built before its output file is opened.
+    out = tmp_path / "out.col"
+    assert run("gen", "random-uniform", "--k", "256", "-o", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "monocover: error: k = 256 exceeds the 255 colours a byte can hold\n")
+    assert not out.exists()
+
+
+def traced_peak(*argv):
+    """The tracemalloc peak of one in-process command, its output dropped."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(*argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_and_verify_never_hold_the_whole_file(tmp_path):
+    # gen writes the file a row at a time and verify parses it a chunk at
+    # a time, so neither peak holds the text and its copies.
+    col_path, cov_path = tmp_path / "u.col", tmp_path / "u.cov"
+    gen = traced_peak("gen", "random-uniform", "--n", "800", "--k", "4",
+                      "--seed", "1", "-o", str(col_path))
+    size = col_path.stat().st_size
+    assert col_path.read_text() == format_colouring(random_uniform(800, 4, 1))
+    assert gen <= 1.5 * size, gen / size
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("solve", str(col_path), "-o", str(cov_path)) == 0
+    verify = traced_peak("verify", str(col_path), str(cov_path))
+    assert verify <= 2.75 * size, verify / size
 
 
 def test_usage_errors_exit_4_not_2(capsys):

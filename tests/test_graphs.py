@@ -1029,6 +1029,50 @@ def test_colouring_parser_rejects_mutations_in_the_last_chunk():
             parse_colouring("".join(mutated))
 
 
+def test_colouring_parser_reads_a_file_as_its_text(tmp_path):
+    # An open file is read a chunk at a time and cut where its text as a
+    # str is, with '-' colours next to each cut; read with newlines
+    # translated, as the CLI reads it, it gives the same colouring too.
+    lines, dashed = chunked_lines(300, 3)
+    text = "".join(lines)
+    path = tmp_path / "c.col"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        assert list(graphs._text_chunks(fh)) == list(graphs._text_chunks(text))
+    want = assert_same_outcome(text)
+    assert want is not None and want[3] == dashed
+    for newline in ("\n", None):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert parsed_state(parse_colouring(fh)) == want
+
+
+@pytest.mark.parametrize("faults", [("9", "x"), ("1 1", "x")],
+                         ids=["colour-then-token", "width-then-token"])
+def test_cli_and_str_name_the_same_of_two_faults(tmp_path, capsys, faults):
+    # Faults in two chunks of a file several chunks long: `monocover
+    # verify` reports the one that parse_colouring(text) reports.
+    from monocover.cli import main
+    lines, _ = chunked_lines(300, 4)
+    pair_lines = [i for i, line in enumerate(lines)
+                  if len(line.split("#")[0].split()) == 3]
+    picked = [pair_lines[len(pair_lines) // 10], pair_lines[-10]]
+    for i, fault in zip(picked, faults):
+        u, v, _ = lines[i].split("#")[0].split()
+        lines[i] = f"{u} {v} {fault}\n"
+    text = "".join(lines)
+    ends = np.cumsum([len(p) for p in graphs._text_chunks(text)])
+    at = [int(np.searchsorted(ends, sum(map(len, lines[:i])), side="right"))
+          for i in picked]
+    assert at[0] < at[1]
+    with pytest.raises(ValueError) as exc:
+        parse_colouring(text)
+    col_path, cov_path = tmp_path / "c.col", tmp_path / "c.cov"
+    col_path.write_text(text, encoding="utf-8", newline="")
+    cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
+    assert main(["verify", str(col_path), str(cov_path)]) == 4
+    assert capsys.readouterr().err == f"monocover: error: {exc.value}\n"
+
+
 def test_colouring_parser_peak_is_at_most_four_times_the_text():
     text = format_colouring(random_uniform(800, 4, 1))
     tracemalloc.start()
