@@ -35,7 +35,19 @@ def _read_colouring(path: str):
     """The colouring in the file at ``path``, parsed a chunk at a time."""
     from .graphs import parse_colouring
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_colouring(fh)
+        try:
+            return parse_colouring(fh)
+        except UnicodeDecodeError as exc:
+            # The decoder is handed the file a block at a time and counts
+            # from the block's start; the block ends where the file stands,
+            # which a pipe cannot tell.
+            if not fh.seekable():
+                raise
+            start = fh.buffer.tell() - len(exc.object) + exc.start
+            end = start + exc.end - exc.start
+            where = (f"byte {exc.object[exc.start]:#04x} in position {start}"
+                     if end == start + 1 else f"bytes in position {start}-{end - 1}")
+            raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
 
 
 def _write(path: str | None, pieces: Iterable[str]) -> None:

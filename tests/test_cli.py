@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import threading
 import tracemalloc
 
 import pytest
@@ -255,6 +257,42 @@ def test_fault_in_the_last_chunk_is_quoted(tmp_path, capsys):
     assert run("verify", str(col_path), str(cov_path)) == 4
     assert capsys.readouterr().err == (
         "monocover: error: bad token 'x' in line: '398 399 x'\n")
+
+
+@pytest.mark.parametrize("at, bad", [(100, b"\xff"), (700_000, b"\xff"),
+                                     (2 * graphs._CHUNK - 1, b"\xe2\x82"),
+                                     (None, b"\xc3")],
+                         ids=["first-block", "later-block", "two-bytes", "cut-short-at-end"])
+def test_undecodable_colouring_names_its_file_offset(tmp_path, capsys, at, bad):
+    # The file is decoded a block at a time, but the message gives the
+    # offset in the whole file, as a decode of all its bytes does.
+    data = format_colouring(random_uniform(400, 4, 3)).encode()
+    at = len(data) if at is None else at
+    data = data[:at] + bad + data[at:]
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    col_path, cov_path = tmp_path / "bad.col", tmp_path / "c.cov"
+    col_path.write_bytes(data)
+    cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
+    assert run("verify", str(col_path), str(cov_path)) == 4
+    assert capsys.readouterr().err == f"monocover: error: {exc.value}\n"
+
+
+def test_undecodable_colouring_from_a_pipe(tmp_path, capsys):
+    # A pipe cannot tell its offset, so the decoder's own message stands.
+    fifo, cov_path = tmp_path / "fifo.col", tmp_path / "c.cov"
+    os.mkfifo(fifo)
+    cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"3 2\n\xff\n",),
+                              daemon=True)
+    writer.start()
+    try:
+        assert run("verify", str(fifo), str(cov_path)) == 4
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == ("monocover: error: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 4: invalid start byte\n")
 
 
 def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):
