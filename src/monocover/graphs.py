@@ -351,7 +351,7 @@ Rows = Sequence[int] | Mapping[int, int]
 
 
 def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
-              radius: int | None = None, dist: list[int] | None = None,
+              radius: int | None = None,
               fringes: list[int] | None = None) -> tuple[int, int]:
     """Level BFS from every vertex of ``start_mask`` at once.
 
@@ -363,11 +363,10 @@ def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
     more level could only come back empty.  A level stops early too: when
     ``within`` is given, it stops reading adjacency rows once the rows
     read so far cover every unseen vertex of ``within``, since the rest
-    of the frontier could add nothing new.  When ``dist`` is given, each
-    vertex reached beyond the start set has its level written into it,
-    and when ``fringes`` is given, each level's mask is appended to it,
-    level 1 first.  Returns (levels, reached_mask) where levels is the
-    distance to the farthest reached vertex.
+    of the frontier could add nothing new.  When ``fringes`` is given,
+    each level's mask is appended to it, level 1 first.  Returns
+    (levels, reached_mask) where levels is the distance to the farthest
+    reached vertex.
     """
     global BFS_RUNS
     BFS_RUNS += 1
@@ -391,12 +390,6 @@ def bfs_reach(adj: Rows, start_mask: int, within: int | None = None,
             break
         levels += 1
         todo ^= nxt
-        if dist is not None:
-            m = nxt
-            while m:
-                lsb = m & -m
-                dist[lsb.bit_length() - 1] = levels
-                m ^= lsb
         if fringes is not None:
             fringes.append(nxt)
         frontier = nxt
@@ -411,7 +404,11 @@ def bfs_distances(adj: Sequence[int], n: int, source: int,
     if within is None:
         within = (1 << n) - 1
     if within >> source & 1:
-        bfs_reach(adj, 1 << source, within=within, dist=dist)
+        fringes: list[int] = []
+        bfs_reach(adj, 1 << source, within=within, fringes=fringes)
+        for d, level in enumerate(fringes, 1):
+            for v in iter_bits(level):
+                dist[v] = d
     return dist
 
 

@@ -20,9 +20,12 @@ of the vertices with each coordinate value.  The quadruple cover uses
 them to place layers by region rather than point by point.  A layer
 joins the first two anchors that neither of its coordinates is near, so
 the OR of the three slabs around each anchor's coordinate splits the
-vertices into at most 25 regions with one anchor pair each; when the
-anchors are single vertices, the triangle rule for a whole region is
-mask algebra on the pair's adjacency rows in the two reserved colours.
+vertices into at most 25 regions with one anchor pair each; when a
+region's two anchors are single vertices, the triangle rule for the
+whole region is mask algebra on their adjacency rows in the two
+reserved colours.  The other constructions, and the layers that the
+rule leaves, find the anchors far from a layer by comparing its point
+with each anchor's.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import combinations
 from operator import lt, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .covers import Cover, verified
 from .errors import ImpossibleByLemmaError
@@ -270,34 +273,11 @@ def cover_from_dist3_triple(lm: LayerMapping, triple: Sequence[Point]) -> tuple[
                                 lm.reserved_pair), lm.union_mask(triple))
 
 
-def _distant_anchors(anchors: Sequence[Point], separation: int = 2
-                     ) -> Callable[[Point], tuple[Point, ...]]:
-    """Map from a point to the anchors ``separation``-distant from it, in
-    anchor order.
-
-    The anchors must be (2 * separation - 1)-distant, so that each
-    coordinate value lies within separation - 1 of at most one anchor:
-    one dict per coordinate, built once, names that anchor, and a point
-    drops at most the two anchors that its coordinates look up.  The
-    answer depends on those two names only, so it is kept in a table
-    keyed by them, of at most (len(anchors) + 1) ** 2 entries.
-    """
-    near: tuple[dict[int, Point], dict[int, Point]] = ({}, {})
-    for a in anchors:
-        for axis in (0, 1):
-            for v in range(a[axis] - separation + 1, a[axis] + separation):
-                near[axis][v] = a
-    near_x, near_y = near
-    table: dict[tuple[Point | None, Point | None], tuple[Point, ...]] = {}
-
-    def distant(point: Point) -> tuple[Point, ...]:
-        key = (near_x.get(point[0]), near_y.get(point[1]))
-        got = table.get(key)
-        if got is None:
-            got = table[key] = tuple(a for a in anchors if a not in key)
-        return got
-
-    return distant
+def _distant(anchors: Sequence[Point], point: Point, separation: int = 2
+             ) -> tuple[Point, ...]:
+    """The anchors ``separation``-distant from ``point``, in anchor order."""
+    return tuple(a for a in anchors if abs(a[0] - point[0]) >= separation
+                 and abs(a[1] - point[1]) >= separation)
 
 
 def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
@@ -330,13 +310,12 @@ def cover_from_dist3_triple_ext(lm: LayerMapping, triple: Sequence[Point],
     p_core: list[Point] = []
     p_h: list[Point] = []
     p_third: list[Point] = []
-    distant = _distant_anchors(triple)
     for point in lm.points:
         if point in triple:
             continue
         # Anchor values are >= 3 apart, so at most one per coordinate lies
         # within 1 of the point: some anchor is 2-distant from it.
-        e = distant(point)[0]
+        e = _distant(triple, point)[0]
         out = bipartite_outcome(col, lm.layer_mask(point), lm.layer_mask(e),
                                 lm.reserved_pair)
         if out != cprime:  # c or a split
@@ -367,14 +346,14 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
     coordinates lies within 1 of, so it depends only on the anchor (if
     any) each coordinate is near to: the slabs around the anchors'
     coordinates split the vertices into at most 25 regions, one pair
-    each.  When the four anchors are single vertices, each region's pair
-    is two vertices a and b, and a single-vertex layer {x} joins it by
-    the triangle rule of :func:`twocolour.multipartite_colour`, read off
-    four adjacency rows for a whole region at once: x is settled when ax
-    and bx are reserved edges (and ab is one), and takes c3 when two of
-    the three edges are c3.  Every other layer (a larger one, or one the rule
-    leaves open) is placed by :func:`twocolour.multipartite_colour`, in
-    point order.
+    each.  When a region's pair is two single vertices a and b, a
+    single-vertex layer {x} joins it by the triangle rule, read off four
+    adjacency rows for the whole region at once: when ab, ax and bx are
+    reserved edges, the cross graph is a triangle, which a colour spans
+    exactly when it holds two of its edges, so x takes c3 when two of
+    the three edges are c3, and c4 otherwise.  Every other layer (a
+    larger one, one next to a larger anchor, or one the rule leaves open)
+    is placed by :func:`twocolour.multipartite_colour`, in point order.
     """
     quad = tuple(sorted(quad))
     if len(quad) != 4 or not is_k_distant(quad, 3):
@@ -396,38 +375,38 @@ def cover_from_dist3_quad(lm: LayerMapping, quad: Sequence[Point]) -> Cover:
             groups[pair] = groups.get(pair, 0) | mask
 
     left = ((1 << col.n) - 1) & ~base  # the vertices still to place
-    if not any(layers[q] & (layers[q] - 1) for q in quad):
-        singles = left
-        if len(lm.points) < col.n:
-            singles &= reduce(or_, (m for m in layers.values() if not m & (m - 1)), 0)
-        # near[axis][q]: the vertices within 1 of anchor q on that axis;
-        # near[axis][None]: those near no anchor (a negative int).
-        near = [{q: lm.slab_mask(axis, q[axis] - 1, q[axis] + 1) for q in quad}
-                for axis in (0, 1)]
-        for by_anchor in near:
-            by_anchor[None] = ~reduce(or_, by_anchor.values())
-        rows, (adj3, adj4) = col._rows, (col.adj_rows(c) for c in reserved)
-        for kx, x_near in near[0].items():
-            for ky, y_near in near[1].items():
-                region = singles & x_near & y_near
-                if not region:
-                    continue
-                pair = tuple(q for q in quad if q not in (kx, ky))[:2]
-                a, b = (layers[q].bit_length() - 1 for q in pair)
-                ab = rows[a][b]
-                if ab not in reserved:
-                    continue
-                ok = region & (adj3[a] | adj4[a]) & (adj3[b] | adj4[b])
-                to_c3 = ok & (adj3[a] | adj3[b] if ab == c3 else adj3[a] & adj3[b])
-                for colour, mask in ((c3, to_c3), (lm.c4, ok & ~to_c3)):
-                    if mask:
-                        place(pair, mask, colour)
-                left &= ~ok
+    singles = left
+    if len(lm.points) < col.n:
+        singles &= reduce(or_, (m for m in layers.values() if not m & (m - 1)), 0)
+    # near[axis][q]: the vertices within 1 of anchor q on that axis;
+    # near[axis][None]: those near no anchor (a negative int).
+    near = [{q: lm.slab_mask(axis, q[axis] - 1, q[axis] + 1) for q in quad}
+            for axis in (0, 1)]
+    for by_anchor in near:
+        by_anchor[None] = ~reduce(or_, by_anchor.values())
+    rows, (adj3, adj4) = col._rows, (col.adj_rows(c) for c in reserved)
+    for kx, x_near in near[0].items():
+        for ky, y_near in near[1].items():
+            region = singles & x_near & y_near
+            if not region:
+                continue
+            pair = tuple(q for q in quad if q not in (kx, ky))[:2]
+            if any(layers[q] & (layers[q] - 1) for q in pair):
+                continue  # an anchor of several vertices
+            a, b = (layers[q].bit_length() - 1 for q in pair)
+            ab = rows[a][b]
+            if ab not in reserved:
+                continue
+            ok = region & (adj3[a] | adj4[a]) & (adj3[b] | adj4[b])
+            to_c3 = ok & (adj3[a] | adj3[b] if ab == c3 else adj3[a] & adj3[b])
+            for colour, mask in ((c3, to_c3), (lm.c4, ok & ~to_c3)):
+                if mask:
+                    place(pair, mask, colour)
+            left &= ~ok
 
-    distant = _distant_anchors(quad)
     for point in sorted({lm.coords[v] for v in iter_bits(left)}):
         # As in the extended triple cover, at most two anchors are close.
-        pair = distant(point)[:2]
+        pair = _distant(quad, point)[:2]
         mx = layers[point]
         place(pair, mx, multipartite_colour(
             col, [layers[pair[0]], layers[pair[1]], mx], reserved))
@@ -468,9 +447,8 @@ def cover_from_dist7_triple(lm: LayerMapping, triple: Sequence[Point]) -> Cover:
     points = [p for p in lm.points if p not in triple]
 
     # A point 3-distant from the whole triple upgrades it to a quadruple.
-    distant = _distant_anchors(triple, separation=3)
     for point in points:
-        if len(distant(point)) == 3:
+        if len(_distant(triple, point, separation=3)) == 3:
             return cover_from_dist3_quad(lm, triple + (point,))
 
     c, core_mask = cover_from_dist3_triple(lm, triple)

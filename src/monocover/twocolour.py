@@ -19,14 +19,10 @@ The cross-group rows are sparse: one dict per colour, holding a row for
 each vertex of the groups' union only, built from one read of each
 colour's rows.  A colour in which some vertex of the union has no cross
 edge is disconnected, since the union holds at least two vertices, and
-the engines skip its check without a BFS.  Three single-vertex groups
-need no rows at all: when their three pairs are present and coloured in
-the pair, the cross graph is a triangle, and the multipartite engine
-reads its answer from the three colours of the colouring's byte rows
-(the triangle rule of :func:`multipartite_colour`).  The quadruple
-cover, whose usual call this was, applies the same rule to a whole
-region of single-vertex layers at once, by mask algebra on adjacency
-rows, and calls the engine only for the layers that the rule leaves.
+the engines skip its check without a BFS.  The quadruple cover settles
+whole regions of single-vertex layers by its own triangle rule, mask
+algebra on adjacency rows, and calls the engine only for the layers
+that the rule leaves.
 """
 
 from __future__ import annotations
@@ -149,36 +145,6 @@ def bipartite_outcome(colouring: EdgeColouring, mask1: int, mask2: int,
                  frozenset(iter_bits(a2)), frozenset(iter_bits(b2)), ca)
 
 
-def _triangle_colour(colouring: EdgeColouring, masks: Sequence[int],
-                     pair: tuple[int, int]) -> int | None:
-    """The triangle rule of :func:`multipartite_colour`; None unless the
-    groups are three distinct vertices whose pairs are all present and
-    coloured in ``pair``, both of whose colours are valid."""
-    ma, mb, mx = masks
-    if (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)
-            or ma == mb or ma == mx or mb == mx):
-        return None
-    ca, cb = pair
-    if not (1 <= ca <= colouring.k and 1 <= cb <= colouring.k):
-        return None
-    return triangle_colour(colouring, ma.bit_length() - 1, mb.bit_length() - 1,
-                           mx.bit_length() - 1, pair)
-
-
-def triangle_colour(colouring: EdgeColouring, a: int, b: int, x: int,
-                    pair: tuple[int, int]) -> int | None:
-    """The triangle rule on three distinct vertices and a pair of valid
-    colours: the first colour of ``pair`` that holds two of the three
-    edges, or None unless all three edges are coloured in ``pair``."""
-    rows = colouring._rows
-    ab, ax, bx = rows[a][b], rows[a][x], rows[b][x]
-    if ab not in pair or ax not in pair or bx not in pair:
-        return None
-    # Two colours share three edges, so cb holds two whenever ca does not.
-    ca, cb = pair
-    return ca if (ab == ca) + (ax == ca) + (bx == ca) >= 2 else cb
-
-
 def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
                         pair: tuple[int, int]) -> int:
     """Colour whose cross-group graph spans all groups with bounded diameter.
@@ -188,16 +154,8 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
     The lemma's proof that one of them spans (pairwise bipartite outcomes,
     an auxiliary colouring of the groups) is not replayed.  Returns the
     first colour that spans the union within the bound: 20 for three
-    groups, 60 otherwise.
-
-    The triangle rule: when the groups are three single vertices {a},
-    {b}, {x} whose three pairs are present and coloured in ``pair``, the
-    cross graph is a triangle, and a colour spans it within any bound
-    >= 2 exactly when it holds two of the three edges.  The answer, the
-    first colour of the pair that holds two, is then read from the three
-    pair colours with no cross rows and no BFS.  Every other call (a
-    larger group, a missing pair, a colour outside the pair, overlapping
-    groups) builds the cross rows and checks each colour by BFS.
+    groups, 60 otherwise.  Every call, three single vertices included,
+    builds the cross rows and checks each colour on them.
 
     Raises ValueError when a group is empty, and
     :class:`ImpossibleByLemmaError`, with the groups (sorted vertex
@@ -212,10 +170,6 @@ def multipartite_colour(colouring: EdgeColouring, masks: Sequence[int],
         raise ValueError("need at least three groups")
     if not all(masks):
         raise ValueError("every group must be nonempty")
-    if r == 3:
-        c = _triangle_colour(colouring, masks, pair)
-        if c is not None:
-            return c
     adj, union = _cross_adj(colouring, masks, pair)
     bound = TRIPARTITE_DIAMETER_BOUND if r == 3 else MULTIPARTITE_DIAMETER_BOUND
     for c in pair:

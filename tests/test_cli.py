@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import pytest
 
+import monocover
 from monocover import graphs
 from monocover.cli import main
 from monocover.covers import parse_cover
@@ -371,6 +374,34 @@ def test_usage_errors_exit_4_not_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("verify", "--help")
     assert exc.value.code == 0
+
+
+HELP_WITHOUT_NUMPY = """
+import sys
+import monocover.cli
+try:
+    monocover.cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "numpy" not in sys.modules, "numpy loaded"
+from monocover import parse_colouring, verify_cover
+from monocover import graphs, covers
+assert (parse_colouring, verify_cover) == (graphs.parse_colouring, covers.verify_cover)
+"""
+
+
+def test_help_loads_no_numpy_and_package_names_resolve():
+    # The package imports its public names on first use, so the CLI's
+    # start-up and --help load no numpy; README's import still works.
+    src = os.path.dirname(os.path.dirname(monocover.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", HELP_WITHOUT_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: monocover")
+    with pytest.raises(AttributeError, match="no attribute 'solve4'"):
+        monocover.solve4
 
 
 def test_trace_json_keeps_a_stage_witness(tmp_path, monkeypatch):

@@ -613,9 +613,12 @@ def test_bfs_reach_matches_reference_bfs(n, density, seed, data):
     start = data.draw(st.integers(0, full))
     within = data.draw(st.none() | st.just(full) | st.integers(0, full))
     radius = data.draw(st.none() | st.integers(0, n))
-    dist, fringes = [-1] * n, []
-    got = bfs_reach(adj, start, within=within, radius=radius, dist=dist,
-                    fringes=fringes)
+    fringes = []
+    got = bfs_reach(adj, start, within=within, radius=radius, fringes=fringes)
+    dist = [-1] * n
+    for d, level in enumerate(fringes, 1):
+        for v in iter_bits(level):
+            dist[v] = d
     assert (got, dist, fringes) == reference_bfs(adj, n, start, within, radius)
 
 

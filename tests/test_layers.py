@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_colouring
-from monocover import graphs, layers, twocolour
+from monocover import graphs, layers
 from monocover.covers import verified, verify_cover
 from monocover.errors import ImpossibleByLemmaError
 from monocover.generators import two_paths
@@ -20,7 +20,7 @@ from monocover.layers import (LayerMapping, build_layer_mapping,
                               cover_from_dist3_triple_ext,
                               cover_from_dist7_triple, find_k_distant,
                               has_rich_coordinates, is_k_distant)
-from monocover.twocolour import multipartite_colour, triangle_colour
+from monocover.twocolour import multipartite_colour
 
 
 # -- engineered layered colourings ----------------------------------------
@@ -428,25 +428,20 @@ def test_quad_cover_places_a_two_vertex_layer_by_bfs(monkeypatch):
 
 
 def reference_quad_cover(lm, quad):
-    """The quadruple cover with every layer placed point by point: the
-    triangle rule on three single vertices, else the multipartite engine."""
+    """The quadruple cover with every layer placed point by point, by the
+    multipartite engine alone."""
     quad = tuple(sorted(quad))
     col, reserved = lm.colouring, lm.reserved_pair
     cbase = multipartite_colour(col, [lm.layer_mask(p) for p in quad], reserved)
     cbar = lm.c4 if cbase == lm.c3 else lm.c3
     base, groups = lm.union_mask(quad), {}
-    distant = layers._distant_anchors(quad)
     for point in lm.points:
         if point in quad:
             continue
-        pair = distant(point)[:2]
-        ma, mb, mx = (lm.layer_mask(p) for p in pair + (point,))
-        c_pt = None
-        if not (ma & (ma - 1) or mb & (mb - 1) or mx & (mx - 1)):
-            c_pt = triangle_colour(col, ma.bit_length() - 1, mb.bit_length() - 1,
-                                   mx.bit_length() - 1, reserved)
-        if c_pt is None:
-            c_pt = multipartite_colour(col, [ma, mb, mx], reserved)
+        pair = layers._distant(quad, point)[:2]
+        mx = lm.layer_mask(point)
+        c_pt = multipartite_colour(col, [lm.layer_mask(p) for p in pair] + [mx],
+                                   reserved)
         if c_pt == cbase:
             base |= mx
         else:
@@ -538,16 +533,39 @@ def test_quad_cover_on_two_paths_takes_no_triangle_call(monkeypatch):
     # engine call left is the quadruple's own.
     lm = build_layer_mapping(two_paths(300, 1), 1, 2)
     quad = find_k_distant(lm.points, 3, 4)
-    real, triangles = twocolour.triangle_colour, []
-    monkeypatch.setattr(twocolour, "triangle_colour",
-                        lambda *args: triangles.append(args) or real(*args))
     engines = record_calls(monkeypatch, "multipartite_colour")
     cover = cover_from_dist3_quad(lm, quad)
-    assert triangles == []
     assert [len(args[1]) for args, _ in engines] == [4]
     assert quad_outcome(cover_from_dist3_quad, lm, quad) == \
         quad_outcome(reference_quad_cover, lm, quad)
     assert verify_cover(lm.colouring, cover, bound=160, max_parts=3).valid
+
+
+def test_quad_cover_leaves_the_engine_no_reserved_triangle(monkeypatch, rng):
+    # The region rule settles every single-vertex layer whose triangle with
+    # its anchor pair lies in the reserved pair, so each three-group engine
+    # call of the quadruple cover has a multi-vertex group, or a pair of
+    # the three that is missing or coloured outside the reserved pair.
+    engines = record_calls(monkeypatch, "multipartite_colour")
+    singles = 0
+    cases = [random_quad_mapping(rng) for _ in range(300)]
+    lm = build_layer_mapping(two_paths(300, 1), 1, 2)
+    cases.append((lm, find_k_distant(lm.points, 3, 4)))
+    for lm, quad in cases:
+        if set(quad) - set(lm.points):
+            continue
+        engines.clear()
+        quad_outcome(cover_from_dist3_quad, lm, quad)
+        col = lm.colouring
+        for (_, masks, pair), _ in engines:
+            if len(masks) != 3 or any(m & (m - 1) for m in masks):
+                continue
+            singles += 1
+            a, b, x = (m.bit_length() - 1 for m in masks)
+            assert pair == lm.reserved_pair
+            assert not all(col.has_edge(u, v) and col.colour_of(u, v) in pair
+                           for u, v in ((a, b), (a, x), (b, x))), (lm.coords, quad)
+    assert singles >= 50, singles
 
 
 def test_quad_cover_rejects_non_distant():
