@@ -5,11 +5,12 @@ which the CLI's ``verify`` lines and the oracle read.  It checks
 each part's lowest and highest vertex against the range before it builds
 the part's vertex mask, which a vertex from a cover file could make
 huge.  It then takes that mask once, settles coverage with one OR, and
-reads the diameter from :func:`graphs.diameter_of_mask`, which uses
-eccentricity bounds and runs a BFS only where they leave a gap: a part
-with a vertex that sees all the rest needs none, and in a dense part
-each BFS ends its level after the few adjacency rows that hold the rest
-of the part.
+reads the diameter from :func:`graphs.diameter_of_mask`: a part with a
+vertex that sees all the rest needs no BFS, and its degree pass ends as
+soon as it has met such a vertex and one that does not; otherwise an
+iFUB sweep runs, which skips each vertex whose eccentricity an earlier
+BFS bounds by the largest one found, and in a dense part each BFS ends
+its level after the few adjacency rows that hold the rest of the part.
 :func:`verified` is the verify-or-raise step that every construction in
 ``solver`` and ``layers`` returns through.  The constructions hold
 vertex sets as bitmasks and hand :func:`verified` ``(mask, colour)``

@@ -15,8 +15,10 @@ One kernel does that BFS: :func:`bfs_reach` is the only frontier loop
 soon as it has reached its whole mask; inside a level it stops reading
 adjacency rows once they hold every unseen vertex of the mask, so a BFS
 in a dense part reads a few rows instead of a whole frontier.
-:func:`diameter_of_mask` is the one exact diameter: eccentricity bounds,
-then BFS only where they leave a gap, and
+:func:`diameter_of_mask` is the one exact diameter: a degree pass, which
+stops with diameter 2 once it has met one vertex that sees the rest of
+the mask and one that does not, then an iFUB sweep that skips each
+vertex whose eccentricity a BFS already bounds by the largest one found;
 :func:`diameter_within` answers "connected with diameter at most b" with
 a single BFS unless b lies between an eccentricity and twice it; that
 BFS expands at most b levels, since a vertex that has not reached the
@@ -427,21 +429,37 @@ def components_masks(adj: Sequence[int], n: int) -> list[int]:
 
 def diameter_of_mask(adj: Rows, mask: int, stop_above: float | None = None):
     """Diameter of the subgraph that ``mask`` induces; the one exact
-    diameter: eccentricity bounds, then BFS only where they leave a gap.
+    diameter: a degree pass, then an iFUB sweep pruned by eccentricity
+    bounds.
 
     Returns DISCONNECTED when some vertex of the mask cannot reach the
     rest inside it.  One pass takes each vertex's degree inside the mask
-    (``adj`` is loopless, as every colour graph is).  If a vertex u of
-    highest degree, the lowest on ties, sees the rest of the mask, every
-    pair meets within 2 through u: the diameter is 1 when every vertex
-    sees the rest and 2 otherwise, and no BFS runs.  Else one BFS from u
-    gives its levels F_1..F_e, and the iFUB method (Crescenzi et al.,
-    TCS 2013) runs a BFS from each vertex of F_e, then F_(e-1), and so
-    on.  While it is in F_i, every pair with neither eccentricity known
-    lies in F_1..F_i and meets within i + i through u, so the largest
-    eccentricity found is the diameter once it reaches 2i.  With
-    ``stop_above``, the sweep stops at the first eccentricity above it
-    and returns that eccentricity, which is then a lower bound on the
+    (``adj`` is loopless, as every colour graph is).  A vertex that sees
+    the rest of the mask puts every pair within 2 of each other through
+    it, so the pass stops, with diameter 2 and no BFS, as soon as it has
+    met one vertex that sees the rest and one that does not; if every
+    vertex sees the rest, the diameter is 1.
+
+    Else one BFS from a vertex u of highest degree, the lowest on ties,
+    gives its levels F_1..F_e, and the iFUB method (Crescenzi et al., TCS
+    2013) runs a BFS from each vertex of F_e, then F_(e-1), and so on,
+    keeping in ``diam`` the largest eccentricity found.  While it is in
+    F_i, every vertex in F_(i+1).. has had its BFS or been settled (below),
+    and either way has eccentricity at most ``diam``; every other pair
+    lies in F_1..F_i and meets within i + i through u.  So the diameter is
+    ``diam`` once ``diam`` reaches 2i.
+
+    The sweep skips settled vertices, as BoundingDiameters (Takes and
+    Kosters, CIKM 2011) does with its eccentricity bounds: after a BFS
+    from v of eccentricity e_v, a vertex w within ``diam`` - e_v of v has
+    eccentricity at most d(w, v) + e_v <= ``diam``, and the levels of that
+    BFS name these vertices.  ``diam`` only grows, so a settled vertex
+    never holds a longer pair than the sweep has found, and skipping it
+    changes neither the answer nor the points where the rule above or
+    ``stop_above`` ends the sweep.
+
+    With ``stop_above``, the sweep stops at the first eccentricity above
+    it and returns that eccentricity, which is then a lower bound on the
     diameter that already exceeds ``stop_above``.
     """
     if not mask & (mask - 1):
@@ -456,21 +474,30 @@ def diameter_of_mask(adj: Rows, mask: int, stop_above: float | None = None):
             hub, hub_deg = lsb, deg
         if deg < low_deg:
             low_deg = deg
+        if low_deg < hub_deg == size - 1:
+            return 2
         m ^= lsb
     if hub_deg == size - 1:
-        return 1 if low_deg == hub_deg else 2
+        return 1
     fringes: list[int] = []
     diam, reach = bfs_reach(adj, hub, within=mask, fringes=fringes)
     if reach != mask:
         return DISCONNECTED
+    settled = 0
     for i in range(diam, 0, -1):
-        m = fringes[i - 1]
+        m = fringes[i - 1] & ~settled
         while m:
             if diam >= 2 * i or (stop_above is not None and diam > stop_above):
                 return diam
             lsb = m & -m
-            diam = max(diam, bfs_reach(adj, lsb, within=mask)[0])
+            near: list[int] = []
+            ecc = bfs_reach(adj, lsb, within=mask, fringes=near)[0]
             m ^= lsb
+            if ecc < diam:
+                settled |= reduce(or_, near[:diam - ecc])
+                m &= ~settled
+            else:
+                diam = ecc
     return diam
 
 
@@ -495,9 +522,9 @@ def _decide_within(adj: Rows, mask: int, ecc: int, reach: int, bound: float) -> 
     vertex's eccentricity exceeds the bound, and the answer is no either
     way.  Otherwise ``ecc`` is the exact eccentricity e, and e > bound
     decides no, 2*e <= bound yes (every pair meets within e + e); only a
-    bound between e and 2*e pays for the one exact diameter (eccentricity
-    bounds, then BFS only where they leave a gap), which stops at the
-    first eccentricity above the bound.
+    bound between e and 2*e pays for the one exact diameter (a degree
+    pass, then the pruned iFUB sweep), which stops at the first
+    eccentricity above the bound.
     """
     if reach != mask:
         return False

@@ -427,3 +427,26 @@ def test_trace_json_keeps_a_stage_witness(tmp_path, monkeypatch):
                        "witness": {"replay": [1, 2, 3]}}]}
     assert trace["anomalies"][0] == "small-diameter reduction: forced"
     assert trace["branch"] != solver.BRANCH_SMALL_DIAM
+
+
+@pytest.mark.parametrize("kind", [
+    ("layered-adversarial", "--seed", "0"),  # LayerQuad, a 275-vertex part
+    ("layered-adversarial", "--seed", "2"),  # SmallDiam
+    ("layered-adversarial", "--seed", "5"),  # SingleColour, diameter 15
+    ("random-uniform", "--n", "60", "--k", "4", "--seed", "1"),
+])
+def test_trace_part_diameters_are_the_verified_ones(tmp_path, capsys, kind):
+    # solve writes each part's exact diameter into its --trace JSON; they
+    # are the diameters verify prints for the same cover.
+    col_path, cov_path = tmp_path / "g.col", tmp_path / "g.cov"
+    trace_path = tmp_path / "g.json"
+    assert run("gen", *kind, "-o", str(col_path)) == 0
+    assert run("solve", "--k4", str(col_path), "-o", str(cov_path),
+               "--trace", str(trace_path)) == 0
+    capsys.readouterr()
+    assert run("verify", str(col_path), str(cov_path)) == 0
+    printed = [line.split(" diameter ")[1]
+               for line in capsys.readouterr().out.splitlines()
+               if line.startswith("part ")]
+    parts = json.loads(trace_path.read_text())["parts"]
+    assert printed and [p["diameter"] for p in parts] == printed

@@ -11,10 +11,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_colouring, random_colouring
+from conftest import blocks_colouring, constant_colouring, random_colouring
 from monocover import graphs
 from monocover.covers import verify_cover
 from monocover.generators import random_uniform, two_paths
@@ -23,7 +23,8 @@ from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph,
                               diameter_of_mask, diameter_within,
                               format_colouring, iter_bits, mask_of,
                               parse_colouring, set_diameter)
-from monocover.solver import BRANCH_LAYER_QUAD, BRANCH_SINGLE_COLOUR, solve4
+from monocover.solver import (BRANCH_LAYER_QUAD, BRANCH_SINGLE_COLOUR,
+                              BRANCH_SMALL_DIAM, solve4)
 
 
 # -- independent oracles --------------------------------------------------
@@ -340,10 +341,13 @@ def shaped_graphs(draw):
     """(adjacency rows, mask) of a loopless graph of a drawn shape, its
     vertices relabelled; the mask holds every vertex or a drawn subset.
     A "tree" is a random tree with a few more edges, the shape on which
-    levels of the first BFS hold pairs far apart."""
+    levels of the first BFS hold pairs far apart; a "lollipop" is a
+    clique with a path hanging off one of its vertices."""
     shape = draw(st.sampled_from(["random", "tree", "path", "cycle", "hub",
-                                  "clique", "disconnected"]))
-    n = draw(st.integers(1, 12))
+                                  "clique", "disconnected", "lollipop"]))
+    # The sparse shapes get more vertices: their sweeps run deep enough
+    # for a BFS to settle vertices beside its source.
+    n = draw(st.integers(1, 40 if shape in ("tree", "path", "lollipop") else 12))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
     every = list(combinations(range(n), 2))
@@ -353,6 +357,10 @@ def shaped_graphs(draw):
         pairs = {(u, u + 1) for u in range(n - 1)}
         if shape == "cycle" and n > 2:
             pairs.add((0, n - 1))
+    elif shape == "lollipop":
+        head = rnd.randint(1, n)
+        pairs = set(combinations(range(head), 2))
+        pairs |= {(u, u + 1) for u in range(head - 1, n - 1)}
     elif shape == "tree":
         pairs = {(rnd.randrange(v), v) for v in range(1, n)}
         pairs |= {pair for pair in every if rnd.random() < p / 10}
@@ -371,8 +379,15 @@ def shaped_graphs(draw):
     return adj, draw(st.just(full) | st.integers(1, full))
 
 
+# A 6-vertex graph of diameter 3 whose sweep settles vertices: settling
+# one level beyond diam - e_v there loses the only pair at distance 3.
+SETTLES_TO_THE_EDGE = ([42, 13, 18, 3, 36, 17], 63)
+
+
 @settings(max_examples=600, deadline=None)
-@given(shaped_graphs(), st.none() | st.integers(0, 12))
+@given(shaped_graphs(), st.none() | st.integers(0, 40))
+@example(SETTLES_TO_THE_EDGE, None)
+@example(SETTLES_TO_THE_EDGE, 2)
 def test_diameter_of_mask_matches_reference_sweep(graph, stop_above):
     # Exact within stop_above; beyond it, a lower bound that exceeds it.
     adj, mask = graph
@@ -395,6 +410,44 @@ def test_verify_layer_quad_cover_in_few_bfs_runs():
     report = verify_cover(col, cover)
     assert report.valid and [r.diameter for r in report.parts] == [2, 2]
     assert graphs.BFS_RUNS - before <= 4
+
+
+def test_path_diameter_in_few_bfs_runs():
+    # Colour 1 of two_paths is the path 0..599, and the sweep starts next
+    # to one end (vertex 1: degree 2, the lowest on ties).  A BFS from v
+    # settles the vertices within diam - e_v of v, a stretch about twice
+    # the last one, so the sweep reaches the iFUB stop after about log2(600)
+    # runs, where it took 300 without them (301 with the component BFS).
+    col = two_paths(600, seed=1)
+    before = graphs.BFS_RUNS
+    assert col.metrics.colour_diameter(1) == 599
+    assert graphs.BFS_RUNS - before <= 16
+
+
+def test_part_with_a_hub_reads_few_rows():
+    # Vertex 0 of the big part sees the rest of it and vertex 1 does not,
+    # so the degree pass stops after their two rows with diameter 2; a
+    # full pass reads one row per vertex of the part.
+    col = two_paths(300, seed=1)
+    cover, trace = solve4(col)
+    assert trace.branch == BRANCH_LAYER_QUAD
+    part = max(cover.parts, key=lambda p: len(p.vertices))
+    adj = CountingRows(col.adj_rows(part.colour))
+    assert diameter_of_mask(adj, mask_of(part.vertices)) == 2
+    assert adj.reads <= 3
+
+
+def test_four_blocks_part_diameter_bfs_runs_pinned():
+    # Four blocks of 60.  SmallDiam covers block 0 by its own colour 1, at
+    # diameter 3; the settled vertices cut the sweep from 38 BFS runs to 14.
+    col = blocks_colouring(240, seed=0)
+    cover, trace = solve4(col)
+    assert trace.branch == BRANCH_SMALL_DIAM
+    part = cover.parts[0]
+    assert (part.colour, sorted(part.vertices)) == (1, list(range(60)))
+    before = graphs.BFS_RUNS
+    assert diameter_of_mask(col.adj_rows(1), mask_of(part.vertices)) == 3
+    assert graphs.BFS_RUNS - before == 14
 
 
 def test_bfs_reach_radius_is_ball(rng):

@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import constant_colouring, random_colouring
+from conftest import blocks_colouring, constant_colouring, random_colouring
 from monocover import graphs
 from monocover.covers import Cover, CoverPart, format_cover, verify_cover
 from monocover.generators import (four_blocks, hub_tails, ladder,
@@ -54,19 +54,9 @@ def test_gyarfas_sharpness_instance():
 
 
 def test_connectivity_cover_parts_are_distinct():
-    # Four blocks of 20 with the cross-block colours of four_blocks and
-    # uniform colours inside the blocks.  Two singleton grid parts promote
-    # to the same colour-1 component, which the cover must take only once.
-    n = 80
-    block = np.repeat(np.arange(4), n // 4)
-    table = np.zeros((4, 4), dtype=np.uint8)
-    for (a, b), c in {(0, 1): 3, (0, 2): 4, (1, 2): 1, (1, 3): 1,
-                      (0, 3): 2, (2, 3): 2}.items():
-        table[a, b] = table[b, a] = c
-    inside = block[:, None] == block[None, :]
-    within = np.random.default_rng(0).integers(1, 5, size=(n, n), dtype=np.uint8)
-    mat = np.triu(np.where(inside, within, table[block[:, None], block[None, :]]), 1)
-    col = EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
+    # Four blocks of 20.  Two singleton grid parts promote to the same
+    # colour-1 component, which the cover must take only once.
+    col = blocks_colouring(80, seed=0)
     cover, trace = solve4(col)
     check_solved(col, cover, trace)
     assert len(set(cover.parts)) == len(cover.parts)
@@ -134,20 +124,6 @@ def test_recolouring_preserves_small_components():
             assert any(new_mask & old == new_mask for old in big_masks)
 
 
-def _blocks_with_uniform_insides(seed, n=80):
-    # Four blocks with the cross-block colours of four_blocks and uniform
-    # random colours inside the blocks.
-    block = np.repeat(np.arange(4), n // 4)
-    table = np.zeros((4, 4), dtype=np.uint8)
-    for (a, b), c in {(0, 1): 3, (0, 2): 4, (1, 2): 1, (1, 3): 1,
-                      (0, 3): 2, (2, 3): 2}.items():
-        table[a, b] = table[b, a] = c
-    inside = block[:, None] == block[None, :]
-    within = np.random.default_rng(seed).integers(1, 5, size=(n, n), dtype=np.uint8)
-    mat = np.triu(np.where(inside, within, table[block[:, None], block[None, :]]), 1)
-    return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
-
-
 def _recoloured_reduction(col, n1=160):
     # The reduction as the paper's proof states it: each leftover-colour pair
     # whose ends share a component of the first, else second, else third
@@ -180,7 +156,7 @@ def test_small_diameter_reduction_matches_recoloured_copy():
     # gives, under every colour order.  At n1 = 160 every colour is small;
     # at n1 = 3 and 2 some instances have one larger colour, in each of the
     # four colour positions.
-    cols = [_blocks_with_uniform_insides(seed) for seed in range(3)]
+    cols = [blocks_colouring(80, seed) for seed in range(3)]
     for seed in range(8):
         base = four_blocks(seed)
         for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)):

@@ -12,10 +12,9 @@ from test_graphs import reference_diameter
 from monocover.errors import ImpossibleByLemmaError
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, mask_of,
                               set_diameter)
-from monocover.twocolour import (MonoSpanning, Split, _cross_adj, _spans_within,
-                                 bipartite_outcome, bipartite_two_colour,
-                                 erdos_rado_cover, multipartite_colour,
-                                 multipartite_two_colour)
+from monocover.twocolour import (MonoSpanning, Split, bipartite_outcome,
+                                 bipartite_two_colour, erdos_rado_cover,
+                                 multipartite_colour, multipartite_two_colour)
 
 
 def complete_two_colouring(n, colour_fn):
@@ -407,8 +406,11 @@ def grouped_colourings(draw):
 
 def reference_cross_rows(col, groups, pair):
     """Full-length rows of each pair colour over the cross-group edges, read
-    pair by pair; raises as the engines do on a cross edge outside the
-    pair."""
+    pair by pair; raises as the engines do on a pair colour outside 1..k
+    and on a cross edge outside the pair."""
+    for c in pair:
+        if not 1 <= c <= col.k:
+            raise ValueError(f"colour {c} out of range 1..{col.k}")
     rows = {c: [0] * col.n for c in pair}
     union = {v for g in groups for v in g}
     for g in groups:
@@ -489,29 +491,15 @@ def test_engines_match_a_dense_reference(case):
     assert got == want
 
 
-# -- the triangle rule against the BFS path ----------------------------------
+# -- three single vertices against the dense reference -----------------------
 
 
-def bfs_path_colour(col, masks, pair):
-    """multipartite_colour as it answers by BFS: the cross rows of
-    ``_cross_adj``, then each colour of the pair checked by
-    ``_spans_within`` at the three-group bound 20."""
-    adj, union = _cross_adj(col, masks, pair)
-    for c in pair:
-        if _spans_within(adj[c], union, 20):
-            return c
-    raise ImpossibleByLemmaError(
-        "no spanning colour within the multipartite bound",
-        witness={"groups": [[m.bit_length() - 1] for m in masks], "pair": pair,
-                 "bound": 20})
-
-
-def test_triangle_rule_matches_the_bfs_path():
+def test_three_single_vertices_match_the_dense_reference():
     # Every colouring of the three pairs of K_3 from {missing, 1..4} (0
     # marks a pair missing from the host), every ordered pair of colours
     # 0..5, the out-of-range ones included, and every order of the three
-    # single-vertex groups.  The answers, raise types and messages must be
-    # the BFS path's.
+    # single-vertex groups.  The answers, raise types, messages and
+    # witnesses must be the dense reference's.
     pairs = [(0, 1), (0, 2), (1, 2)]
     triangles = 0
     for colours in product(range(5), repeat=3):
@@ -523,7 +511,8 @@ def test_triangle_rule_matches_the_bfs_path():
             for order in permutations(range(3)):
                 masks = [1 << v for v in order]
                 got = outcome(multipartite_colour, col, masks, pair)
-                assert got == outcome(bfs_path_colour, col, masks, pair)
+                assert got == outcome(reference_multipartite, col,
+                                      [[v] for v in order], pair)
                 triangles += triangle
         # overlapping singleton groups stay an error
         for a, x in ((0, 1), (2, 0)):
