@@ -187,6 +187,21 @@ def hub_tails(L: int, seed: int, extra: bool = False) -> EdgeColouring:
     return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
 
 
+def relabelled(colouring: EdgeColouring, seed: int) -> EdgeColouring:
+    """A copy of a colouring of K_n with its vertices and colours permuted
+    by ``numpy.random.default_rng(seed)``: ``perm = rng.permutation(n)``,
+    then ``cp = [0] + list(rng.permutation(k) + 1)``.  New vertex i is old
+    vertex ``perm[i]``, and old colour c becomes ``cp[c]``."""
+    if not colouring.host.is_complete:
+        raise ValueError("relabelled needs a complete host")
+    n, k = colouring.n, colouring.k
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    cp = np.array([0] + list(rng.permutation(k) + 1), dtype=np.uint8)
+    mat = cp[colouring.matrix()[np.ix_(perm, perm)]]
+    return EdgeColouring.from_matrix(HostGraph.complete(n), k, mat)
+
+
 def layered_adversarial(seed: int, variant: str = "mixed") -> EdgeColouring:
     """Structured families aimed at the solver's non-trivial stages."""
     rng = random.Random(seed)

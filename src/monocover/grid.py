@@ -8,7 +8,9 @@ independent-set classifiers return re-checkable witnesses; the
 bounded-degree search enumerates canonical representatives only
 (coordinate values relabelled to first-use order, which is sound because
 adjacency depends only on equality).
-Signatures over any axis colours map to their fibres as vertex masks.
+Signatures over any axis colours map to their fibres as vertex masks,
+found by refining masks by each axis colour's components, or vertex by
+vertex when there could be more fibres than vertices.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
+from math import prod
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -395,16 +398,43 @@ def signature_fibres(colouring: EdgeColouring,
                      axes: Sequence[int]) -> dict[GridPoint, int]:
     """Signature -> fibre mask, where a vertex's signature is the tuple of
     its component ids in the colours ``axes``, 1-based, ordinal by lowest
-    contained vertex.  The fibres partition the vertex set."""
-    sigs = [()] * colouring.n
-    for c in axes:
-        for cid, comp in enumerate(colouring.metrics.component_masks(c), start=1):
-            for v in iter_bits(comp):
-                sigs[v] += (cid,)
-    fibres: dict[GridPoint, int] = {}
-    for v, sig in enumerate(sigs):
-        fibres[sig] = fibres.get(sig, 0) | 1 << v
-    return fibres
+    contained vertex.  The fibres partition the vertex set and come in
+    order of their lowest vertex.
+
+    The fibres are refined as masks: all vertices start under ``()``, and
+    each axis splits every fibre by the components of its colour that the
+    fibre meets, scanned in id order until the fibre is used up.  A vertex
+    in fibre ``sig`` and component ``cid`` lands in ``sig + (cid,)``
+    either way, so this is the per-vertex labelling, read off whole
+    masks; sorting by lowest vertex restores the labelling's order.  The
+    scan costs up to fibres x components per axis, and the product of the
+    axes' component counts bounds the fibres; when that product exceeds
+    n, the vertices are labelled one by one instead (n x axes steps).
+    """
+    n = colouring.n
+    comps = [colouring.metrics.component_masks(c) for c in axes]
+    if prod(map(len, comps)) > n:
+        sigs = [()] * n
+        for masks in comps:
+            for cid, comp in enumerate(masks, start=1):
+                for v in iter_bits(comp):
+                    sigs[v] += (cid,)
+        fibres: dict[GridPoint, int] = {}
+        for v, sig in enumerate(sigs):
+            fibres[sig] = fibres.get(sig, 0) | 1 << v
+        return fibres
+    split = [((), (1 << n) - 1)]
+    for masks in comps:
+        whole, split = split, []
+        for sig, left in whole:
+            for cid, comp in enumerate(masks, start=1):
+                part = left & comp
+                if part:
+                    split.append((sig + (cid,), part))
+                    left ^= part
+                    if not left:
+                        break
+    return dict(sorted(split, key=lambda item: item[1] & -item[1]))
 
 
 def points_from_colouring(colouring: EdgeColouring) -> tuple[GridPointSet, dict[GridPoint, frozenset[int]]]:

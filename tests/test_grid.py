@@ -1,21 +1,28 @@
 """Grid product graph geometry: classifiers, covers, search, converters."""
 
+import hashlib
 import random
 from itertools import combinations, product
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_colouring, rejects
+from conftest import blocks_colouring, constant_colouring, random_colouring, rejects
+from monocover import grid
 from monocover.errors import ImpossibleByLemmaError
+from monocover.generators import layered_adversarial, random_uniform, relabelled
+from monocover.graphs import EdgeColouring, HostGraph, iter_bits
 from monocover.grid import (Coplanar5, GridCoverPart, GridPointSet, SearchResult,
                             Struct1, Struct2, Struct3, ThreeLines,
                             bounded_degree_search, classify_independent4,
                             classify_independent5, colouring_from_points,
                             cover_G3, exists_two_part_cover, format_points,
                             grid_adjacent, parse_points, points_from_colouring,
-                            verify_grid_cover, _g3_components)
+                            signature_fibres, verify_grid_cover, _g3_components)
+from monocover.solver import BRANCH_SMALL_DIAM, solve4
 
 SHARPNESS_X = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -412,6 +419,119 @@ def test_fibres_partition_and_cross_edges(rng):
                 for u in fibres[x]:
                     for v in fibres[y]:
                         assert col.colour_of(u, v) == 4
+
+
+def reference_signature_fibres(colouring, axes):
+    """The per-vertex labelling: each vertex's signature tuple built up
+    axis by axis, then its bit OR-ed into that signature's mask in vertex
+    order."""
+    sigs = [()] * colouring.n
+    for c in axes:
+        for cid, comp in enumerate(colouring.metrics.component_masks(c), start=1):
+            for v in iter_bits(comp):
+                sigs[v] += (cid,)
+    fibres = {}
+    for v, sig in enumerate(sigs):
+        fibres[sig] = fibres.get(sig, 0) | 1 << v
+    return fibres
+
+
+def sparse_colouring(n, p, seed):
+    """K_n with each of colours 1..3 on about a ``p`` share of the pairs
+    and colour 4 on the rest: at n = 600 and p = 0.002, colours 1..3 have
+    hundreds of components each."""
+    rng = np.random.default_rng(seed)
+    rare = rng.integers(1, 4, size=(n, n), dtype=np.uint8)
+    mat = np.triu(np.where(rng.random((n, n)) < 3 * p, rare, np.uint8(4)), 1)
+    return EdgeColouring.from_matrix(HostGraph.complete(n), 4, mat + mat.T)
+
+
+def guarded(colouring, axes):
+    """True iff ``signature_fibres`` labels vertex by vertex: the product
+    of the axes' component counts, which bounds the fibres, exceeds n."""
+    return prod(len(colouring.metrics.component_masks(c)) for c in axes) > colouring.n
+
+
+def smalldiam_pinned():
+    """The pinned ``layered_adversarial`` instances that close in SmallDiam;
+    only the four-blocks and ladder draws (n < 60) are solved, since every
+    two-paths draw (n >= 170) closes in LayerQuad."""
+    return [col for col in map(layered_adversarial, range(200))
+            if col.n < 60 and solve4(col)[1].branch == BRANCH_SMALL_DIAM]
+
+
+def test_relabelled_copy_pinned():
+    col = layered_adversarial(0)
+    copy = relabelled(col, 0)
+    assert copy.n == col.n == 277 and copy.k == col.k
+    assert hashlib.sha256(copy.matrix().tobytes()).hexdigest() == (
+        "74ff46463c47ce280c416a7dc761f6e397bda16c33f568c517d6e6ef1826ef52")
+    # the same colour classes up to the colour map, and the same fibre sizes
+    assert (sorted(np.bincount(copy.matrix().ravel()))
+            == sorted(np.bincount(col.matrix().ravel())))
+    sizes = [sorted(m.bit_count() for m in signature_fibres(c, (1, 2, 3)).values())
+             for c in (col, copy)]
+    assert sizes[0] == sizes[1]
+    with pytest.raises(ValueError, match="complete host"):
+        relabelled(EdgeColouring.from_matrix(HostGraph.multipartite([1, 2]), 1,
+                                             np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+                                                      dtype=np.uint8)), 0)
+
+
+def test_signature_fibres_match_the_per_vertex_labelling():
+    cases = [blocks_colouring(n, seed) for n in (40, 100, 400) for seed in (1, 2)]
+    pinned = smalldiam_pinned()
+    assert len(pinned) == 52
+    cases += [relabelled(col, seed) for col in pinned for seed in (0, 1, 2)]
+    cases += [random_uniform(n, 4, seed) for n in (30, 200) for seed in (1, 2)]
+    cases += [sparse_colouring(600, 0.002, 1), sparse_colouring(300, 0.004, 2)]
+    paths = {True: 0, False: 0}
+    for col in cases:
+        for axes in ((1, 2, 3), (2, 4, 1)):
+            paths[guarded(col, axes)] += 1
+            assert (list(signature_fibres(col, axes).items())
+                    == list(reference_signature_fibres(col, axes).items()))
+    # the pinned copies have 8-48 vertices, and most are labelled per vertex
+    assert paths[False] >= 40 and paths[True] >= 200
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_points_from_colouring_match_the_per_vertex_labelling(k):
+    rng = random.Random(k)
+    cases = [random_colouring(rng.randint(2, 24), k, seed=rng.randint(0, 10**6))
+             for _ in range(60)]
+    cases += [random_colouring(n, k, seed=n) for n in (60, 120)]
+    cases += [constant_colouring(n, k) for n in (3, 20)]
+    paths = {True: 0, False: 0}
+    for col in cases:
+        axes = range(1, k)
+        paths[guarded(col, axes)] += 1
+        ps, fibres = points_from_colouring(col)
+        want = reference_signature_fibres(col, axes)
+        assert ps == GridPointSet(k - 1, frozenset(want))
+        assert list(fibres.items()) == [(p, frozenset(iter_bits(m)))
+                                        for p, m in want.items()]
+    assert min(paths.values()) >= 5
+
+
+def test_four_blocks_fibres_take_no_per_vertex_pass(monkeypatch):
+    # The refinement reads whole masks; the per-vertex labelling walks the
+    # bits of every component of every axis, one iter_bits call each.
+    calls = []
+    real = grid.iter_bits
+
+    def counting(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(grid, "iter_bits", counting)
+    col = blocks_colouring(400, 1)
+    assert len(signature_fibres(col, (1, 2, 3))) == 4 and calls == []
+    col = sparse_colouring(600, 0.002, 1)
+    comps = sum(len(col.metrics.component_masks(c)) for c in (1, 2, 3))
+    assert comps > 600 and guarded(col, (1, 2, 3))
+    signature_fibres(col, (1, 2, 3))
+    assert len(calls) == comps
 
 
 def test_points_file_roundtrip():
