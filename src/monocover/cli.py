@@ -9,10 +9,10 @@ cannot use, reported as one line `monocover: error: <message>` on
 stderr).  Flags only; no configuration files or environment variables.
 Each command imports the modules it uses when it runs, so a command
 pays only for its own start-up.  Colouring files are streamed: a command
-that reads one hands the parser the open file, read a chunk at a time,
-and one that writes one writes a row of pairs at a time, so no command
-holds a colouring file's whole text.  The colouring is built before its
-output file is opened, so a rejected one leaves no file.
+that reads one hands the parser the file opened as bytes, read a block
+at a time, and one that writes one writes a row of pairs at a time, so
+no command holds a colouring file's whole text.  The colouring is built
+before its output file is opened, so a rejected one leaves no file.
 """
 
 from __future__ import annotations
@@ -32,22 +32,10 @@ def _read(path: str) -> str:
 
 
 def _read_colouring(path: str):
-    """The colouring in the file at ``path``, parsed a chunk at a time."""
+    """The colouring in the file at ``path``, parsed a block at a time."""
     from .graphs import parse_colouring
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_colouring(fh)
-        except UnicodeDecodeError as exc:
-            # The decoder is handed the file a block at a time and counts
-            # from the block's start; the block ends where the file stands,
-            # which a pipe cannot tell.
-            if not fh.seekable():
-                raise
-            start = fh.buffer.tell() - len(exc.object) + exc.start
-            end = start + exc.end - exc.start
-            where = (f"byte {exc.object[exc.start]:#04x} in position {start}"
-                     if end == start + 1 else f"bytes in position {start}-{end - 1}")
-            raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+    with open(path, "rb") as fh:
+        return parse_colouring(fh)
 
 
 def _write(path: str | None, pieces: Iterable[str]) -> None:

@@ -43,11 +43,11 @@ solver's pair searches, calls :func:`bfs_reach` with a level cap
 instead, and no cache keeps those runs.
 
 The colouring file format is read and written without a Python loop per
-pair, and in pieces: :func:`parse_colouring` takes a str or an open file
-and tokenises its text in line-aligned chunks of 256 K characters, with
-numpy passes over each chunk, keeps 9 bytes a pair, so that its peak
-memory is a small multiple of the text (from a file, the whole text is
-never held), and ends in :meth:`EdgeColouring.from_matrix`, and
+pair, and in pieces: :func:`parse_colouring` reads a str's or a file's
+UTF-8 bytes in blocks cut after their last line break (:func:`_pieces`),
+checks and tokenises each with numpy passes, keeps 9 bytes a pair, so
+that its peak memory is a small multiple of the text (from a file, the
+whole text is never held), and ends in :meth:`EdgeColouring.from_matrix`;
 :func:`colouring_lines` yields the text a row at a time, each row by
 lookup in a table of "v c" strings; :func:`format_colouring` joins it.
 """
@@ -55,10 +55,11 @@ lookup in a table of "v c" strings; :func:`format_colouring` joins it.
 from __future__ import annotations
 
 import math
+import re
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -717,17 +718,16 @@ def _line_error(buf: np.ndarray, breaks: np.ndarray, pos: int, what: str) -> Val
     lo = int(breaks[i - 1]) + 1 if i else 0
     hi = int(breaks[i]) if i < breaks.size else buf.size
     line = buf[lo:hi].tobytes().decode("utf-8", "replace")
-    return ValueError(f"{what}: {line.split('#', 1)[0].strip()!r}")
+    return ValueError(f"{what}: {line.strip()!r}")
 
 
 def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """Token values of a line-aligned chunk of a colouring file, and which
-    of its pair lines have `-` for a colour; None if it has no tokens.
-
-    ``first`` says that no token came before the chunk, so that its first
-    non-empty line is the header.  Comments are blanked here, and every
-    check that a single line settles runs here: the line widths, the lone
-    `-` and the digits of each token."""
+    """Token values of a line-aligned piece of a colouring file, comments
+    deleted, and which of its pair lines have a `-` colour; None if it has
+    no tokens.  ``first`` says that no token came before the piece, so
+    that its first non-empty line is the header.  Every check that a single
+    line settles runs here: the line widths, the lone `-` and the digits of
+    each token; lines end at the bytes of ``_LINE_BREAKS``."""
     ix = np.int32 if buf.size < 2**31 else np.int64
     # Byte classes by uint8 comparisons (a difference wraps below 0, so
     # code - 10 < 4 means 10 <= code <= 13).  Whitespace is what str.split()
@@ -741,20 +741,9 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
     space[ctl[(code < 9) | ((code - np.uint8(14)) < 14)]] = False
     del ctl, code
     digits = buf - np.uint8(ord("0"))
-    hashes = np.flatnonzero(buf == ord("#"))
-    if hashes.size:
-        # blank each line from its first '#' up to its line break
-        line = np.searchsorted(breaks, hashes)
-        opens = np.ones(hashes.size, dtype=bool)
-        opens[1:] = line[1:] != line[:-1]
-        flip = np.zeros(buf.size + 1, dtype=np.int8)
-        flip[hashes[opens]] = 1
-        flip[np.append(breaks, buf.size)[line[opens]]] = -1
-        space |= np.cumsum(flip[:-1], dtype=np.int8).view(bool)
-        del line, opens, flip
     odd = np.flatnonzero(~(space | (digits < 10)))
     pad = np.concatenate(([True], space, [True]))
-    del space, hashes
+    del space
     starts = np.flatnonzero(pad[:-2] > pad[1:-1]).astype(ix)
     ends = np.flatnonzero(pad[1:-1] < pad[2:]).astype(ix) + 1
     del pad
@@ -802,58 +791,79 @@ def _read_chunk(buf: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray] |
     return val, dashed
 
 
-_CHUNK = 1 << 18  # characters of text that parse_colouring encodes at a time
+_CHUNK = 1 << 18  # bytes of a binary file, or characters of text, read at a time
+_LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # README's, which _read_chunk tells apart
+_COMMENT = re.compile(b"#[^%s]*" % _LINE_BREAKS)  # '#' up to a line break
 
 
-def _text_chunks(source: str | TextIO) -> Iterator[str]:
-    """``source`` in pieces of ``_CHUNK`` characters, each extended to the
-    end of its line.  A str and a file holding the same text give the
-    same pieces: ``readline`` after ``read(_CHUNK)`` stops at the first
-    `\\n` at or past the chunk's end, where ``find`` does."""
+def _pieces(source: str | IO) -> Iterator[tuple[int, bytes]]:
+    """The UTF-8 bytes of ``source`` as (offset, piece) pairs: blocks of
+    ``_CHUNK`` bytes of a binary file, or characters of a text file or a
+    str, encoded, each cut after its last line break, with what follows
+    the cut (or a whole block with no break) carried to the next piece."""
     if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            cut = source.find("\n", start + _CHUNK)
-            stop = len(source) if cut < 0 else cut + 1
-            yield source[start:stop]
-            start = stop
+        blocks = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
     else:
-        while piece := source.read(_CHUNK) + source.readline():
-            yield piece
+        blocks = iter(lambda: source.read(_CHUNK), source.read(0))  # "" or b"" ends
+    offset, held = 0, []
+    for block in blocks:
+        if isinstance(block, str):
+            block = block.encode()
+        cut = -1
+        for b in _LINE_BREAKS:  # '\n' first, so the others search past it only
+            cut = max(cut, block.rfind(b, cut + 1))
+        if cut < 0:
+            held.append(block)
+            continue
+        piece = b"".join([*held, memoryview(block)[:cut + 1]])
+        held = [block[cut + 1:]]
+        del block  # not held while the piece is read
+        yield offset, piece
+        offset += len(piece)
+    if rest := b"".join(held):
+        yield offset, rest
 
 
-def parse_colouring(source: str | TextIO) -> EdgeColouring:
-    """Parse the colouring file format from a str or an open text file;
-    rejects duplicate or absent pairs.
+def parse_colouring(source: str | IO) -> EdgeColouring:
+    """Parse the colouring file format from a str or an open text or
+    binary file; rejects duplicate or absent pairs.
 
     A `#` blanks the rest of its line; tokens are the runs between ASCII
     whitespace.  The first non-empty line must hold `n k` and every later
     one `u v c` or `u v -`, with each other token made of ASCII decimal
-    digits.
+    digits.  A file's bytes must be UTF-8.
 
-    The text is read in chunks of ``_CHUNK`` characters, each extended to
-    the end of its line, encoded and scanned by vectorised numpy passes;
-    of each chunk only its pairs' vertices and colours (0 for `-`) are
-    kept, 9 bytes a pair.  A file is read a chunk at a time, so its whole
-    text is never held, and it is cut where its text as a str would be,
-    so both give the same colouring or the same message.  The pair count
-    is checked against n(n-1)/2 before anything of size n*n is allocated.
-    So memory stays linear in the length of the text: on a uniform K_800
-    file the peak of a parse from a str is about 2.3 times the text, and
-    on K_3000 about once the text, the text itself not counted.  The
-    checks that a single line settles run chunk by chunk, and the ones on
-    pairs (range, duplicates, colours) after the last chunk; so in a file
-    with faults in different chunks, the message may name another fault
-    than the one that comes first in the file.
+    The bytes are read in pieces (:func:`_pieces`), each at most a block
+    and a line long.  A piece with a non-ASCII byte is decoded, only to
+    check it; as every cut follows an ASCII byte, a fault is named at its
+    offset in the file, as a decode of all its bytes names it, from a pipe
+    too.  Then its comments are deleted and it is scanned by numpy passes,
+    which keep its pairs' vertices and colours (0 for `-`), 9 bytes a pair.
+    A file's whole text is never held, and the pair count is checked
+    against n(n-1)/2 before anything of size n*n is allocated.  So memory
+    stays linear in the text: on a uniform K_800 file the peak of a parse
+    from a str, encoded a block at a time, is about 2.3 times the text, and
+    on K_3000 about once the text, the text itself not counted.  A file and
+    its text give the same colouring, and an ASCII one the same pieces.
+    Checks that a single line settles run piece by piece, and those on
+    pairs (range, duplicates, colours) after the last one; so with faults
+    in different pieces, the message may name another than the first.
     """
     head = None
-    chunks = []  # per chunk: smaller and larger vertex (int32), colour (uint8)
+    chunks = []  # per piece: smaller and larger vertex (int32), colour (uint8)
     bad_pair = bad_colour = None
-    for piece in _text_chunks(source):
-        buf = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8)
-        del piece
-        read = _read_chunk(buf, head is None)
-        del buf
+    for offset, piece in _pieces(source):
+        if not piece.isascii():
+            try:
+                piece.decode()
+            except UnicodeDecodeError as exc:
+                at, end = offset + exc.start, offset + exc.end - 1
+                where = (f"byte {piece[exc.start]:#04x} in position {at}" if end == at
+                         else f"bytes in position {at}-{end}")
+                raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+        if b"#" in piece:
+            piece = _COMMENT.sub(b"", piece)
+        read = _read_chunk(np.frombuffer(piece, dtype=np.uint8), head is None)
         if read is None:
             continue
         val, dashed = read

@@ -1,16 +1,16 @@
 """Brute-force ground truth: minimal covers at tiny sizes, exhaustive scans.
 
-Everything here is independent of the constructive solvers.  A search
-reads tables gathered once per colouring (:func:`_tables`): for each
-colour c, the c-adjacency rows and, for each vertex v, the c-balls
-around v at every radius; the ball of radius n-1 is v's c-component.
-A colour graph's balls are a function of its adjacency rows alone, so
-:func:`_balls` builds them once per distinct colour graph and keeps the
-:data:`BALL_CACHE_SIZE` most recently used: the colourings of a scan
-share few colour graphs between many instances.  A search at bound r
-reads the balls of radius r, or the components when the bound is None,
-so :func:`minimal_bound` runs its whole climb from the lower bound on
-one set of tables.
+Everything here but the random sampler above 10 vertices, which runs
+``solve4``, is independent of the constructive solvers.  A search reads
+tables gathered once per colouring (:func:`_tables`): for each colour c,
+the c-adjacency rows and, for each vertex v, the c-balls around v at every
+radius; the ball of radius n-1 is v's c-component.  A colour graph's balls
+are a function of its adjacency rows alone, so :func:`_balls` builds them
+once per distinct colour graph and keeps the :data:`BALL_CACHE_SIZE` most
+recently used: the colourings of a scan share few colour graphs between
+many instances.  A search at bound r reads the balls of radius r, or the
+components when the bound is None, so :func:`minimal_bound` runs its whole
+climb from the lower bound on one set of tables.
 The search (:func:`_search`) assigns vertices to at most ``max_parts``
 blocks in canonical order (blocks indexed by first contained vertex).
 Each block carries the set of colours in which its vertices are

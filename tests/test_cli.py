@@ -282,7 +282,8 @@ def test_undecodable_colouring_names_its_file_offset(tmp_path, capsys, at, bad):
 
 
 def test_undecodable_colouring_from_a_pipe(tmp_path, capsys):
-    # A pipe cannot tell its offset, so the decoder's own message stands.
+    # The parser counts the bytes it has read, so a pipe's fault is named
+    # at its offset, as a decode of all the bytes names it.
     fifo, cov_path = tmp_path / "fifo.col", tmp_path / "c.cov"
     os.mkfifo(fifo)
     cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
@@ -296,6 +297,33 @@ def test_undecodable_colouring_from_a_pipe(tmp_path, capsys):
     assert not writer.is_alive()
     assert capsys.readouterr().err == ("monocover: error: 'utf-8' codec can't "
                                        "decode byte 0xff in position 4: invalid start byte\n")
+
+
+def test_undecodable_colouring_past_the_first_block_of_a_pipe(tmp_path, capsys):
+    # A fault several blocks into a pipe is named at its offset in the
+    # stream, which no seek can tell.
+    data = format_colouring(random_uniform(400, 4, 3)).encode()
+    data = data[:700_000] + b"\xff" + data[700_000:]
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    assert "position 700000" in str(exc.value)
+    fifo, cov_path = tmp_path / "fifo.col", tmp_path / "c.cov"
+    os.mkfifo(fifo)
+    cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
+
+    def write():
+        # the parser stops at the fault and closes the pipe
+        with contextlib.suppress(BrokenPipeError):
+            fifo.write_bytes(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert run("verify", str(fifo), str(cov_path)) == 4
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == f"monocover: error: {exc.value}\n"
 
 
 def test_malformed_cover_is_rejected_in_one_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Graph core: components, balls, set diameters, metric laws, file format."""
 
 import bisect
+import io
 import math
 import random
 import re
@@ -1028,12 +1029,13 @@ def chunked_lines(n, seed):
             lines.append(rng.choice(["\n", "\t# note\r\n", "  \x1c"]))
             pos += len(lines[-1])
     lines[-1] = lines[-1].rstrip("\x1c\r\n") + "\n"
-    # the cuts parse_colouring makes: the first '\n' at or after each
-    # chunk's start plus _CHUNK
-    text, cuts, start = "".join(lines), [], 0
-    while (cut := text.find("\n", start + graphs._CHUNK)) >= 0:
-        cuts.append(cut)
-        start = cut + 1
+    # the cuts parse_colouring makes: after the last line break of each
+    # block of _CHUNK characters (bytes too, as the text is ASCII), but
+    # not at the text's own end
+    text, cuts = "".join(lines), []
+    for start in range(0, len(text) - 1, graphs._CHUNK):
+        block = text[start:min(start + graphs._CHUNK, len(text) - 1)]
+        cuts.append(start + max(map(block.rfind, "\n\r\x1c")))
     pairs = list(combinations(range(n), 2))
     dashed = set()
     for cut in cuts:
@@ -1086,17 +1088,23 @@ def test_colouring_parser_rejects_mutations_in_the_last_chunk():
 
 
 def test_colouring_parser_reads_a_file_as_its_text(tmp_path):
-    # An open file is read a chunk at a time and cut where its text as a
-    # str is, with '-' colours next to each cut; read with newlines
-    # translated, as the CLI reads it, it gives the same colouring too.
+    # An open file, binary or text, is read a block at a time and cut where
+    # its text as a str is, with '-' colours next to each cut; a binary
+    # file, as the CLI reads it, and a text file read with newlines
+    # translated give the same colouring too.
     lines, dashed = chunked_lines(300, 3)
     text = "".join(lines)
     path = tmp_path / "c.col"
     path.write_text(text, encoding="utf-8", newline="")
+    pieces = list(graphs._pieces(text))
+    with open(path, "rb") as fh:
+        assert list(graphs._pieces(fh)) == pieces
     with open(path, encoding="utf-8", newline="\n") as fh:
-        assert list(graphs._text_chunks(fh)) == list(graphs._text_chunks(text))
+        assert list(graphs._pieces(fh)) == pieces
     want = assert_same_outcome(text)
     assert want is not None and want[3] == dashed
+    with open(path, "rb") as fh:
+        assert parsed_state(parse_colouring(fh)) == want
     for newline in ("\n", None):
         with open(path, encoding="utf-8", newline=newline) as fh:
             assert parsed_state(parse_colouring(fh)) == want
@@ -1116,7 +1124,7 @@ def test_cli_and_str_name_the_same_of_two_faults(tmp_path, capsys, faults):
         u, v, _ = lines[i].split("#")[0].split()
         lines[i] = f"{u} {v} {fault}\n"
     text = "".join(lines)
-    ends = np.cumsum([len(p) for p in graphs._text_chunks(text)])
+    ends = np.cumsum([len(p) for _, p in graphs._pieces(text)])
     at = [int(np.searchsorted(ends, sum(map(len, lines[:i])), side="right"))
           for i in picked]
     assert at[0] < at[1]
@@ -1127,6 +1135,43 @@ def test_cli_and_str_name_the_same_of_two_faults(tmp_path, capsys, faults):
     cov_path.write_text("parts=1 bound=1\n1: 0 1\n")
     assert main(["verify", str(col_path), str(cov_path)]) == 4
     assert capsys.readouterr().err == f"monocover: error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e"],
+                         ids=["lf", "cr", "crlf", "vt", "ff", "fs", "gs", "rs"])
+def test_every_line_break_is_read_in_bounded_pieces(tmp_path, brk):
+    # A file several blocks long whose lines end in any one of README's
+    # breaks, each after an empty comment, is cut at them, into pieces of
+    # at most a block and a line, and parses from a binary file, a text
+    # file and a str as its '\n' twin does.
+    twin = format_colouring(random_uniform(400, 4, 5))
+    text = twin.replace("\n", " #" + brk)
+    assert len(text) > 2 * graphs._CHUNK
+    longest = max(map(len, text.splitlines(keepends=True)))
+    want = parsed_state(parse_colouring(twin))
+    path = tmp_path / "c.col"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, "rb") as binary, open(path, encoding="utf-8", newline="") as textual:
+        for source in (binary, textual, text):
+            pieces = [piece for _, piece in graphs._pieces(source)]
+            assert len(pieces) > 2
+            assert max(map(len, pieces)) <= graphs._CHUNK + longest
+            if source is not text:
+                source.seek(0)
+            assert parsed_state(parse_colouring(source)) == want
+
+
+def test_line_breaks_are_the_bytes_the_tokenizer_breaks_lines_at():
+    # Between a header and a pair line, exactly the bytes of _LINE_BREAKS,
+    # where the reader cuts, end a line.
+    ends = set()
+    for b in range(256):
+        try:
+            parse_colouring(io.BytesIO(b"2 1" + bytes([b]) + b"0 1 1\n"))
+        except ValueError:
+            continue
+        ends.add(b)
+    assert ends == set(graphs._LINE_BREAKS)
 
 
 def test_colouring_parser_peak_is_at_most_four_times_the_text():

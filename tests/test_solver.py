@@ -15,7 +15,8 @@ from monocover import graphs
 from monocover.covers import Cover, CoverPart, format_cover, verify_cover
 from monocover.generators import (four_blocks, hub_tails, ladder,
                                   layered_adversarial, random_uniform,
-                                  section5_example, sharpness_x, two_paths)
+                                  relabelled, section5_example, sharpness_x,
+                                  two_paths)
 from monocover.graphs import (DISCONNECTED, EdgeColouring, HostGraph, MonoMetrics,
                               diameter_of_mask, iter_bits, set_diameter)
 from monocover.solver import (BRANCH_FALLBACK, BRANCH_INTERSECTING,
@@ -51,6 +52,33 @@ def test_gyarfas_sharpness_instance():
     cover = gyarfas_connectivity_cover(col)
     assert len(cover.parts) <= 3
     assert verify_cover(col, cover, bound=math.inf, max_parts=3).valid
+
+
+def test_fallback_when_every_stage_declines(monkeypatch, tmp_path):
+    # No instance family reaches the fallback, so every stage is made to
+    # decline: the connectivity cover closes, the trace says so, and
+    # `monocover solve` exits 3 with a verified cover.
+    from monocover import solver
+    from monocover.cli import main
+    monkeypatch.setattr(solver, "_STAGES", tuple(
+        (name, lambda col, notes: (None, None, None)) for name, _ in solver._STAGES))
+    col = random_uniform(40, 4, 2)
+    cover, trace = solve4(col)
+    assert trace.branch == BRANCH_FALLBACK
+    assert [r.name for r in trace.stages] == [name for name, _ in solver._STAGES]
+    assert all(r.outcome == "n/a" for r in trace.stages)
+    assert len(cover.parts) <= 3
+    assert verify_cover(col, cover, bound=math.inf, max_parts=3).valid
+    metrics = MonoMetrics(col)
+    assert trace.details == {
+        "colour_diameters": {c: metrics.colour_diameter(c) for c in range(1, 5)},
+        "component_counts": {c: len(metrics.component_masks(c)) for c in range(1, 5)}}
+    col_path, trace_path = tmp_path / "c.col", tmp_path / "t.json"
+    col_path.write_text(graphs.format_colouring(col))
+    assert main(["solve", str(col_path), "-o", str(tmp_path / "c.cov"),
+                 "--trace", str(trace_path)]) == 3
+    payload = json.loads(trace_path.read_text())
+    assert payload["branch"] == BRANCH_FALLBACK and payload["valid"] is True
 
 
 def test_connectivity_cover_parts_are_distinct():
@@ -713,6 +741,35 @@ def test_solve4_outputs_pinned():
                         BRANCH_LAYER_QUAD: 85}
     assert digest.hexdigest() == (
         "7d2c45449691fa6b5e49728a4e96f648590551d415c7c80a6467b402282a888f")
+
+
+def test_relabelled_layer_quad_anomalies_pinned():
+    # The instances of test_solve4_outputs_pinned that close in LayerQuad
+    # are its two_paths draws.  A relabelled copy of one often sinks the
+    # layer stage's quadruple cover in a degenerate multipartite_colour
+    # call, and a later stage closes it.  The count documents that defect
+    # until the layer stage is mended.  Here are the 65 draws of
+    # layered_adversarial, copied with seed 0; all 85 instances with
+    # seeds 0-2 give 224 of 255 copies with a layer-stage anomaly, 427
+    # anomalies, and Intersecting 203, LayerQuad 31, LayerTriple7 21.
+    seeds = [s for s in range(200) if random.Random(s).choice(
+        ["four-blocks", "two-paths", "ladder"]) == "two-paths"]
+    assert len(seeds) == 65
+    with_anomaly, layer_anomalies, anomalies = 0, 0, 0
+    branches = Counter()
+    for seed in seeds:
+        col = relabelled(layered_adversarial(seed), 0)
+        cover, trace = solve4(col)
+        check_solved(col, cover, trace)
+        branches[trace.branch] += 1
+        layer = [r for r in trace.stages if r.name == "layer mappings"]
+        found = len(layer[0].anomalies) if layer else 0
+        with_anomaly += found > 0
+        layer_anomalies += found
+        anomalies += len(trace.anomalies)
+    assert (with_anomaly, layer_anomalies, anomalies) == (56, 107, 107)
+    assert branches == {BRANCH_INTERSECTING: 51, BRANCH_LAYER_QUAD: 9,
+                        BRANCH_LAYER_TRIPLE7: 5}
 
 
 def test_sharpness_colouring_three_parts():
